@@ -18,7 +18,7 @@ from pathlib import Path
 from .coeffring import ALPHA, AlphaRational, PoleError, alpha_eval, parse_alpha
 from .ideals import ZeroPolynomial, char_F, char_I, cluster_multiplicity
 from .jack import JackExpansion, jack_symbolic, pieri_closed, _JACK_CACHE
-from .ops import apply_D, apply_operator
+from .ops import NonPolynomialResult, apply_D, apply_operator
 from .spart import (SuperPartition, e_star_poly, enumerate_sparts,
                     is_admissible, parse_spart)
 from .superpoly import SuperPolynomial, terms_to_json
@@ -494,8 +494,11 @@ def dispatch(argv) -> int:
     except UsageError as exc:
         _emit_error("UsageError", str(exc))
         return 2
-    except PoleError as exc:
-        _emit_error("PoleError", str(exc))
+    except NonPolynomialResult as exc:
+        _emit_error("NonPolynomialResult", str(exc))
+        return 2
+    except ArithmeticError as exc:
+        _emit_error(type(exc).__name__, str(exc))
         return 3
     except (ValueError, KeyError) as exc:
         _emit_error("UsageError", str(exc))

@@ -85,13 +85,6 @@ class AlphaPolynomial:
             g = math.gcd(g, c)
         return g
 
-    def primitive(self) -> "AlphaPolynomial":
-        """Divide out the content; sign follows the leading coefficient."""
-        g = self.content()
-        if g <= 1:
-            return self
-        return AlphaPolynomial(c // g for c in self.coeffs)
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -302,12 +295,6 @@ class AlphaRational:
 
     def is_polynomial(self) -> bool:
         return self.den.is_one()
-
-    def as_fraction(self) -> Fraction:
-        """Convert a constant element to a Fraction."""
-        if self.num.degree() > 0 or self.den.degree() > 0:
-            raise ValueError(f"{self} is not a constant")
-        return Fraction(self.num.leading() if self.num else 0, self.den.leading())
 
     def __bool__(self) -> bool:
         return not self.num.is_zero()

@@ -17,9 +17,9 @@ from .coeffring import FieldMatrix, NoSolution, solve_exact, UniqueSolution
 from .jack import jack_at
 from .ops import L_op, Q_op, Q_perp, q_op, q_perp, q_tilde
 from .spart import (SuperPartition, enumerate_all_m, enumerate_sparts,
-                    is_admissible)
+                    fermionic_range, is_admissible)
 from .superpoly import (SuperPolynomial, ferm_power, monomial_msym,
-                        power_sum, prescribed_part)
+                        power_sum, prescribed_part, to_mbasis)
 
 
 class NotInSpan(ValueError):
@@ -77,13 +77,11 @@ def ideal_basis(k: int, r: int, N: int, nmax: int,
                 allow_noncoprime: bool = False) -> GradedBasis:
     by_degree = {}
     for n in range(nmax + 1):
-        m = 0
-        while m <= N and m * (m - 1) // 2 <= n:
+        for m in fermionic_range(n, N):
             entry = degree_basis(k, r, N, n, m,
                                  allow_noncoprime=allow_noncoprime)
             if entry:
                 by_degree[(n, m)] = entry
-            m += 1
     return GradedBasis(k, r, N, nmax, alpha_kr(k, r), by_degree)
 
 
@@ -91,58 +89,44 @@ def ideal_basis(k: int, r: int, N: int, nmax: int,
 # membership and ranks, in monomial coordinates over Q
 # ---------------------------------------------------------------------------
 
-def _coords(polys: Sequence[SuperPolynomial]):
-    keys = sorted({key for f in polys for key in f.terms})
-    vecs = [[Fraction(f.terms.get(key, 0)) for key in keys] for f in polys]
-    return keys, vecs
+def _span_solve(columns: Sequence[dict], rhs: Optional[dict] = None):
+    """Solve sum_j x_j columns[j] = rhs over Q with one `solve_exact` call.
+
+    Columns and right-hand side are coordinate dicts (monomial-superbasis
+    labels or expanded terms); a missing key is a zero coordinate and the
+    default right-hand side is zero.  Returns the `solve_exact` result.
+    """
+    rhs = rhs or {}
+    keys = list(dict.fromkeys([key for col in columns for key in col]
+                              + list(rhs)))
+    entries = [Fraction(col.get(key, 0)) for key in keys for col in columns]
+    return solve_exact(FieldMatrix(len(keys), len(columns), entries),
+                       [Fraction(rhs.get(key, 0)) for key in keys])
 
 
 def membership(f: SuperPolynomial, basis: Sequence[tuple[SuperPartition, SuperPolynomial]]):
-    """Coefficients of f over the given elements; NotInSpan on failure."""
+    """Coefficients of f over the given elements; NotInSpan on failure.
+
+    The solve runs in monomial-superbasis coordinates.  The elements are
+    symmetric, so a non-symmetric f lies outside their span.
+    """
     if f.is_zero():
         return {}
-    polys = [poly for _, poly in basis]
-    keys, vecs = _coords(polys + [f])
-    cols = len(polys)
-    entries = []
-    for i in range(len(keys)):
-        for v in vecs[:cols]:
-            entries.append(v[i])
-    rhs = [vecs[cols][i] for i in range(len(keys))]
-    res = solve_exact(FieldMatrix(len(keys), cols, entries), rhs)
+    if not f.is_symmetric():
+        raise NotInSpan("not symmetric, so outside the span", residual=f)
+    res = _span_solve([to_mbasis(poly) for _, poly in basis],
+                      to_mbasis(f, verify=False))
     if isinstance(res, NoSolution):
-        raise NotInSpan(f"outside the span ({cols} elements)", residual=f)
+        raise NotInSpan(f"outside the span ({len(basis)} elements)", residual=f)
     vector = res.vector if isinstance(res, UniqueSolution) else res.particular
     return {basis[i][0]: c for i, c in enumerate(vector) if c}
 
 
 def rank_of(polys: Sequence[SuperPolynomial]) -> int:
-    polys = [f for f in polys if not f.is_zero()]
-    if not polys:
-        return 0
-    _, vecs = _coords(polys)
-    rows = [list(v) for v in vecs]
-    rank = 0
-    ncols = len(rows[0])
-    pivot_col = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col]:
-                fme = rows[i][col] / pv
-                rows[i] = [e - fme * rows[rank][j] for j, e in enumerate(rows[i])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    """Rank of the polynomials, in expanded-term coordinates."""
+    res = _span_solve([f.terms for f in polys])
+    return len(polys) - (0 if isinstance(res, UniqueSolution)
+                         else len(res.nullspace))
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +208,6 @@ def stability_suite(k: int, r: int, N: int, nmax: int,
             "checked": checked, "violations": violations}
 
 
-def _x_degree(f: SuperPolynomial) -> int:
-    return max((sum(e) for _, e in f.terms), default=0)
-
-
 def _max_exp(f: SuperPolynomial, i: int) -> int:
     return max((e[i - 1] for _, e in f.terms), default=0)
 
@@ -291,32 +271,17 @@ def char_I(k: int, r: int, N: int, nmax: int,
 def dim_F(k: int, N: int, n: int, m: int) -> int:
     """Dimension of the coincidence-vanishing subspace at one bidegree."""
     labels = enumerate_sparts(n, m, N)
-    if not labels:
-        return 0
     images = [monomial_msym(L, N).merge_x(range(1, k + 2), 1) for L in labels]
-    keys = sorted({key for f in images for key in f.terms})
-    if not keys:
-        return len(labels)
-    entries = []
-    for key in keys:
-        for f in images:
-            entries.append(Fraction(f.terms.get(key, 0)))
-    res = solve_exact(FieldMatrix(len(keys), len(labels), entries),
-                      [Fraction(0)] * len(keys))
-    if isinstance(res, UniqueSolution):
-        return 0
-    return len(res.nullspace)
+    return len(labels) - rank_of(images)
 
 
 def char_F(k: int, N: int, nmax: int) -> CharacterSeries:
     table = {}
     for n in range(nmax + 1):
-        m = 0
-        while m <= N and m * (m - 1) // 2 <= n:
+        for m in fermionic_range(n, N):
             d = dim_F(k, N, n, m)
             if d:
                 table[(n, m)] = d
-            m += 1
     return CharacterSeries(table, nmax)
 
 
@@ -441,12 +406,10 @@ def harness_I_eq_F(k: int, N: int, nmax: int) -> dict:
     cf = char_F(k, N, nmax)
     mismatches = []
     for n in range(nmax + 1):
-        m = 0
-        while m <= N and m * (m - 1) // 2 <= n:
+        for m in fermionic_range(n, N):
             if ci.coeff(n, m) != cf.coeff(n, m):
                 mismatches.append({"degree": (n, m), "char_I": ci.coeff(n, m),
                                    "char_F": cf.coeff(n, m)})
-            m += 1
     return {"k": k, "N": N, "nmax": nmax, "char_I": ci, "char_F": cf,
             "equal": not mismatches, "mismatches": mismatches}
 
@@ -476,8 +439,7 @@ def harness_clustering(k: int, r: int, N: int, nmax: int,
     """Sweep the multiplicity over admissible labels and log exceptions."""
     rows = []
     for n in range(nmax + 1):
-        m = 1
-        while m <= N and m * (m - 1) // 2 <= n:
+        for m in fermionic_range(n, N)[1:]:
             for L in admissible_at_degree(k, r, N, n, m,
                                           allow_noncoprime=allow_noncoprime):
                 for cluster, primed in _representative_clusters(k, m, N):
@@ -500,7 +462,6 @@ def harness_clustering(k: int, r: int, N: int, nmax: int,
                                     and res.multiplicity >= res.expected),
                         "within_bounds": N >= k + m + 1 and r > m > 0,
                     })
-            m += 1
     exceptions = [row for row in rows if row.get("exception")]
     bad = [row for row in exceptions if row.get("within_bounds")]
     return {"k": k, "r": r, "N": N, "nmax": nmax, "rows": rows,

@@ -429,6 +429,8 @@ def apply_operator(name: str, f: SuperPolynomial, alpha,
     if name == "Cherednik":
         if not index:
             raise ValueError("Cherednik needs --index")
+        if not 1 <= index <= f.N:
+            raise ValueError(f"--index {index} is outside 1..{f.N}")
         return cherednik(f, index, alpha)
     if name == "Sekiguchi":
         return sekiguchi_S(f, alpha)

@@ -368,13 +368,17 @@ def enumerate_sparts(n: int, m: int, N: int) -> tuple[SuperPartition, ...]:
     return tuple(out)
 
 
-def enumerate_all_m(n: int, N: int) -> list[SuperPartition]:
-    out = []
+def fermionic_range(n: int, N: int) -> range:
+    """Fermionic degrees m of the superpartitions of n in N >= 1 rows: at
+    most N circles, whose distinct parts sum to at least 0 + 1 + ... + (m-1)."""
     m = 0
     while m <= N and m * (m - 1) // 2 <= n:
-        out.extend(enumerate_sparts(n, m, N))
         m += 1
-    return out
+    return range(m)
+
+
+def enumerate_all_m(n: int, N: int) -> list[SuperPartition]:
+    return [L for m in fermionic_range(n, N) for L in enumerate_sparts(n, m, N)]
 
 
 def enumerate_admissible(k: int, r: int, N: int, nmax: int,

@@ -15,7 +15,8 @@ from .jack import (duality_check, jack_at, jack_poly, norm_gram, norm_hook,
 from .ops import (check_algebra_table, check_virasoro_relations,
                   sekiguchi_S, sekiguchi_S_tilde, ulist_equals_scalar_multiple)
 from .spart import (almost_admissible_variants, enumerate_all_m,
-                    enumerate_sparts, epsilon_u, is_admissible, star_pair)
+                    enumerate_sparts, epsilon_u, fermionic_range,
+                    is_admissible, star_pair)
 from .superpoly import monomial_msym
 
 
@@ -48,13 +49,11 @@ def suite_norm(nmax: int) -> tuple[bool, dict]:
     failures = []
     count = 0
     for n in range(nmax + 1):
-        m = 0
-        while m * (m - 1) // 2 <= n:
+        for m in fermionic_range(n, n + 1):
             for L in enumerate_sparts(n, m, n + m if n + m else 1):
                 count += 1
                 if norm_hook(L) != norm_gram(L, max(n + m, 1)):
                     failures.append(str(L))
-            m += 1
     return not failures, {"checked": count, "failures": failures}
 
 
@@ -62,13 +61,11 @@ def suite_duality(nmax: int) -> tuple[bool, dict]:
     failures = []
     count = 0
     for n in range(nmax + 1):
-        m = 0
-        while m * (m - 1) // 2 <= n:
+        for m in fermionic_range(n, n + 1):
             for L in enumerate_sparts(n, m, n + m if n + m else 1):
                 count += 1
                 if not duality_check(L, max(n + m, 1)):
                     failures.append(str(L))
-            m += 1
     return not failures, {"checked": count, "failures": failures}
 
 

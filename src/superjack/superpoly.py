@@ -84,9 +84,6 @@ class SuperPolynomial:
     def theta_free(self) -> bool:
         return all(not T for T, _ in self.terms)
 
-    def total_x_degree(self) -> int:
-        return max((sum(e) for _, e in self.terms), default=0)
-
     # -- additive ring structure --------------------------------------------
     def _iadd_term(self, key: Term, c) -> None:
         cur = self.terms.get(key)
@@ -193,15 +190,6 @@ class SuperPolynomial:
         for (T, e), c in self.terms.items():
             e2 = tuple(e[inv[p - 1] - 1] for p in range(1, self.N + 1))
             out._iadd_term((T, e2), c)
-        return out
-
-    def act_kappa(self, sigma: Sequence[int]) -> "SuperPolynomial":
-        """Permute the anticommuting variables only, with resorting sign."""
-        out = SuperPolynomial(self.N)
-        for (T, e), c in self.terms.items():
-            imgs = [sigma[t - 1] for t in T]
-            sign = _sort_sign(imgs)
-            out._iadd_term((tuple(sorted(imgs)), e), c if sign > 0 else -c)
         return out
 
     def act_Ksigma(self, sigma: Sequence[int]) -> "SuperPolynomial":

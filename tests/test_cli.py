@@ -1,7 +1,10 @@
 import json
 
+import pytest
+
+from superjack import cli
 from superjack.cli import cache_load, cache_store, dispatch
-from superjack.jack import jack_symbolic, _JACK_CACHE
+from superjack.jack import DegenerateSystem, jack_symbolic, _JACK_CACHE
 from superjack.spart import parse_spart
 
 
@@ -110,6 +113,38 @@ def test_op_apply(capsys, tmp_path):
     code, out, _ = run(capsys, "op", "apply", "--name", "Sekiguchi",
                        "--alpha", "sym", "--input", str(path))
     assert "u^0" in out and "u^2" in out
+
+
+def _write_x1_squared(tmp_path):
+    path = tmp_path / "x1sq.json"
+    path.write_text(json.dumps({"N": 2, "terms": [
+        {"thetas": [], "exps": [2, 0], "coeff": "1"}]}))
+    return str(path)
+
+
+def test_op_apply_nonsymmetric_input_exit_code(capsys, tmp_path):
+    code, _, err = run(capsys, "op", "apply", "--name", "D", "--alpha", "sym",
+                       "--input", _write_x1_squared(tmp_path))
+    assert code == 2
+    assert json.loads(err.strip())["error"] == "NonPolynomialResult"
+
+
+@pytest.mark.parametrize("index", ["5", "-1"])
+def test_op_apply_index_outside_range_exit_code(capsys, tmp_path, index):
+    code, out, err = run(capsys, "op", "apply", "--name", "Cherednik",
+                         "--index", index, "--alpha", "sym",
+                         "--input", _write_x1_squared(tmp_path))
+    assert code == 2 and out == ""
+    assert json.loads(err.strip())["error"] == "UsageError"
+
+
+def test_internal_arithmetic_error_exit_code(capsys, monkeypatch):
+    def singular(L, N, cache_dir):
+        raise DegenerateSystem(f"joint eigenproblem singular for {L}")
+    monkeypatch.setattr(cli, "jack_cached", singular)
+    code, _, err = run(capsys, "compute", "--spart", ";2", "--N", "2")
+    assert code == 3
+    assert json.loads(err.strip())["error"] == "DegenerateSystem"
 
 
 def test_verify_pass_and_fail_exit_codes(capsys):

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from superjack import ideals
+from superjack.coeffring import FieldMatrix, NoSolution, solve_exact, UniqueSolution
 from superjack.ideals import (CharacterSeries, NotInSpan, alpha_kr,
                               cluster_multiplicity, cochain_check,
                               degree_basis, dim_F, harness_clustering,
@@ -38,6 +40,63 @@ def test_membership_basics():
     assert membership(SuperPolynomial.zero(3), basis) == {}
     with pytest.raises(NotInSpan):
         membership(power_sum(1, 3), basis)
+
+
+def _dense_membership(f, basis):
+    """Oracle: one dense solve over every expanded (theta, exponent) term.
+
+    Returns the coefficient dict, or None when f is outside the span."""
+    if f.is_zero():
+        return {}
+    polys = [poly for _, poly in basis]
+    keys = sorted({key for g in polys + [f] for key in g.terms})
+    entries = [Fraction(g.terms.get(key, 0)) for key in keys for g in polys]
+    rhs = [Fraction(f.terms.get(key, 0)) for key in keys]
+    res = solve_exact(FieldMatrix(len(keys), len(polys), entries), rhs)
+    if isinstance(res, NoSolution):
+        return None
+    vector = res.vector if isinstance(res, UniqueSolution) else res.particular
+    return {basis[i][0]: c for i, c in enumerate(vector) if c}
+
+
+@pytest.mark.parametrize("k, r, N, nmax, noncoprime",
+                         [(1, 2, 3, 5, False), (1, 3, 2, 6, True)])
+def test_membership_matches_dense_oracle(monkeypatch, k, r, N, nmax,
+                                         noncoprime):
+    # every operator image and restriction piece of the stability suite
+    real = ideals.membership
+    seen = {"in": 0, "out": 0}
+
+    def differential(f, basis):
+        want = _dense_membership(f, basis)
+        try:
+            got = real(f, basis)
+        except NotInSpan:
+            got = None
+        assert got == want, (f, [str(L) for L, _ in basis])
+        seen["out" if got is None else "in"] += 1
+        if got is None:
+            raise NotInSpan("outside the span", residual=f)
+        return got
+
+    monkeypatch.setattr(ideals, "membership", differential)
+    rep = stability_suite(k, r, N, nmax, allow_noncoprime=noncoprime)
+    assert seen["in"] > 50
+    assert seen["out"] == len(rep["violations"])
+    assert bool(seen["out"]) == noncoprime
+
+
+def test_membership_rejects_nonsymmetric():
+    basis = degree_basis(1, 2, 3, 3, 2)
+    b1 = basis[0][1]
+    # a non-symmetric term that the monomial-superbasis read-off skips
+    stray = (SuperPolynomial.theta(1, 3) * SuperPolynomial.theta(2, 3)
+             * SuperPolynomial.x(2, 3, 3))
+    for f in (SuperPolynomial.x(1, 3), b1 + stray):
+        assert not f.is_symmetric()
+        assert _dense_membership(f, basis) is None
+        with pytest.raises(NotInSpan):
+            membership(f, basis)
 
 
 def test_ideal_closed_under_p1():

@@ -9,7 +9,8 @@ from superjack.spart import (SuperPartition, add_circle_moves,
                              d_eta, d_eta_product, dominance_leq,
                              enumerate_admissible, enumerate_all_m,
                              enumerate_sparts, epsilon_u, eta_bar, f_stat,
-                             is_admissible, leg, lower_hook, parse_spart,
+                             fermionic_range, is_admissible, leg, lower_hook,
+                             parse_spart,
                              remove_circle_moves, square_to_circle_moves,
                              star_pair, tilde_composition, to_overpartition,
                              upper_hook)
@@ -125,6 +126,16 @@ def test_enumerate_counts_and_order():
     assert enumerate_sparts(0, 0, 3) == (SuperPartition((), ()),)
     keys = [L.sort_key() for L in E]
     assert keys == sorted(keys, reverse=True)
+
+
+def test_fermionic_range_matches_enumeration():
+    assert list(fermionic_range(0, 3)) == [0, 1]
+    assert list(fermionic_range(-1, 3)) == []
+    # exactly the fermionic degrees that carry a superpartition
+    for n in range(8):
+        for N in range(1, 5):
+            assert list(fermionic_range(n, N)) == [
+                m for m in range(N + 2) if enumerate_sparts(n, m, N)]
 
 
 def test_enumerate_admissible_appendix_count():
