@@ -16,11 +16,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from .coeffring import ALPHA, AlphaRational, PoleError, alpha_eval, parse_alpha
-from .ideals import ZeroPolynomial, char_F, char_I, cluster_multiplicity
-from .jack import JackExpansion, jack_symbolic, pieri_closed, _JACK_CACHE
+from .ideals import char_F, char_I, cluster_multiplicity
+from .jack import (PIERI_KINDS, JackExpansion, jack_symbolic, pieri_closed,
+                   _JACK_CACHE)
 from .ops import NonPolynomialResult, apply_D, apply_operator
-from .spart import (SuperPartition, e_star_poly, enumerate_sparts,
-                    is_admissible, parse_spart)
+from .spart import (SuperPartition, dominance_leq, e_star_poly,
+                    enumerate_sparts, is_admissible, parse_spart)
 from .superpoly import SuperPolynomial, terms_to_json
 from .suites import SUITES
 
@@ -61,6 +62,12 @@ def cache_store(directory: str, expansion: JackExpansion) -> Path:
 
 
 def _eigen_spot_check(expansion: JackExpansion) -> bool:
+    """Monic, supported on labels the label dominates, and a D eigenfunction."""
+    L = expansion.label
+    if expansion.coeffs.get(L) != 1:
+        return False
+    if not all(dominance_leq(om, L) for om in expansion.coeffs):
+        return False
     poly = expansion.polynomial()
     e = AlphaRational(e_star_poly(expansion.label))
     return apply_D(poly, ALPHA) == poly.scale(e)
@@ -95,17 +102,15 @@ def cache_load(directory: str, L: SuperPartition, N: int) -> JackExpansion | Non
 
 
 def jack_cached(L: SuperPartition, N: int, directory: str | None) -> JackExpansion:
-    if (L, N) in _JACK_CACHE or not directory:
-        expansion = jack_symbolic(L, N)
-        if directory:
-            cache_store(directory, expansion)
-        return expansion
-    hit = cache_load(directory, L, N)
-    if hit is not None:
-        _JACK_CACHE[(L, N)] = hit
-        return hit
+    """From memory, else from the disk cache, else computed and stored."""
+    if directory and (L, N) not in _JACK_CACHE:
+        hit = cache_load(directory, L, N)
+        if hit is not None:
+            _JACK_CACHE[(L, N)] = hit
+            return hit
     expansion = jack_symbolic(L, N)
-    cache_store(directory, expansion)
+    if directory:
+        cache_store(directory, expansion)
     return expansion
 
 
@@ -313,9 +318,6 @@ def cmd_cluster(args, conf) -> int:
     try:
         res = cluster_multiplicity(L, args.k, args.r, args.N, cluster,
                                    args.primed)
-    except ZeroPolynomial as exc:
-        _emit_error("ZeroPolynomial", str(exc))
-        return 1
     except PoleError as exc:
         _emit_error("PoleError", str(exc))
         return 3
@@ -326,8 +328,10 @@ def cmd_cluster(args, conf) -> int:
     if args.out == "json":
         print(json.dumps(payload))
     else:
+        verdict = ("vanishes" if res.multiplicity is None
+                   else "match" if res.matches else "EXCEPTION")
         print(f"multiplicity s = {res.multiplicity}, a = {res.a}, "
-              f"r - a = {res.expected} -> {'match' if res.matches else 'EXCEPTION'}")
+              f"r - a = {res.expected} -> {verdict}")
     return 0
 
 
@@ -403,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pieri", help="closed-form operator expansion")
     p.add_argument("--upsilon", required=True,
-                   choices=("p0", "q", "qperp", "Q", "Qperp"))
+                   choices=PIERI_KINDS)
     p.add_argument("--spart", required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--alpha", default="sym")

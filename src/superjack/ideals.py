@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 from .coeffring import FieldMatrix, NoSolution, solve_exact, UniqueSolution
 from .jack import jack_at
-from .ops import L_op, Q_op, Q_perp, q_op, q_perp, q_tilde
+from .ops import OPERATORS, L_op, operator
 from .spart import (SuperPartition, enumerate_all_m, enumerate_sparts,
                     fermionic_range, is_admissible)
 from .superpoly import (SuperPolynomial, ferm_power, monomial_msym,
@@ -26,10 +26,6 @@ class NotInSpan(ValueError):
     def __init__(self, message: str, residual=None):
         super().__init__(message)
         self.residual = residual
-
-
-class ZeroPolynomial(ArithmeticError):
-    """The prescribed-symmetry polynomial vanished under the substitution."""
 
 
 def alpha_kr(k: int, r: int) -> Fraction:
@@ -150,29 +146,30 @@ def stability_suite(k: int, r: int, N: int, nmax: int,
                 k, r, N, n, m, allow_noncoprime=allow_noncoprime)
         return target_cache[key]
 
+    def generator(name: str):
+        op = operator(name)
+        return name, lambda f: op(f, a0), OPERATORS[name].shift
+
+    # (name, action, bidegree shift)
     actions: list[tuple[str, Callable[[SuperPolynomial], SuperPolynomial],
-                        Callable[[int, int], tuple[int, int]]]] = [
-        ("p0*", lambda f: ferm_power(0, N) * f, lambda n, m: (n, m + 1)),
-        ("q", lambda f: q_op(f), lambda n, m: (n - 1, m + 1)),
-        ("q_perp", lambda f: q_perp(f), lambda n, m: (n + 1, m - 1)),
-        ("Q", lambda f: Q_op(f, a0), lambda n, m: (n, m + 1)),
-        ("Q_perp", lambda f: Q_perp(f), lambda n, m: (n, m - 1)),
-        ("p1*", lambda f: power_sum(1, N) * f, lambda n, m: (n + 1, m)),
-        ("p2*", lambda f: power_sum(2, N) * f, lambda n, m: (n + 2, m)),
-        ("L_-2", lambda f: L_op(-2, f), lambda n, m: (n + 2, m)),
+                        tuple[int, int]]] = [
+        ("p0*", lambda f: ferm_power(0, N) * f, (0, 1)),
+        *map(generator, ("q", "q_perp", "Q", "Q_perp")),
+        ("p1*", lambda f: power_sum(1, N) * f, (1, 0)),
+        ("p2*", lambda f: power_sum(2, N) * f, (2, 0)),
+        ("L_-2", lambda f: L_op(-2, f), (2, 0)),
     ]
     violations = []
     checked = 0
     for (n, m), entries in sorted(basis.by_degree.items()):
         for label, poly in entries:
-            for name, act, deg in actions:
+            for name, act, (dn, dm) in actions:
                 img = act(poly)
                 checked += 1
                 if img.is_zero():
                     continue
-                tn, tm = deg(n, m)
                 try:
-                    membership(img, target_basis(tn, tm))
+                    membership(img, target_basis(n + dn, m + dm))
                 except NotInSpan:
                     violations.append((name, str(label), (n, m)))
     # restriction to one variable fewer
@@ -338,10 +335,8 @@ def cluster_multiplicity(L: SuperPartition, k: int, r: int, N: int,
     assignments[primed] = xprime
     img = g.subs_x(assignments)
     a = sum(1 for i in set(cluster) | {primed} if i <= m)
-    if img.is_zero():
-        raise ZeroPolynomial(f"prescribed polynomial of {L} dies under the "
-                             f"cluster substitution")
-    return ClusterResult(img.x_valuation(N + 2), a, r - a)
+    s = None if img.is_zero() else img.x_valuation(N + 2)
+    return ClusterResult(s, a, r - a)
 
 
 # ---------------------------------------------------------------------------
@@ -351,28 +346,23 @@ def cluster_multiplicity(L: SuperPartition, k: int, r: int, N: int,
 def cochain_check(k: int, r: int, N: int, nmax: int, d: str = "q",
                   allow_noncoprime: bool = False) -> dict:
     """d-stability, d*d = 0 and kernel/image rank bookkeeping on the span."""
-    if d == "q":
-        act = q_op
-        deg = lambda n, m: (n - 1, m + 1)
-    elif d in ("q_tilde", "qt"):
-        act = q_tilde
-        deg = lambda n, m: (n, m + 1)
-    else:
+    if d not in ("q", "q_tilde"):
         raise ValueError("d must be 'q' or 'q_tilde'")
+    act = operator(d)
+    dn, dm = OPERATORS[d].shift
     basis = ideal_basis(k, r, N, nmax, allow_noncoprime=allow_noncoprime)
     a0 = basis.alpha
     failures = []
     ranks = {}
     for (n, m), entries in sorted(basis.by_degree.items()):
         polys = [p for _, p in entries]
-        images = [act(p) for p in polys]
+        images = [act(p, a0) for p in polys]
         for (label, _), img in zip(entries, images):
-            if act(img):
+            if act(img, a0):
                 failures.append(("d.d != 0", str(label), (n, m)))
             if img.is_zero():
                 continue
-            tn, tm = deg(n, m)
-            target = degree_basis(k, r, N, tn, tm,
+            target = degree_basis(k, r, N, n + dn, m + dm,
                                   allow_noncoprime=allow_noncoprime)
             try:
                 membership(img, target)
@@ -388,7 +378,7 @@ def cochain_check(k: int, r: int, N: int, nmax: int, d: str = "q",
             continue
         # source degree mapping onto (n, m); skip spots whose source lies
         # beyond the computed range (its image rank would read as 0)
-        src = (n + 1, m - 1) if d == "q" else (n, m - 1)
+        src = (n - dn, m - dm)
         if src[0] > nmax:
             continue
         im_prev = ranks.get(src, {}).get("rank_d", 0)
@@ -443,11 +433,10 @@ def harness_clustering(k: int, r: int, N: int, nmax: int,
             for L in admissible_at_degree(k, r, N, n, m,
                                           allow_noncoprime=allow_noncoprime):
                 for cluster, primed in _representative_clusters(k, m, N):
-                    try:
-                        res = cluster_multiplicity(
-                            L, k, r, N, cluster, primed,
-                            allow_noncoprime=allow_noncoprime)
-                    except ZeroPolynomial:
+                    res = cluster_multiplicity(
+                        L, k, r, N, cluster, primed,
+                        allow_noncoprime=allow_noncoprime)
+                    if res.multiplicity is None:
                         rows.append({"label": str(L), "cluster": cluster,
                                      "primed": primed, "s": None,
                                      "expected": None, "zero": True,
@@ -458,8 +447,7 @@ def harness_clustering(k: int, r: int, N: int, nmax: int,
                         "s": res.multiplicity, "expected": res.expected,
                         "zero": False,
                         "exception": res.multiplicity != res.expected,
-                        "divides": (res.multiplicity is not None
-                                    and res.multiplicity >= res.expected),
+                        "divides": res.multiplicity >= res.expected,
                         "within_bounds": N >= k + m + 1 and r > m > 0,
                     })
     exceptions = [row for row in rows if row.get("exception")]

@@ -19,7 +19,7 @@ from typing import Optional
 from .coeffring import (ALPHA, ONE, AlphaPolynomial, AlphaRational,
                         FieldMatrix, PoleError, UniqueSolution, alpha_eval,
                         solve_exact)
-from .ops import (Q_op, Q_perp, apply_D, apply_Delta, cherednik, q_op, q_perp)
+from .ops import apply_D, apply_Delta, cherednik, operator
 from .spart import (SuperPartition, add_circle_moves, bosonic_cells,
                     circle_to_square_moves, dominance_leq, e_star_poly,
                     e_tilde_poly, enumerate_sparts, eta_bar, f_stat,
@@ -446,20 +446,17 @@ def pieri_closed(kind: str, L: SuperPartition, N: int) -> dict[SuperPartition, A
 
 
 def pieri_direct(kind: str, L: SuperPartition, N: int) -> dict[SuperPartition, object]:
-    """Apply the operator to the Jack polynomial and re-expand in Jack basis."""
+    """Apply the operator to the Jack polynomial and re-expand in Jack basis.
+
+    p0 multiplies; the other kinds name table operators, Qperp for Q_perp.
+    """
+    if kind not in PIERI_KINDS:
+        raise ValueError(f"unknown Pieri kind {kind!r}")
     P = jack_poly(L, N)
     if kind == "p0":
         g = ferm_power(0, N) * P
-    elif kind == "Q":
-        g = Q_op(P, ALPHA)
-    elif kind == "Qperp":
-        g = Q_perp(P)
-    elif kind == "q":
-        g = q_op(P)
-    elif kind == "qperp":
-        g = q_perp(P)
     else:
-        raise ValueError(f"unknown Pieri kind {kind!r}")
+        g = operator(kind.replace("perp", "_perp"))(P, ALPHA)
     return jack_expand(g, N, verify=False)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .superpoly import (DivisionFailure, SuperPolynomial, divide_xdiff,
                         pair_decompose, power_sum, ferm_power)
@@ -22,6 +22,11 @@ UList = list  # list of SuperPolynomial, coefficient of u^k at index k
 
 class NonPolynomialResult(ArithmeticError):
     """Exact division failed: the input is outside the operator's domain."""
+
+
+def _over(n: int, alpha):
+    """Exact n / alpha, for alpha an int, a Fraction or an element of Q(a)."""
+    return Fraction(n) / alpha
 
 
 def _diffdiff(f: SuperPolynomial, i: int, j: int) -> SuperPolynomial:
@@ -179,12 +184,12 @@ def nabla(f: SuperPolynomial, alpha=None) -> SuperPolynomial:
 
 
 def nabla_perp(f: SuperPolynomial, alpha) -> SuperPolynomial:
-    n_over_a = f.N / alpha if not isinstance(alpha, int) else Fraction(f.N, alpha)
+    g = f.scale(_over(f.N, alpha))
     out = SuperPolynomial(f.N)
     for i in range(1, f.N + 1):
         out += f.diff_x(i).mul_x(i, 2)
         out += f.diff_theta(i).mul_theta(i).mul_x(i)
-        out += f.mul_x(i).scale(n_over_a)
+        out += g.mul_x(i)
     return out
 
 
@@ -203,10 +208,10 @@ def q_perp(f: SuperPolynomial, alpha=None) -> SuperPolynomial:
 
 
 def Q_op(f: SuperPolynomial, alpha) -> SuperPolynomial:
-    n_over_a = f.N / alpha if not isinstance(alpha, int) else Fraction(f.N, alpha)
+    g = f.scale(_over(f.N, alpha))
     out = SuperPolynomial(f.N)
     for i in range(1, f.N + 1):
-        out += (f.scale(n_over_a) + f.diff_x(i).mul_x(i)).mul_theta(i)
+        out += (g + f.diff_x(i).mul_x(i)).mul_theta(i)
     return out
 
 
@@ -218,8 +223,7 @@ def Q_perp(f: SuperPolynomial, alpha=None) -> SuperPolynomial:
 
 
 def E_op(f: SuperPolynomial, alpha) -> SuperPolynomial:
-    n_over_a = f.N / alpha if not isinstance(alpha, int) else Fraction(f.N, alpha)
-    out = f.scale(n_over_a * f.N)
+    out = f.scale(_over(f.N * f.N, alpha))
     for i in range(1, f.N + 1):
         out += f.diff_x(i).mul_x(i)
     return out
@@ -269,6 +273,43 @@ def G_op(r: Fraction, f: SuperPolynomial) -> SuperPolynomial:
 
 
 # ---------------------------------------------------------------------------
+# the operator table: every operator with the signature (f, alpha)
+# ---------------------------------------------------------------------------
+
+class OperatorSpec(NamedTuple):
+    function: str  # attribute of this module, resolved at call time
+    parity: int  # 1 for odd operators
+    shift: tuple[int, int]  # (dn, dm) taken on a bidegree-(n|m) input
+
+
+# Holding names rather than functions lets a rebinding of a module attribute
+# (a wrapper, a test double) reach every by-name caller.
+OPERATORS: dict[str, OperatorSpec] = {
+    "E": OperatorSpec("E_op", 0, (0, 0)),
+    "calE": OperatorSpec("calE", 0, (0, 0)),
+    "q": OperatorSpec("q_op", 1, (-1, 1)),
+    "Q": OperatorSpec("Q_op", 1, (0, 1)),
+    "q_perp": OperatorSpec("q_perp", 1, (1, -1)),
+    "Q_perp": OperatorSpec("Q_perp", 1, (0, -1)),
+    "nabla": OperatorSpec("nabla", 0, (-1, 0)),
+    "nabla_perp": OperatorSpec("nabla_perp", 0, (1, 0)),
+    "q_tilde": OperatorSpec("q_tilde", 1, (0, 1)),
+    "D": OperatorSpec("apply_D", 0, (0, 0)),
+    "Delta": OperatorSpec("apply_Delta", 0, (0, 0)),
+    "Sekiguchi": OperatorSpec("sekiguchi_S", 0, (0, 0)),
+    "SekiguchiTilde": OperatorSpec("sekiguchi_S_tilde", 0, (0, 0)),
+}
+
+
+def operator(name: str) -> Callable:
+    """The function (f, alpha) -> result registered under the name."""
+    spec = OPERATORS.get(name)
+    if spec is None:
+        raise ValueError(f"unknown operator {name!r}")
+    return globals()[spec.function]
+
+
+# ---------------------------------------------------------------------------
 # bracket machinery and the relation table
 # ---------------------------------------------------------------------------
 
@@ -281,20 +322,6 @@ def commutator(A: Op, B: Op) -> Op:
 
 def anticommutator(A: Op, B: Op) -> Op:
     return lambda f: A(B(f)) + B(A(f))
-
-
-def _named_ops(alpha) -> dict[str, tuple[Op, int]]:
-    """Name -> (operator, parity); parity 1 for odd generators."""
-    return {
-        "E": (lambda f: E_op(f, alpha), 0),
-        "calE": (lambda f: calE(f), 0),
-        "q": (lambda f: q_op(f), 1),
-        "Q": (lambda f: Q_op(f, alpha), 1),
-        "q_perp": (lambda f: q_perp(f), 1),
-        "Q_perp": (lambda f: Q_perp(f), 1),
-        "nabla": (lambda f: nabla(f), 0),
-        "nabla_perp": (lambda f: nabla_perp(f, alpha), 0),
-    }
 
 
 # [row, col} brackets of the eight-dimensional algebra; entries are linear
@@ -324,17 +351,18 @@ def check_algebra_table(alpha, test_polys: Sequence[SuperPolynomial]) -> list[st
 
     Returns the list of failing relation names (empty when all pass).
     """
-    ops = _named_ops(alpha)
+    def op(name: str) -> Op:
+        return lambda f: operator(name)(f, alpha)
+
     failures = []
     for (an, bn), combo in ALGEBRA_TABLE.items():
-        A, pa = ops[an]
-        B, pb = ops[bn]
-        bracket = anticommutator(A, B) if pa and pb else commutator(A, B)
+        odd = OPERATORS[an].parity and OPERATORS[bn].parity
+        bracket = (anticommutator if odd else commutator)(op(an), op(bn))
         for f in test_polys:
             got = bracket(f)
             want = SuperPolynomial(f.N)
             for name, coeff in combo.items():
-                want += ops[name][0](f).scale(coeff)
+                want += op(name)(f).scale(coeff)
             if got != want:
                 failures.append(f"[{an},{bn}] on {f}")
                 break
@@ -350,7 +378,7 @@ def check_virasoro_relations(alpha, test_polys: Sequence[SuperPolynomial],
     failures = []
     for f in test_polys:
         N = f.N
-        inv_a = (alpha ** 0) / alpha
+        n_a = _over(N, alpha)
         for n in n_range:
             for m in n_range:
                 got = L_op(n, L_op(m, f)) - L_op(m, L_op(n, f))
@@ -378,16 +406,14 @@ def check_virasoro_relations(alpha, test_polys: Sequence[SuperPolynomial],
         # bridges to the homogeneous algebra
         if G_op(Fraction(1, 2), f) != q_op(f) + Q_perp(f):
             failures.append(f"G_1/2 bridge on {f}")
-        g_minus = Q_op(f, alpha) + q_perp(f) - (ferm_power(0, N) * f).scale(
-            N * inv_a)
+        g_minus = Q_op(f, alpha) + q_perp(f) - (ferm_power(0, N) * f).scale(n_a)
         if G_op(Fraction(-1, 2), f) != g_minus:
             failures.append(f"G_-1/2 bridge on {f}")
-        l_minus = nabla_perp(f, alpha) - (power_sum(1, N) * f).scale(N * inv_a)
+        l_minus = nabla_perp(f, alpha) - (power_sum(1, N) * f).scale(n_a)
         if L_op(-1, f) != l_minus:
             failures.append(f"L_-1 bridge on {f}")
         half = Fraction(1, 2)
-        l0 = (calE(f) + E_op(f, alpha)).scale(half) - f.scale(
-            N * N * inv_a * half)
+        l0 = (calE(f) + E_op(f, alpha)).scale(half) - f.scale(N * n_a * half)
         if L_op(0, f) != l0:
             failures.append(f"L_0 bridge on {f}")
     return failures
@@ -403,7 +429,7 @@ def l_minus2_combination(f: SuperPolynomial, alpha) -> SuperPolynomial:
     N = f.N
     p2 = power_sum(2, N)
     p1 = power_sum(1, N)
-    inv_a = (alpha ** 0) / alpha
+    inv_a = _over(1, alpha)
     quarter3 = inv_a * Fraction(3, 4)
     half_inv = inv_a * Fraction(1, 2)
     comm_delta = apply_Delta(p2 * f, alpha) - p2 * apply_Delta(f, alpha)
@@ -420,22 +446,14 @@ def l_minus2_combination(f: SuperPolynomial, alpha) -> SuperPolynomial:
 def apply_operator(name: str, f: SuperPolynomial, alpha,
                    index: Optional[int] = None,
                    mode=None):
-    """Apply a named operator; Sekiguchi names return u-coefficient lists."""
+    """Apply Cherednik, L, G or an OPERATORS name; Sekiguchi gives u-lists."""
     name = name.strip()
-    if name == "D":
-        return apply_D(f, alpha)
-    if name == "Delta":
-        return apply_Delta(f, alpha)
     if name == "Cherednik":
         if not index:
             raise ValueError("Cherednik needs --index")
         if not 1 <= index <= f.N:
             raise ValueError(f"--index {index} is outside 1..{f.N}")
         return cherednik(f, index, alpha)
-    if name == "Sekiguchi":
-        return sekiguchi_S(f, alpha)
-    if name == "SekiguchiTilde":
-        return sekiguchi_S_tilde(f, alpha)
     if name == "L":
         if mode is None:
             raise ValueError("L needs --mode n <= 1")
@@ -444,13 +462,4 @@ def apply_operator(name: str, f: SuperPolynomial, alpha,
         if mode is None:
             raise ValueError("G needs --mode r <= 1/2, half-integral")
         return G_op(Fraction(mode), f)
-    simple = {
-        "nabla": nabla, "q": q_op, "q_perp": q_perp, "Q_perp": Q_perp,
-        "calE": calE, "q_tilde": q_tilde,
-    }
-    if name in simple:
-        return simple[name](f)
-    needs_alpha = {"nabla_perp": nabla_perp, "Q": Q_op, "E": E_op}
-    if name in needs_alpha:
-        return needs_alpha[name](f, alpha)
-    raise ValueError(f"unknown operator {name!r}")
+    return operator(name)(f, alpha)

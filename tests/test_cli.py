@@ -4,6 +4,7 @@ import pytest
 
 from superjack import cli
 from superjack.cli import cache_load, cache_store, dispatch
+from superjack.coeffring import parse_alpha
 from superjack.jack import DegenerateSystem, jack_symbolic, _JACK_CACHE
 from superjack.spart import parse_spart
 
@@ -100,6 +101,17 @@ def test_cluster_command(capsys):
     assert payload["matches"]
 
 
+def test_cluster_vanishing_polynomial_exit_code(capsys):
+    # a vanishing polynomial is a result (multiplicity null), not a counterexample
+    code, out, _ = run(capsys, "cluster", "--spart", "2,0;3", "--k", "2",
+                       "--r", "3", "--N", "4", "--cluster", "3,4",
+                       "--primed", "1", "--out", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["multiplicity"] is None and payload["a"] == 1
+    assert not payload["matches"]
+
+
 def test_op_apply(capsys, tmp_path):
     poly = {"N": 2, "terms": [
         {"thetas": [], "exps": [1, 0], "coeff": "1"},
@@ -113,6 +125,15 @@ def test_op_apply(capsys, tmp_path):
     code, out, _ = run(capsys, "op", "apply", "--name", "Sekiguchi",
                        "--alpha", "sym", "--input", str(path))
     assert "u^0" in out and "u^2" in out
+
+
+def test_op_apply_q_tilde(capsys, tmp_path):
+    code, out, _ = run(capsys, "op", "apply", "--name", "q_tilde",
+                       "--alpha", "sym", "--input", _write_x1_squared(tmp_path),
+                       "--out", "json")
+    assert code == 0
+    assert json.loads(out)["terms"] == [
+        {"thetas": [1], "exps": [2, 0], "coeff": "2"}]
 
 
 def _write_x1_squared(tmp_path):
@@ -189,6 +210,25 @@ def test_cache_tamper_evicts(tmp_path, capsys):
     assert not path.exists()
     err = capsys.readouterr().err
     assert "evicting" in err
+
+
+@pytest.mark.parametrize("source, factor", [
+    ("2;1", "1"),  # neither monic nor dominated by the label
+    ("2;1", "a+1"),  # monic at 1;2, but 2;1 is not dominated by it
+    ("1;2", "2"),  # dominated support, but not monic
+])
+def test_cache_foreign_expansion_evicts(tmp_path, capsys, source, factor):
+    # each fake is a D eigenfunction with the eigenvalue of P[1;2] at N=3
+    L = parse_spart("1;2")
+    path = cache_store(str(tmp_path), jack_symbolic(L, 3))
+    data = json.loads(path.read_text())
+    scale = parse_alpha(factor)
+    data["coeffs"] = {str(om): str(c * scale) for om, c in
+                      jack_symbolic(parse_spart(source), 3).coeffs.items()}
+    path.write_text(json.dumps(data))
+    assert cache_load(str(tmp_path), L, 3) is None
+    assert not path.exists()
+    assert "evicting" in capsys.readouterr().err
 
 
 def test_cache_version_mismatch(tmp_path, capsys):

@@ -196,6 +196,13 @@ def test_cluster_m0_footnote_case():
     assert res.expected == 3
 
 
+def test_cluster_vanishing_polynomial():
+    # the prescribed polynomial dies under this substitution
+    res = cluster_multiplicity(parse_spart("2,0;3"), 2, 3, 4, (3, 4), 1)
+    assert (res.multiplicity, res.a, res.expected) == (None, 1, 2)
+    assert not res.matches
+
+
 def test_cluster_input_validation():
     with pytest.raises(ValueError):
         cluster_multiplicity(parse_spart(";4,2"), 2, 3, 3, (1, 2), 1)
@@ -206,6 +213,8 @@ def test_cochain_q_and_qtilde():
         rep = cochain_check(1, 2, 3, 5, d)
         assert rep["failures"] == [], d
         assert all(e["exact"] for e in rep["exactness"]), d
+    with pytest.raises(ValueError):
+        cochain_check(1, 2, 3, 5, "qt")
 
 
 def test_clustering_harness_small():

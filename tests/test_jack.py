@@ -163,6 +163,8 @@ def test_pieri_no_circles_to_remove():
     # no removable circle: the closed map is empty and the operator kills P
     assert pieri_closed("Qperp", parse_spart(";1"), 3) == {}
     assert pieri_direct("Qperp", parse_spart(";1"), 3) == {}
+    with pytest.raises(ValueError):
+        pieri_direct("E", parse_spart(";1"), 3)
 
 
 def test_pieri_qperp_on_lone_circle():

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from superjack.coeffring import ALPHA, AlphaRational
-from superjack.ops import (G_op, L_op, NonPolynomialResult, apply_D,
-                           apply_Delta, apply_operator, check_algebra_table,
+from superjack import ops
+from superjack.ops import (ALGEBRA_TABLE, OPERATORS, G_op, L_op,
+                           NonPolynomialResult, apply_D, apply_Delta,
+                           apply_operator, check_algebra_table,
                            check_virasoro_relations, cherednik,
                            l_minus2_combination, nabla_perp, q_op,
                            sekiguchi_S, sekiguchi_S_tilde,
@@ -167,3 +169,49 @@ def test_apply_operator_dispatch():
         == -SuperPolynomial.one(2)
     with pytest.raises(ValueError):
         apply_operator("bogus", f, a)
+
+
+@pytest.mark.parametrize("alpha", [7, -3])
+def test_int_alpha_stays_exact(alpha):
+    # 1/alpha must be a Fraction: an int alpha used to give float coefficients
+    polys = [monomial_msym(parse_spart("1;1"), 2),
+             monomial_msym(parse_spart("1,0;"), 2),
+             monomial_msym(parse_spart("1,0;1"), 3)]
+    assert check_virasoro_relations(alpha, polys) == []
+    f = polys[2]
+    got = l_minus2_combination(f, alpha)
+    assert got == L_op(-2, f)
+    assert not any(isinstance(c, float) for c in got.terms.values())
+
+
+DIRECT = {
+    "E": ops.E_op, "calE": ops.calE, "q": ops.q_op, "Q": ops.Q_op,
+    "q_perp": ops.q_perp, "Q_perp": ops.Q_perp, "nabla": ops.nabla,
+    "nabla_perp": ops.nabla_perp, "q_tilde": ops.q_tilde, "D": apply_D,
+    "Delta": apply_Delta, "Sekiguchi": sekiguchi_S,
+    "SekiguchiTilde": sekiguchi_S_tilde,
+}
+
+
+def _components(result):
+    return result if isinstance(result, list) else [result]
+
+
+@pytest.mark.parametrize("name", sorted(OPERATORS))
+def test_operator_table_entry(name):
+    # symmetric and theta-homogeneous, so every table operator accepts it
+    f = monomial_msym(parse_spart("1;1"), 2) + monomial_msym(
+        parse_spart("0;2"), 2)
+    got = apply_operator(name, f, a)
+    assert _components(got) == _components(DIRECT[name](f, a))
+    # the image has the bidegree the table's shift predicts
+    dn, dm = OPERATORS[name].shift
+    for comp in _components(got):
+        for thetas, exps in comp.terms:
+            assert (sum(exps), len(thetas)) == (2 + dn, 1 + dm)
+
+
+def test_operator_table_covers_the_algebra():
+    assert set(DIRECT) == set(OPERATORS)
+    names = {n for pair, combo in ALGEBRA_TABLE.items() for n in (*pair, *combo)}
+    assert names <= set(OPERATORS)
