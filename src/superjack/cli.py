@@ -19,10 +19,10 @@ from .coeffring import ALPHA, AlphaRational, PoleError, alpha_eval, parse_alpha
 from .ideals import char_F, char_I, cluster_multiplicity
 from .jack import (PIERI_KINDS, JackExpansion, jack_symbolic, pieri_closed,
                    _JACK_CACHE)
-from .ops import NonPolynomialResult, apply_D, apply_operator
-from .spart import (SuperPartition, dominance_leq, e_star_poly,
+from .ops import NonPolynomialResult, apply_D, apply_Delta, apply_operator
+from .spart import (SuperPartition, dominance_leq, e_star_poly, e_tilde_poly,
                     enumerate_sparts, is_admissible, parse_spart)
-from .superpoly import SuperPolynomial, terms_to_json
+from .superpoly import SuperPolynomial, integral_multiple, terms_to_json
 from .suites import SUITES
 
 CACHE_VERSION = "1"
@@ -62,15 +62,20 @@ def cache_store(directory: str, expansion: JackExpansion) -> Path:
 
 
 def _eigen_spot_check(expansion: JackExpansion) -> bool:
-    """Monic, supported on labels the label dominates, and a D eigenfunction."""
+    """Monic, supported on labels the label dominates, and an eigenfunction
+    of both D and Delta with the label's eigenvalues.
+
+    The eigenrelations are linear, so they are checked on the Z[a] multiple
+    of the polynomial, which keeps gcds out of the operator passes.
+    """
     L = expansion.label
     if expansion.coeffs.get(L) != 1:
         return False
     if not all(dominance_leq(om, L) for om in expansion.coeffs):
         return False
-    poly = expansion.polynomial()
-    e = AlphaRational(e_star_poly(expansion.label))
-    return apply_D(poly, ALPHA) == poly.scale(e)
+    poly = integral_multiple(expansion.polynomial())
+    return (apply_D(poly, ALPHA) == poly.scale(e_star_poly(L))
+            and apply_Delta(poly, ALPHA) == poly.scale(e_tilde_poly(L)))
 
 
 def cache_load(directory: str, L: SuperPartition, N: int) -> JackExpansion | None:

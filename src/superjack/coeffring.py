@@ -448,6 +448,28 @@ ONE = AlphaRational(1)
 ALPHA = AlphaRational(AlphaPolynomial.gen())
 
 
+def num_den(x) -> tuple[AlphaPolynomial, AlphaPolynomial]:
+    """Reduced numerator and denominator of an int, Fraction, AlphaPolynomial
+    or AlphaRational; the denominator has positive leading coefficient."""
+    r = _coerce_rat(x)
+    if r is NotImplemented:
+        raise TypeError(f"not an element of Q(a): {x!r}")
+    return r.num, r.den
+
+
+def common_denominator(values: Iterable) -> AlphaPolynomial:
+    """Least common multiple in Z[a] of the denominators of the values.
+
+    One gcd and one exact division per distinct denominator; the result has
+    positive leading coefficient, and is 1 when every value lies in Z[a].
+    """
+    lcm = _POLY_ONE
+    for den in {num_den(v)[1] for v in values}:
+        g = poly_gcd(lcm, den) * math.gcd(lcm.content(), den.content())
+        lcm = lcm * poly_divexact(den, g)
+    return lcm
+
+
 def alpha_eval(f: AlphaRational, a0: Union[int, Fraction]) -> Fraction:
     """Evaluate f in Q(a) at the rational point a0.
 

@@ -11,7 +11,8 @@ eigenoperators require input invariant under each diagonal transposition
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
+from math import factorial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .superpoly import (DivisionFailure, SuperPolynomial, divide_xdiff,
@@ -128,7 +129,13 @@ def _coset_reps(N: int, m: int):
 
 def sekiguchi_S_tilde(f: SuperPolynomial, alpha,
                       full_sum: bool = False) -> UList:
-    """Supersymmetric Sekiguchi operator on a theta-homogeneous input."""
+    """Supersymmetric Sekiguchi operator on a theta-homogeneous input.
+
+    The default sums over minimal coset representatives and works over any
+    coefficient ring, Z[a] included.  ``full_sum=True`` symmetrizes over all
+    of S_N and divides by m!(N-m)!, a Fraction: it is a Q(a)-only test
+    oracle for the coset sum.
+    """
     N = f.N
     degs = f.fermionic_degrees()
     if not degs:
@@ -144,10 +151,8 @@ def sekiguchi_S_tilde(f: SuperPolynomial, alpha,
     for j in range(m + 1, N + 1):
         ul = _ulist_apply_shifted(ul, lambda g, j=j: cherednik(g, j, alpha), N)
     if full_sum:
-        import itertools
-        sigmas = [list(s) for s in itertools.permutations(range(1, N + 1))]
-        import math
-        scale = Fraction(1, math.factorial(m) * math.factorial(N - m))
+        sigmas = [list(s) for s in permutations(range(1, N + 1))]
+        scale = Fraction(1, factorial(m) * factorial(N - m))
         out = [SuperPolynomial(N) for _ in ul]
         for sigma in sigmas:
             for k, comp in enumerate(ul):

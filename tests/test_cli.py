@@ -231,6 +231,22 @@ def test_cache_foreign_expansion_evicts(tmp_path, capsys, source, factor):
     assert "evicting" in capsys.readouterr().err
 
 
+def test_cache_non_delta_eigenfunction_evicts(tmp_path, capsys):
+    # P[1;2] + P[0;2,1] is monic at 1;2, dominated by it and a D
+    # eigenfunction (equal e_star), but its two parts differ in e_tilde
+    L, other = parse_spart("1;2"), parse_spart("0;2,1")
+    path = cache_store(str(tmp_path), jack_symbolic(L, 3))
+    data = json.loads(path.read_text())
+    fake = dict(jack_symbolic(L, 3).coeffs)
+    for om, c in jack_symbolic(other, 3).coeffs.items():
+        fake[om] = fake.get(om, 0) + c
+    data["coeffs"] = {str(om): str(c) for om, c in fake.items()}
+    path.write_text(json.dumps(data))
+    assert cache_load(str(tmp_path), L, 3) is None
+    assert not path.exists()
+    assert "evicting" in capsys.readouterr().err
+
+
 def test_cache_version_mismatch(tmp_path, capsys):
     L = parse_spart(";1")
     path = cache_store(str(tmp_path), jack_symbolic(L, 2))

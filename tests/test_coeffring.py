@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 from superjack.coeffring import (ALPHA, ONE, AlphaPolynomial, AlphaRational,
                                  FieldMatrix, IndeterminateError, NoSolution,
                                  PoleError, SolutionSpace, UniqueSolution,
-                                 alpha_eval, nullspace_dimension, parse_alpha,
-                                 poly_gcd, solve_exact)
+                                 alpha_eval, common_denominator,
+                                 nullspace_dimension, parse_alpha, poly_gcd,
+                                 solve_exact)
 
 a = ALPHA
 
@@ -38,6 +39,16 @@ def test_canonical_form():
     g = a / -(a ** 2)  # denominator sign normalizes to positive leading coeff
     assert g.den.leading() > 0
     assert g == -1 / a
+
+
+def test_common_denominator_is_the_lcm():
+    # integer contents and polynomial factors are both taken once
+    assert common_denominator([Fraction(1, 2), Fraction(3, 4), 5]) == 4
+    assert common_denominator([Fraction(1, 2), Fraction(1, 3)]) == 6
+    d = common_denominator([1 / (2 * a + 2), a / (a * a - 1), 3 / (4 * a)])
+    assert d == AlphaPolynomial((0, -4, 0, 4))  # 4a(a-1)(a+1)
+    assert common_denominator([a + 1, AlphaPolynomial((0, 2))]) == 1
+    assert common_denominator([]) == 1
 
 
 def test_indeterminate_branch_unreachable_on_canonical():

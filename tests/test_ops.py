@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from superjack.coeffring import ALPHA, AlphaRational
+from superjack.coeffring import ALPHA, AlphaPolynomial, AlphaRational
 from superjack import ops
 from superjack.ops import (ALGEBRA_TABLE, OPERATORS, G_op, L_op,
                            NonPolynomialResult, apply_D, apply_Delta,
@@ -12,10 +12,11 @@ from superjack.ops import (ALGEBRA_TABLE, OPERATORS, G_op, L_op,
                            l_minus2_combination, nabla_perp, q_op,
                            sekiguchi_S, sekiguchi_S_tilde,
                            ulist_equals_scalar_multiple)
+from superjack.jack import jack_poly, jack_symbolic
 from superjack.spart import (e_star_poly, e_tilde_poly, enumerate_all_m,
-                             epsilon_u, parse_spart)
-from superjack.superpoly import (SuperPolynomial, ferm_power, monomial_msym,
-                                 power_sum)
+                             epsilon_u, parse_spart, star_pair)
+from superjack.superpoly import (SuperPolynomial, ferm_power,
+                                 integral_multiple, monomial_msym, power_sum)
 
 a = ALPHA
 
@@ -101,6 +102,40 @@ def test_sekiguchi_tilde_coset_equals_full_sum():
     fast = sekiguchi_S_tilde(f, a)
     slow = sekiguchi_S_tilde(f, a, full_sum=True)
     assert all(u == v for u, v in zip(fast, slow))
+
+
+def _sekiguchi_verdicts(P, L, N, alpha):
+    """(S, S_tilde) eigenrelation verdicts for P at the parameter alpha."""
+    circ, star = star_pair(L, N)
+    return (ulist_equals_scalar_multiple(sekiguchi_S(P, alpha),
+                                         epsilon_u(star, N, alpha), P),
+            ulist_equals_scalar_multiple(sekiguchi_S_tilde(P, alpha),
+                                         epsilon_u(circ, N, alpha), P))
+
+
+@pytest.mark.parametrize("nmax, N, mmax", [(3, 3, 2), (3, 4, 1)])
+def test_sekiguchi_integral_route_matches_rational(nmax, N, mmax):
+    # suite_sekiguchi's Z[a] route against the Q(a) route it replaced, on
+    # each Jack superpolynomial and on a mutant P + m_Omega, Omega < L
+    A = AlphaPolynomial.gen()
+    mutants = 0
+    for n in range(nmax + 1):
+        for L in enumerate_all_m(n, N):
+            if L.m > mmax:
+                continue
+            P = jack_poly(L, N)
+            verdict = _sekiguchi_verdicts(P, L, N, a)
+            assert verdict == (True, True)
+            assert _sekiguchi_verdicts(integral_multiple(P), L, N, A) == verdict
+            below = [om for om in jack_symbolic(L, N).coeffs if om != L]
+            if not below:
+                continue
+            bad = P + monomial_msym(below[-1], N)
+            verdict = _sekiguchi_verdicts(bad, L, N, a)
+            assert verdict != (True, True)
+            assert _sekiguchi_verdicts(integral_multiple(bad), L, N, A) == verdict
+            mutants += 1
+    assert mutants
 
 
 def test_virasoro_polynomiality_and_bridges():

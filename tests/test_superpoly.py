@@ -4,13 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from superjack.coeffring import ALPHA, ONE
+from superjack.coeffring import (ALPHA, ONE, AlphaPolynomial, AlphaRational,
+                                 common_denominator)
+from superjack.jack import jack_poly
 from superjack.spart import enumerate_all_m, parse_spart
 from superjack.superpoly import (DivisionFailure, NotSymmetric,
                                  SuperPolynomial, divide_xdiff,
                                  divided_difference, ferm_power, from_mbasis,
-                                 monomial_msym, omega_alpha, p_label,
-                                 pair_decompose, pair_recompose, power_sum,
+                                 integral_multiple, monomial_msym,
+                                 omega_alpha, p_label, pair_decompose,
+                                 pair_recompose, power_sum,
                                  prescribed_part, scalar_product_p,
                                  terms_to_json, to_mbasis, to_pbasis,
                                  unique_arrangements)
@@ -250,3 +253,22 @@ def test_json_terms_deterministic():
     assert terms_to_json(f) == terms_to_json(f.copy())
     item = terms_to_json(f)[0]
     assert set(item) == {"thetas", "exps", "coeff"}
+
+
+def test_integral_multiple_clears_denominators():
+    P = jack_poly(parse_spart(";3"), 3)  # criterion 1: 3/(2a+1), 6/(2a^2+3a+1)
+    D = common_denominator(P.terms.values())
+    assert D == AlphaPolynomial((1, 3, 2))
+    Q = integral_multiple(P)
+    assert all(type(c) is AlphaPolynomial for c in Q.terms.values())
+    assert Q == P.scale(AlphaRational(D))
+
+
+def test_integral_multiple_of_integral_input():
+    f = (monomial_msym(parse_spart("1;1"), 2).scale(ALPHA + 2)
+         + monomial_msym(parse_spart("0;2"), 2).scale(-3))
+    assert common_denominator(f.terms.values()) == 1
+    g = integral_multiple(f)
+    assert g == f
+    assert all(type(c) is AlphaPolynomial for c in g.terms.values())
+    assert integral_multiple(SuperPolynomial(3)).is_zero()
