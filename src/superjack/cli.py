@@ -79,7 +79,11 @@ def _eigen_spot_check(expansion: JackExpansion) -> bool:
 
 
 def cache_load(directory: str, L: SuperPartition, N: int) -> JackExpansion | None:
-    """Load and re-verify one entry; evict silently on any mismatch."""
+    """Load and re-verify one entry.
+
+    On any mismatch the entry is deleted and one JSON object naming it and
+    the reason goes to stderr; the caller then recomputes.
+    """
     path = _cache_path(directory, cache_key(L, N))
     if not path.exists():
         return None
@@ -97,7 +101,8 @@ def cache_load(directory: str, L: SuperPartition, N: int) -> JackExpansion | Non
             raise ValueError("eigenvalue spot check failed")
         return expansion
     except Exception as exc:
-        print(f"warning: evicting cache entry {path.name}: {exc}",
+        print(json.dumps({"warning": "evicting cache entry",
+                          "entry": path.name, "reason": str(exc)}),
               file=sys.stderr)
         try:
             path.unlink()

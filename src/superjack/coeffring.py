@@ -257,6 +257,24 @@ def poly_divexact(p: AlphaPolynomial, q: AlphaPolynomial) -> AlphaPolynomial:
     return AlphaPolynomial(int(c) for c in quo)
 
 
+def poly_divide_linear(p: AlphaPolynomial, f: AlphaPolynomial):
+    """p / f for a primitive linear f, or None when f does not divide p.
+
+    By Gauss's lemma an exact quotient by a primitive polynomial lies in
+    Z[a], so synthetic division over the integers decides divisibility.
+    """
+    t, s = f.coeffs
+    c = p.coeffs
+    q = [0] * max(len(c) - 1, 0)
+    r = c[-1] if c else 0
+    for k in range(len(c) - 2, -1, -1):
+        q[k], rem = divmod(r, s)
+        if rem:
+            return None
+        r = c[k] - q[k] * t
+    return None if r else AlphaPolynomial(q)
+
+
 # ---------------------------------------------------------------------------
 # the field Q(a)
 # ---------------------------------------------------------------------------

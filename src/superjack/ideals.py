@@ -43,7 +43,7 @@ class GradedBasis:
     N: int
     nmax: int
     alpha: Fraction
-    by_degree: dict[tuple[int, int], list[tuple[SuperPartition, SuperPolynomial]]]
+    by_degree: dict[tuple[int, int], "DegreeBasis"]
 
     def at(self, n: int, m: int):
         return self.by_degree.get((n, m), [])
@@ -60,13 +60,30 @@ def admissible_at_degree(k: int, r: int, N: int, n: int, m: int,
             if is_admissible(L, k, r, N, allow_noncoprime=allow_noncoprime)]
 
 
+class DegreeBasis(tuple):
+    """(label, polynomial) pairs spanning one degree.
+
+    ``mcoords`` reads the elements in the monomial superbasis on first use,
+    checking each for symmetry once, and keeps the coordinates for every
+    later membership test against the same basis.
+    """
+
+    _mcoords = None
+
+    def mcoords(self) -> list[dict]:
+        if self._mcoords is None:
+            self._mcoords = [to_mbasis(poly) for _, poly in self]
+        return self._mcoords
+
+
 def degree_basis(k: int, r: int, N: int, n: int, m: int,
-                 allow_noncoprime: bool = False):
+                 allow_noncoprime: bool = False) -> DegreeBasis:
     """Specialized Jack polynomials for the admissible labels of one degree."""
     a0 = alpha_kr(k, r)
-    return [(L, jack_at(L, N, a0))
-            for L in admissible_at_degree(k, r, N, n, m,
-                                          allow_noncoprime=allow_noncoprime)]
+    return DegreeBasis(
+        (L, jack_at(L, N, a0))
+        for L in admissible_at_degree(k, r, N, n, m,
+                                      allow_noncoprime=allow_noncoprime))
 
 
 def ideal_basis(k: int, r: int, N: int, nmax: int,
@@ -103,15 +120,17 @@ def _span_solve(columns: Sequence[dict], rhs: Optional[dict] = None):
 def membership(f: SuperPolynomial, basis: Sequence[tuple[SuperPartition, SuperPolynomial]]):
     """Coefficients of f over the given elements; NotInSpan on failure.
 
-    The solve runs in monomial-superbasis coordinates.  The elements are
-    symmetric, so a non-symmetric f lies outside their span.
+    The solve runs in monomial-superbasis coordinates, read once per
+    `DegreeBasis` (any other sequence is read on each call).  The elements
+    are symmetric, so a non-symmetric f lies outside their span.
     """
     if f.is_zero():
         return {}
     if not f.is_symmetric():
         raise NotInSpan("not symmetric, so outside the span", residual=f)
-    res = _span_solve([to_mbasis(poly) for _, poly in basis],
-                      to_mbasis(f, verify=False))
+    if not isinstance(basis, DegreeBasis):
+        basis = DegreeBasis(basis)
+    res = _span_solve(basis.mcoords(), to_mbasis(f, verify=False))
     if isinstance(res, NoSolution):
         raise NotInSpan(f"outside the span ({len(basis)} elements)", residual=f)
     vector = res.vector if isinstance(res, UniqueSolution) else res.particular
@@ -135,16 +154,18 @@ def stability_suite(k: int, r: int, N: int, nmax: int,
     power sums, the degree-(-2) Virasoro mode and variable restriction."""
     a0 = alpha_kr(k, r)
     basis = ideal_basis(k, r, N, nmax, allow_noncoprime=allow_noncoprime)
-    target_cache: dict[tuple[int, int], list] = {}
+    spans: dict[tuple[int, int, int], DegreeBasis] = {
+        (N, n, m): b for (n, m), b in basis.by_degree.items()}
 
-    def target_basis(n, m):
-        if n < 0 or m < 0 or m > N:
-            return []
-        key = (n, m)
-        if key not in target_cache:
-            target_cache[key] = degree_basis(
-                k, r, N, n, m, allow_noncoprime=allow_noncoprime)
-        return target_cache[key]
+    def span(Nv, n, m):
+        """Admissible basis of degree (n|m) in Nv variables, built once."""
+        if n < 0 or m < 0 or m > Nv:
+            return DegreeBasis()
+        key = (Nv, n, m)
+        if key not in spans:
+            spans[key] = degree_basis(k, r, Nv, n, m,
+                                      allow_noncoprime=allow_noncoprime)
+        return spans[key]
 
     def generator(name: str):
         op = operator(name)
@@ -169,24 +190,10 @@ def stability_suite(k: int, r: int, N: int, nmax: int,
                 if img.is_zero():
                     continue
                 try:
-                    membership(img, target_basis(n + dn, m + dm))
+                    membership(img, span(N, n + dn, m + dm))
                 except NotInSpan:
                     violations.append((name, str(label), (n, m)))
     # restriction to one variable fewer
-    restr_cache: dict[tuple[int, int], list] = {}
-
-    def restr_basis(n, m):
-        if n < 0 or m < 0 or m > N - 1:
-            return []
-        key = (n, m)
-        if key not in restr_cache:
-            restr_cache[key] = [
-                (L, jack_at(L, N - 1, a0))
-                for L in enumerate_sparts(n, m, N - 1)
-                if is_admissible(L, k, r, N - 1,
-                                 allow_noncoprime=allow_noncoprime)]
-        return restr_cache[key]
-
     for (n, m), entries in sorted(basis.by_degree.items()):
         for label, poly in entries:
             work = poly
@@ -197,7 +204,7 @@ def stability_suite(k: int, r: int, N: int, nmax: int,
                     if piece.is_zero():
                         continue
                     try:
-                        membership(piece, restr_basis(n - j, pm))
+                        membership(piece, span(N - 1, n - j, pm))
                     except NotInSpan:
                         violations.append((f"restrict d^{j}", str(label), (n, m)))
                 work = work.diff_x(N)

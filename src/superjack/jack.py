@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
 from .coeffring import (ALPHA, ONE, AlphaPolynomial, AlphaRational,
                         FieldMatrix, PoleError, UniqueSolution, alpha_eval,
-                        solve_exact)
+                        poly_divide_linear, solve_exact)
 from .ops import apply_D, apply_Delta, cherednik, operator
 from .spart import (SuperPartition, add_circle_moves, bosonic_cells,
                     circle_to_square_moves, dominance_leq, e_star_poly,
@@ -81,23 +81,19 @@ class NonSymJack:
 # ---------------------------------------------------------------------------
 
 def _affine_rows(mono, op):
-    """Expand op(mono; a) = base + a*slope over Q, return Q(a)-linear row.
+    """One row of op's matrix: op(mono; a) read off in the monomial superbasis.
 
-    Both eigenoperators are affine in the deformation parameter, so two
-    Fraction-arithmetic passes recover the exact Q(a)-valued matrix row.
+    Both eigenoperators are affine in the deformation parameter, and only
+    their diagonal terms carry it; the exchange terms stay rational.  So one
+    pass with the generic parameter gives entries affine in a over an integer
+    denominator, and normalizing them never needs a polynomial gcd.
     """
-    at0 = to_mbasis(op(mono, Fraction(0)), verify=False)
-    at1 = to_mbasis(op(mono, Fraction(1)), verify=False)
     row = {}
-    for gm in set(at0) | set(at1):
-        c0 = Fraction(at0.get(gm, 0))
-        slope = Fraction(at1.get(gm, 0)) - c0
-        den = c0.denominator * slope.denominator // gcd(
-            c0.denominator, slope.denominator)
-        row[gm] = AlphaRational(
-            AlphaPolynomial((c0.numerator * (den // c0.denominator),
-                             slope.numerator * (den // slope.denominator))),
-            AlphaPolynomial((den,)))
+    for gm, c in to_mbasis(op(mono, ALPHA), verify=False).items():
+        c = c * ONE
+        if c.num.degree() > 1 or c.den.degree() > 0:
+            raise RuntimeError(f"entry {c} at m_[{gm}] is not affine in a")
+        row[gm] = c
     return row
 
 
@@ -122,6 +118,19 @@ def _mbasis_matrices(n: int, m: int, N: int):
 _JACK_CACHE: dict[tuple[SuperPartition, int], JackExpansion] = {}
 
 
+def clear_caches() -> dict[str, int]:
+    """Empty the in-process caches of the Jack layer; return their sizes."""
+    sizes = {"_JACK_CACHE": len(_JACK_CACHE),
+             "_mbasis_matrices": _mbasis_matrices.cache_info().currsize,
+             "jack_nonsym": jack_nonsym.cache_info().currsize,
+             "enumerate_sparts": enumerate_sparts.cache_info().currsize}
+    _JACK_CACHE.clear()
+    _mbasis_matrices.cache_clear()
+    jack_nonsym.cache_clear()
+    enumerate_sparts.cache_clear()
+    return sizes
+
+
 def jack_symbolic(L: SuperPartition, N: int) -> JackExpansion:
     """Monic triangular joint eigenfunction expansion over Q(a)."""
     key = (L, N)
@@ -133,34 +142,100 @@ def jack_symbolic(L: SuperPartition, N: int) -> JackExpansion:
     n, m = L.degree()
     labels, d_rows, delta_rows = _mbasis_matrices(n, m, N)
     below = [om for om in labels if om != L and dominance_leq(om, L)]
-    e_l = AlphaRational(e_star_poly(L))
-    et_l = AlphaRational(e_tilde_poly(L))
-    coeffs: dict[SuperPartition, AlphaRational] = {L: ONE}
     try:
-        for gm in below:  # enumeration order is a linear dominance extension
-            num_d = AlphaRational(0)
-            num_delta = AlphaRational(0)
-            for om, c in coeffs.items():
-                v = d_rows[om].get(gm)
-                if v is not None:
-                    num_d = num_d + c * v
-                w = delta_rows[om].get(gm)
-                if w is not None:
-                    num_delta = num_delta + c * w
-            den_d = e_l - AlphaRational(e_star_poly(gm))
-            if den_d:
-                coeffs[gm] = num_d / den_d
-                continue
-            den_delta = et_l - AlphaRational(e_tilde_poly(gm))
-            if not den_delta:
-                raise DegenerateSystem(f"{L} vs {gm}: equal eigenvalue pairs")
-            coeffs[gm] = num_delta / den_delta
+        coeffs = {om: AlphaRational(num, _denominator(factors, d))
+                  for om, (num, factors, d)
+                  in _triangular_peel(L, below, d_rows, delta_rows).items()}
     except DegenerateSystem:
-        coeffs = _jack_full_solve(L, below, d_rows, delta_rows, e_l, et_l)
+        coeffs = _jack_full_solve(L, below, d_rows, delta_rows,
+                                  AlphaRational(e_star_poly(L)),
+                                  AlphaRational(e_tilde_poly(L)))
     result = JackExpansion(L, N, {om: c for om, c in coeffs.items() if c})
     result.coeffs.setdefault(L, ONE)
     _JACK_CACHE[key] = result
     return result
+
+
+# A coefficient in factored form: (num, factors, d) stands for
+# num / (d * prod f**k over factors.items()), with num in Z[a], each f a
+# primitive linear polynomial with positive leading coefficient, d > 0.
+
+def _triangular_peel(L, below, d_rows, delta_rows):
+    """Factored coefficients of P_L, each in lowest terms; zeros left out.
+
+    Each coefficient is a row sum over those already found divided by a
+    difference of eigenvalues, which is linear in a.  So every denominator
+    is an integer times a product of linear factors, and exact cancellation
+    needs synthetic divisions only, never a gcd.
+    """
+    e_l, et_l = e_star_poly(L), e_tilde_poly(L)
+    found = {L: (AlphaPolynomial.const(1), {}, 1)}
+    for gm in below:  # enumeration order is a linear dominance extension
+        rows, diff = d_rows, e_l - e_star_poly(gm)
+        if not diff:
+            rows, diff = delta_rows, et_l - e_tilde_poly(gm)
+            if not diff:
+                raise DegenerateSystem(f"{L} vs {gm}: equal eigenvalue pairs")
+        terms = [(c, rows[om][gm]) for om, c in found.items() if gm in rows[om]]
+        c = _divide_row_sum(terms, diff)
+        if c is not None:
+            found[gm] = c
+    return found
+
+
+def _divide_row_sum(terms, diff):
+    """(sum of c * v over terms) / diff in lowest factored form, or None if 0.
+
+    The row entries v are affine in a over an integer denominator.
+    """
+    if diff.degree() > 1:
+        raise RuntimeError(f"eigenvalue difference {diff} is not linear in a")
+    factors: dict[AlphaPolynomial, int] = {}
+    d = 1
+    for (_, fac, dc), v in terms:
+        for f, k in fac.items():
+            if k > factors.get(f, 0):
+                factors[f] = k
+        d = lcm(d, dc * v.den.coeffs[0])
+    num = AlphaPolynomial()
+    for (cn, fac, dc), v in terms:
+        part = cn * v.num * (d // (dc * v.den.coeffs[0]))
+        for f, k in factors.items():
+            extra = k - fac.get(f, 0)
+            if extra:
+                part = part * f ** extra
+        num = num + part
+    if not num:
+        return None
+    # diff = content * f with f primitive and of positive leading coefficient
+    content = diff.content()
+    if diff.leading() < 0:
+        content, num = -content, -num
+    d *= abs(content)
+    if diff.degree() == 1:
+        f = AlphaPolynomial(c // content for c in diff.coeffs)
+        factors[f] = factors.get(f, 0) + 1
+    for f in list(factors):
+        while factors[f]:
+            q = poly_divide_linear(num, f)
+            if q is None:
+                break
+            num = q
+            factors[f] -= 1
+        if not factors[f]:
+            del factors[f]
+    g = gcd(num.content(), d)
+    if g > 1:
+        num = AlphaPolynomial(c // g for c in num.coeffs)
+        d //= g
+    return num, factors, d
+
+
+def _denominator(factors, d) -> AlphaPolynomial:
+    out = AlphaPolynomial.const(d)
+    for f, k in factors.items():
+        out = out * f ** k
+    return out
 
 
 def _jack_full_solve(L, below, d_rows, delta_rows, e_l, et_l):

@@ -38,9 +38,6 @@ def apply_D(f: SuperPolynomial, alpha) -> SuperPolynomial:
     """Quadratic eigenoperator; input must be pairwise diagonal-invariant."""
     N = f.N
     out = SuperPolynomial(N)
-    half = Fraction(1, 2)
-    for i in range(1, N + 1):
-        out += f.diff_x(i).diff_x(i).mul_x(i, 2).scale(alpha * half)
     try:
         for i, j in combinations(range(1, N + 1), 2):
             A, B, C, D2 = pair_decompose(f, i, j)
@@ -55,15 +52,18 @@ def apply_D(f: SuperPolynomial, alpha) -> SuperPolynomial:
             out += pair.mul_x(i).mul_x(j)
     except DivisionFailure as exc:
         raise NonPolynomialResult(str(exc)) from exc
-    return out
+    # the terms carrying alpha are summed apart and scaled once, so every
+    # sum above stays in the coefficient ring of f
+    diag = SuperPolynomial(N)
+    for i in range(1, N + 1):
+        diag += f.diff_x(i).diff_x(i).mul_x(i, 2)
+    return out + diag.scale(alpha * Fraction(1, 2))
 
 
 def apply_Delta(f: SuperPolynomial, alpha) -> SuperPolynomial:
     """Fermionic eigenoperator lifting the degeneracy of the quadratic one."""
     N = f.N
     out = SuperPolynomial(N)
-    for i in range(1, N + 1):
-        out += f.diff_theta(i).diff_x(i).mul_x(i).mul_theta(i).scale(alpha)
     try:
         for i, j in combinations(range(1, N + 1), 2):
             _, B, C, D2 = pair_decompose(f, i, j)
@@ -72,7 +72,10 @@ def apply_Delta(f: SuperPolynomial, alpha) -> SuperPolynomial:
             out -= D2.mul_theta(j).mul_theta(i)
     except DivisionFailure as exc:
         raise NonPolynomialResult(str(exc)) from exc
-    return out
+    diag = SuperPolynomial(N)
+    for i in range(1, N + 1):
+        diag += f.diff_theta(i).diff_x(i).mul_x(i).mul_theta(i)
+    return out + diag.scale(alpha)
 
 
 def cherednik(f: SuperPolynomial, i: int, alpha) -> SuperPolynomial:

@@ -212,6 +212,18 @@ def test_cache_tamper_evicts(tmp_path, capsys):
     assert "evicting" in err
 
 
+def test_cache_eviction_is_one_json_object(tmp_path, capsys):
+    L = parse_spart(";2")
+    path = cache_store(str(tmp_path), jack_symbolic(L, 2))
+    data = json.loads(path.read_text())
+    data["version"] = "0"
+    path.write_text(json.dumps(data))
+    assert cache_load(str(tmp_path), L, 2) is None
+    event = json.loads(capsys.readouterr().err)
+    assert event == {"warning": "evicting cache entry", "entry": path.name,
+                     "reason": "version mismatch"}
+
+
 @pytest.mark.parametrize("source, factor", [
     ("2;1", "1"),  # neither monic nor dominated by the label
     ("2;1", "a+1"),  # monic at 1;2, but 2;1 is not dominated by it

@@ -8,7 +8,7 @@ from superjack.coeffring import (ALPHA, ONE, AlphaPolynomial, AlphaRational,
                                  PoleError, SolutionSpace, UniqueSolution,
                                  alpha_eval, common_denominator,
                                  nullspace_dimension, parse_alpha, poly_gcd,
-                                 solve_exact)
+                                 poly_divide_linear, solve_exact)
 
 a = ALPHA
 
@@ -108,6 +108,22 @@ def test_poly_gcd_primitive():
     q = AlphaPolynomial((-3, -3))    # -3(a+1)
     g = poly_gcd(p, q)
     assert g == AlphaPolynomial((1, 1))
+
+
+@given(st.lists(st.integers(-20, 20), max_size=5), st.integers(-9, 9),
+       st.integers(1, 9))
+@settings(max_examples=200, deadline=None)
+def test_poly_divide_linear_is_exact_division(coeffs, t, s):
+    f = AlphaPolynomial.linear(t, s)
+    if f.content() != 1:
+        return
+    p = AlphaPolynomial(coeffs)
+    assert poly_divide_linear(p * f, f) == p
+    q = poly_divide_linear(p, f)
+    divides = p.is_zero() or poly_gcd(p, f) == f
+    assert (q is not None) == divides
+    if q is not None:
+        assert q * f == p
 
 
 def test_solve_identity():

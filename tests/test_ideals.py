@@ -86,6 +86,23 @@ def test_membership_matches_dense_oracle(monkeypatch, k, r, N, nmax,
     assert bool(seen["out"]) == noncoprime
 
 
+def test_stability_reads_each_basis_element_once(monkeypatch):
+    # target and restriction bases are read in m-coordinates (and
+    # symmetry-checked) once per element, not once per membership call
+    real = ideals.to_mbasis
+    reads = []
+
+    def counting(f, verify=True):
+        if verify:
+            reads.append(id(f))
+        return real(f, verify=verify)
+
+    monkeypatch.setattr(ideals, "to_mbasis", counting)
+    rep = stability_suite(1, 3, 2, 6, allow_noncoprime=True)
+    assert len(rep["violations"]) == 51
+    assert reads and len(reads) == len(set(reads))
+
+
 def test_membership_rejects_nonsymmetric():
     basis = degree_basis(1, 2, 3, 3, 2)
     b1 = basis[0][1]

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from superjack import jack
 from superjack.coeffring import (ALPHA, ONE, AlphaRational, PoleError,
                                  parse_alpha)
 from superjack.jack import (jack_at, jack_expand, jack_nonsym, jack_poly,
@@ -280,3 +281,116 @@ def test_expansion_cache_identity():
     A = jack_symbolic(parse_spart(";2,1"), 3)
     B = jack_symbolic(parse_spart(";2,1"), 3)
     assert A is B
+
+
+# ---------------------------------------------------------------------------
+# the gcd-free build against the Q(a) routes it replaced
+# ---------------------------------------------------------------------------
+
+_FAMILIES = [(n, m, N) for N in (3, 4) for n in range(2, 6) for m in range(3)
+             if enumerate_sparts(n, m, N)]
+
+
+def _two_pass_rows(mono, op):
+    """Oracle: one operator row from two Fraction passes, at a=0 and a=1."""
+    at0 = to_mbasis(op(mono, Fraction(0)), verify=False)
+    at1 = to_mbasis(op(mono, Fraction(1)), verify=False)
+    row = {}
+    for gm in set(at0) | set(at1):
+        c0 = Fraction(at0.get(gm, 0))
+        row[gm] = c0 + (Fraction(at1.get(gm, 0)) - c0) * a
+    return row
+
+
+def _rational_peel(L, below, d_rows, delta_rows):
+    """Oracle: the triangular peel with every step normalized in Q(a)."""
+    e_l, et_l = AlphaRational(e_star_poly(L)), AlphaRational(e_tilde_poly(L))
+    coeffs = {L: ONE}
+    for gm in below:
+        num_d = AlphaRational(0)
+        num_delta = AlphaRational(0)
+        for om, c in coeffs.items():
+            v = d_rows[om].get(gm)
+            if v is not None:
+                num_d = num_d + c * v
+            w = delta_rows[om].get(gm)
+            if w is not None:
+                num_delta = num_delta + c * w
+        den_d = e_l - AlphaRational(e_star_poly(gm))
+        if den_d:
+            coeffs[gm] = num_d / den_d
+            continue
+        den_delta = et_l - AlphaRational(e_tilde_poly(gm))
+        assert den_delta, (L, gm)
+        coeffs[gm] = num_delta / den_delta
+    return {om: c for om, c in coeffs.items() if c}
+
+
+def _below(L, labels):
+    return [om for om in labels if om != L and dominance_leq(om, L)]
+
+
+def _not_in_lowest_terms(found):
+    """Labels whose factored coefficient (num, factors, d) is not canonical."""
+    bad = []
+    for om, (num, factors, d) in found.items():
+        den = jack._denominator(factors, d)
+        c = AlphaRational(num, den)
+        if (c.num, c.den) != (num, den):
+            bad.append(om)
+    return bad
+
+
+def test_gcd_free_build_matches_rational_oracle():
+    for n, m, N in _FAMILIES:
+        labels, d_rows, delta_rows = jack._mbasis_matrices(n, m, N)
+        want_d, want_delta = {}, {}
+        for om in labels:
+            mono = monomial_msym(om, N)
+            want_d[om] = _two_pass_rows(mono, apply_D)
+            want_delta[om] = _two_pass_rows(mono, apply_Delta)
+        assert d_rows == want_d, (n, m, N)
+        assert delta_rows == want_delta, (n, m, N)
+        for L in labels:
+            below = _below(L, labels)
+            assert jack_symbolic(L, N).coeffs == _rational_peel(
+                L, below, want_d, want_delta), (str(L), N)
+            found = jack._triangular_peel(L, below, d_rows, delta_rows)
+            assert _not_in_lowest_terms(found) == [], (str(L), N)
+
+
+def test_peel_without_cancellation_is_caught(monkeypatch):
+    # a mutant whose synthetic division never divides keeps every factor
+    monkeypatch.setattr(jack, "poly_divide_linear", lambda p, f: None)
+    caught = []
+    for n, m, N in _FAMILIES:
+        labels, d_rows, delta_rows = jack._mbasis_matrices(n, m, N)
+        for L in labels:
+            found = jack._triangular_peel(L, _below(L, labels), d_rows,
+                                          delta_rows)
+            caught += _not_in_lowest_terms(found)
+    assert caught
+
+
+def test_full_solve_fallback_matches_peel():
+    # the stacked solve behind DegenerateSystem, reached directly
+    labels, d_rows, delta_rows = jack._mbasis_matrices(3, 1, 3)
+    for L in labels:
+        out = jack._jack_full_solve(L, _below(L, labels), d_rows, delta_rows,
+                                    AlphaRational(e_star_poly(L)),
+                                    AlphaRational(e_tilde_poly(L)))
+        assert {om: c for om, c in out.items() if c} \
+            == jack_symbolic(L, 3).coeffs, str(L)
+
+
+def test_clear_caches_then_rebuild():
+    labels = [parse_spart(s) for s in (";3", "1;2", "2,0;1")]
+    before = {L: jack_symbolic(L, 3).coeffs for L in labels}
+    jack_nonsym((0, 1))
+    sizes = jack.clear_caches()
+    assert set(sizes) == {"_JACK_CACHE", "_mbasis_matrices", "jack_nonsym",
+                          "enumerate_sparts"}
+    assert all(size > 0 for size in sizes.values()), sizes
+    assert set(jack.clear_caches().values()) == {0}
+    for L in labels:
+        assert jack_symbolic(L, 3).coeffs == before[L]
