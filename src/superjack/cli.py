@@ -8,6 +8,7 @@ guaranteed).  Machine-readable errors go to stderr as JSON objects.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -17,12 +18,11 @@ from pathlib import Path
 
 from .coeffring import ALPHA, AlphaRational, PoleError, alpha_eval, parse_alpha
 from .ideals import char_F, char_I, cluster_multiplicity
-from .jack import (PIERI_KINDS, JackExpansion, jack_symbolic, pieri_closed,
-                   _JACK_CACHE)
-from .ops import NonPolynomialResult, apply_D, apply_Delta, apply_operator
-from .spart import (SuperPartition, dominance_leq, e_star_poly, e_tilde_poly,
-                    enumerate_sparts, is_admissible, parse_spart)
-from .superpoly import SuperPolynomial, integral_multiple, terms_to_json
+from .jack import (PIERI_KINDS, JackExpansion, eigen_check, jack_symbolic,
+                   pieri_closed, _JACK_CACHE)
+from .ops import NonPolynomialResult, apply_operator
+from .spart import SuperPartition, enumerate_sparts, is_admissible, parse_spart
+from .superpoly import SuperPolynomial, terms_to_json
 from .suites import SUITES
 
 CACHE_VERSION = "1"
@@ -61,23 +61,6 @@ def cache_store(directory: str, expansion: JackExpansion) -> Path:
     return path
 
 
-def _eigen_spot_check(expansion: JackExpansion) -> bool:
-    """Monic, supported on labels the label dominates, and an eigenfunction
-    of both D and Delta with the label's eigenvalues.
-
-    The eigenrelations are linear, so they are checked on the Z[a] multiple
-    of the polynomial, which keeps gcds out of the operator passes.
-    """
-    L = expansion.label
-    if expansion.coeffs.get(L) != 1:
-        return False
-    if not all(dominance_leq(om, L) for om in expansion.coeffs):
-        return False
-    poly = integral_multiple(expansion.polynomial())
-    return (apply_D(poly, ALPHA) == poly.scale(e_star_poly(L))
-            and apply_Delta(poly, ALPHA) == poly.scale(e_tilde_poly(L)))
-
-
 def cache_load(directory: str, L: SuperPartition, N: int) -> JackExpansion | None:
     """Load and re-verify one entry.
 
@@ -97,8 +80,9 @@ def cache_load(directory: str, L: SuperPartition, N: int) -> JackExpansion | Non
                                   int(payload["N"]), coeffs)
         if expansion.label != L or expansion.N != N:
             raise ValueError("key mismatch")
-        if not _eigen_spot_check(expansion):
-            raise ValueError("eigenvalue spot check failed")
+        reason = eigen_check(expansion)
+        if reason is not None:
+            raise ValueError(reason)
         return expansion
     except Exception as exc:
         print(json.dumps({"warning": "evicting cache entry",
@@ -391,7 +375,10 @@ def _jsonable(obj):
 # argument parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each parse returns a fresh
+    Namespace and no default reads the environment."""
     top = argparse.ArgumentParser(
         prog="jack",
         description="Exact Jack superpolynomials at rational parameter")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 
 class PoleError(ArithmeticError):
@@ -486,6 +486,25 @@ def common_denominator(values: Iterable) -> AlphaPolynomial:
         g = poly_gcd(lcm, den) * math.gcd(lcm.content(), den.content())
         lcm = lcm * poly_divexact(den, g)
     return lcm
+
+
+def clear_denominators(values: Mapping) -> dict:
+    """E * v in Z[a] for each value v, E the values' common denominator.
+
+    Each num/den becomes num * (E / den), one exact division per distinct
+    denominator, so no value is normalized in Q(a).  Identities linear in
+    the values hold for the results exactly when they hold for the values.
+    """
+    E = common_denominator(values.values())
+    cofactors: dict = {}
+    out = {}
+    for key, v in values.items():
+        num, den = num_den(v)
+        cof = cofactors.get(den)
+        if cof is None:
+            cof = cofactors[den] = poly_divexact(E, den)
+        out[key] = num * cof
+    return out
 
 
 def alpha_eval(f: AlphaRational, a0: Union[int, Fraction]) -> Fraction:

@@ -18,7 +18,7 @@ from typing import Optional
 
 from .coeffring import (ALPHA, ONE, AlphaPolynomial, AlphaRational,
                         FieldMatrix, PoleError, UniqueSolution, alpha_eval,
-                        poly_divide_linear, solve_exact)
+                        clear_denominators, poly_divide_linear, solve_exact)
 from .ops import apply_D, apply_Delta, cherednik, operator
 from .spart import (SuperPartition, add_circle_moves, bosonic_cells,
                     circle_to_square_moves, dominance_leq, e_star_poly,
@@ -265,6 +265,50 @@ def _jack_full_solve(L, below, d_rows, delta_rows, e_l, et_l):
     out = {L: ONE}
     out.update({om: c for om, c in zip(unknowns, res.vector)})
     return out
+
+
+def eigen_check(expansion: JackExpansion) -> Optional[str]:
+    """Why the expansion is not P_[label], or None when it is.
+
+    P_L is the monic joint eigenfunction of D and Delta supported on labels
+    of its family that L dominates.  Both eigen-equations are read in
+    monomial-superbasis coordinates on the family's operator rows: for each
+    label G of the family, sum over O of c_O * row_O[G] must equal e_L * c_G.
+    An m-expansion is symmetric and both operators keep symmetry, so these
+    coordinates decide the equations as the expanded polynomial would.  The
+    coefficients are cleared to Z[a] and the rows to integer denominators,
+    so the comparison is exact equality in Z[a] with no Q(a) normalize.
+    """
+    L, N, coeffs = expansion.label, expansion.N, expansion.coeffs
+    n, m = L.degree()
+    labels, d_rows, delta_rows = _mbasis_matrices(n, m, N)
+    family = set(labels)
+    for om in sorted(coeffs, key=lambda S: S.sort_key(), reverse=True):
+        if not coeffs[om]:
+            return f"zero coefficient at m_[{om}]"
+        if om not in family:
+            return f"m_[{om}] is outside the ({n}|{m}) family at N={N}"
+        if not dominance_leq(om, L):
+            return f"m_[{om}] is not dominated by m_[{L}]"
+    if coeffs.get(L) != 1:
+        return f"coefficient of m_[{L}] is not 1"
+    cleared = clear_denominators(coeffs)
+    for name, rows, ev in (("D", d_rows, e_star_poly(L)),
+                           ("Delta", delta_rows, e_tilde_poly(L))):
+        scale = 1
+        for om in cleared:
+            for v in rows[om].values():
+                scale = lcm(scale, v.den.coeffs[0])
+        image: dict[SuperPartition, AlphaPolynomial] = {}
+        for om, c in cleared.items():
+            for gm, v in rows[om].items():
+                term = c * (v.num * (scale // v.den.coeffs[0]))
+                image[gm] = image[gm] + term if gm in image else term
+        target = ev * scale
+        for gm in labels:  # biggest first: the leading residual term
+            if image.get(gm, 0) != target * cleared.get(gm, 0):
+                return f"{name} eigen-equation fails at m_[{gm}]"
+    return None
 
 
 def jack_poly(L: SuperPartition, N: int) -> SuperPolynomial:

@@ -17,8 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .coeffring import (FieldMatrix, UniqueSolution, common_denominator,
-                        num_den, poly_divexact, solve_exact)
+from .coeffring import (FieldMatrix, UniqueSolution, clear_denominators,
+                        solve_exact)
 from .spart import SuperPartition, enumerate_sparts, z_stat
 
 Term = tuple[tuple[int, ...], tuple[int, ...]]
@@ -448,22 +448,8 @@ def unique_arrangements(items: list):
 # ---------------------------------------------------------------------------
 
 def integral_multiple(f: SuperPolynomial) -> SuperPolynomial:
-    """D * f with coefficients in Z[a], D the common denominator of f's.
-
-    Each coefficient num/den becomes num * (D / den), one exact division per
-    distinct denominator, so no term is normalized in Q(a).  Identities
-    linear in f (eigenrelations) hold for D * f exactly when they hold for f.
-    """
-    D = common_denominator(f.terms.values())
-    cofactors: dict = {}
-    out = SuperPolynomial(f.N)
-    for key, c in f.terms.items():
-        num, den = num_den(c)
-        cof = cofactors.get(den)
-        if cof is None:
-            cof = cofactors[den] = poly_divexact(D, den)
-        out.terms[key] = num * cof
-    return out
+    """D * f with coefficients in Z[a], D the common denominator of f's."""
+    return SuperPolynomial(f.N, clear_denominators(f.terms))
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,73 @@ def test_cache_non_delta_eigenfunction_evicts(tmp_path, capsys):
     assert "evicting" in capsys.readouterr().err
 
 
+def _store_fake(tmp_path, L, N, coeffs):
+    path = cache_store(str(tmp_path), jack_symbolic(L, N))
+    data = json.loads(path.read_text())
+    data["coeffs"] = {str(om): str(c) for om, c in coeffs.items()}
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("source, reason", [
+    # P[1;2] + P[0;2,1] is a D eigenfunction; its Delta residual leads at 0;2,1
+    ("0;2,1", "Delta eigen-equation fails at m_[0;2,1]"),
+    # P[1;2] + P[1;1,1] fails both; D is checked first
+    ("1;1,1", "D eigen-equation fails at m_[1;1,1]"),
+])
+def test_cache_eviction_names_the_failing_equation(tmp_path, capsys, source,
+                                                   reason):
+    L = parse_spart("1;2")
+    fake = dict(jack_symbolic(L, 3).coeffs)
+    for om, c in jack_symbolic(parse_spart(source), 3).coeffs.items():
+        fake[om] = fake.get(om, 0) + c
+    path = _store_fake(tmp_path, L, 3, fake)
+    assert cache_load(str(tmp_path), L, 3) is None
+    event = json.loads(capsys.readouterr().err)
+    assert event == {"warning": "evicting cache entry", "entry": path.name,
+                     "reason": reason}
+
+
+def test_cache_zero_coefficient_evicts(tmp_path, capsys, monkeypatch):
+    # a genuine store never writes a zero; a cold compute never prints one
+    monkeypatch.delenv("SUPERJACK_CACHE", raising=False)
+    L = parse_spart("2;1")
+    path = _store_fake(tmp_path, L, 3, {**jack_symbolic(L, 3).coeffs,
+                                        parse_spart("0;1,1,1"): 0})
+    _JACK_CACHE.pop((L, 3), None)
+    code, out, err = run(capsys, "--cache-dir", str(tmp_path), "compute",
+                         "--spart", "2;1", "--N", "3", "--out", "json")
+    assert code == 0
+    assert "0;1,1,1" not in json.loads(out)["coeffs"]
+    assert json.loads(err) == {"warning": "evicting cache entry",
+                               "entry": path.name,
+                               "reason": "zero coefficient at m_[0;1,1,1]"}
+    assert "0;1,1,1" not in json.loads(path.read_text())["coeffs"]
+
+
+def test_dispatch_calls_share_no_state(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process; the parsed options are not
+    monkeypatch.delenv("SUPERJACK_CACHE", raising=False)
+    assert cli.build_parser() is cli.build_parser()
+    first = tmp_path / "first"
+    code, _, _ = run(capsys, "--cache-dir", str(first), "compute", "--spart",
+                     "1;1,1", "--N", "3", "--out", "json")
+    assert code == 0
+    assert len(list(first.glob("*.json"))) == 1
+    code, out, _ = run(capsys, "compute", "--spart", "1;1,1,1", "--N", "4",
+                       "--out", "json")
+    assert code == 0 and json.loads(out)["label"] == "1;1,1,1"
+    assert len(list(first.glob("*.json"))) == 1
+    code, _, _ = run(capsys, "compute", "--spart", ";2")
+    assert code == 2
+    code, out, err = run(capsys, "compute", "--spart", ";2", "--N", "2",
+                         "--out", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"label": ";2", "N": 2, "alpha": "sym",
+                               "basis": "m",
+                               "coeffs": {";2": "1", ";1,1": "2/(a+1)"}}
+
+
 def test_cache_version_mismatch(tmp_path, capsys):
     L = parse_spart(";1")
     path = cache_store(str(tmp_path), jack_symbolic(L, 2))

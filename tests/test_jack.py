@@ -6,7 +6,8 @@ import pytest
 from superjack import jack
 from superjack.coeffring import (ALPHA, ONE, AlphaRational, PoleError,
                                  parse_alpha)
-from superjack.jack import (jack_at, jack_expand, jack_nonsym, jack_poly,
+from superjack.jack import (JackExpansion, eigen_check, jack_at,
+                            jack_expand, jack_nonsym, jack_poly,
                             jack_symbolic, duality_check, evaluation_direct,
                             evaluation_formula, integral_form, norm_gram,
                             norm_hook, pieri_check, pieri_closed,
@@ -16,8 +17,8 @@ from superjack.ops import apply_D, apply_Delta, cherednik, sekiguchi_S
 from superjack.spart import (e_star_poly, e_tilde_poly, enumerate_all_m,
                              enumerate_sparts, epsilon_u, eta_bar,
                              dominance_leq, parse_spart, star_pair, v_poly)
-from superjack.superpoly import (SuperPolynomial, monomial_msym, to_mbasis,
-                                 vandermonde)
+from superjack.superpoly import (SuperPolynomial, integral_multiple,
+                                 monomial_msym, to_mbasis, vandermonde)
 
 a = ALPHA
 
@@ -394,3 +395,91 @@ def test_clear_caches_then_rebuild():
     assert set(jack.clear_caches().values()) == {0}
     for L in labels:
         assert jack_symbolic(L, 3).coeffs == before[L]
+
+
+def _expanded_eigen_check(expansion):
+    """Oracle: monic, dominated support, and both eigen-equations checked on
+    the whole expanded polynomial (its Z[a] multiple)."""
+    L = expansion.label
+    if expansion.coeffs.get(L) != 1:
+        return False
+    if not all(dominance_leq(om, L) for om in expansion.coeffs):
+        return False
+    poly = integral_multiple(expansion.polynomial())
+    return (apply_D(poly, ALPHA) == poly.scale(e_star_poly(L))
+            and apply_Delta(poly, ALPHA) == poly.scale(e_tilde_poly(L)))
+
+
+# the labels of the benchmark's cache workload: 2 <= n <= 4, m <= 2, N = 3, 4
+_CACHE_POOL = [(L, N) for N in (3, 4) for n in range(2, 5) for m in range(3)
+               for L in enumerate_sparts(n, m, N)]
+
+
+def _eigen_verdicts(L, N, coeffs):
+    expansion = JackExpansion(L, N, coeffs)
+    return eigen_check(expansion), _expanded_eigen_check(expansion)
+
+
+def test_eigen_check_matches_expanded_oracle():
+    assert len(_CACHE_POOL) == 87
+    scale = (a + 1) / (a + 2)
+    mutants = 0
+    for L, N in _CACHE_POOL:
+        P = jack_symbolic(L, N).coeffs
+        assert _eigen_verdicts(L, N, P) == (None, True), (str(L), N)
+        below = [om for om in enumerate_sparts(*L.degree(), N)
+                 if om != L and dominance_leq(om, L)]
+        if below:  # P + m_O for the biggest O strictly below L
+            plus = dict(P)
+            plus[below[0]] = plus.get(below[0], 0) + 1
+            reason, ok = _eigen_verdicts(L, N, plus)
+            assert "eigen-equation fails" in reason and not ok, (str(L), N)
+            mutants += 1
+        lower = [om for om in P if om != L]
+        if lower:  # one coefficient below the top scaled by (a+1)/(a+2)
+            scaled = dict(P)
+            scaled[lower[-1]] = scaled[lower[-1]] * scale
+            reason, ok = _eigen_verdicts(L, N, scaled)
+            assert "eigen-equation fails" in reason and not ok, (str(L), N)
+            mutants += 1
+    assert mutants > 100
+    # P[1;2] + P[0;2,1]: monic, dominated and a D eigenfunction only
+    L, other = parse_spart("1;2"), parse_spart("0;2,1")
+    fake = dict(jack_symbolic(L, 3).coeffs)
+    for om, c in jack_symbolic(other, 3).coeffs.items():
+        fake[om] = fake.get(om, 0) + c
+    assert _eigen_verdicts(L, 3, fake) == (
+        "Delta eigen-equation fails at m_[0;2,1]", False)
+
+
+def test_eigen_check_rejects_zeros_and_labels_outside_the_family():
+    L = parse_spart("2;1")
+    P = dict(jack_symbolic(L, 3).coeffs)
+    assert eigen_check(JackExpansion(L, 3, {**P, parse_spart("0;1,1,1"): 1})) \
+        == "m_[0;1,1,1] is outside the (3|1) family at N=3"
+    assert eigen_check(JackExpansion(L, 3, {**P, parse_spart("1;1"): 1})) \
+        == "m_[1;1] is outside the (3|1) family at N=3"
+    assert eigen_check(JackExpansion(L, 3, {**P, parse_spart("0;2,1"): 0})) \
+        == "zero coefficient at m_[0;2,1]"
+
+
+def test_eigen_check_scales_rows_with_denominators(monkeypatch):
+    # Conjugating both operators by diag(s) and scaling each coefficient by
+    # s_O keeps the eigen-equations; with s_O = 1/(k+1) for the k-th label
+    # the rows get integer denominators, as the build allows
+    N = 3
+    labels, d_rows, delta_rows = jack._mbasis_matrices(3, 1, N)
+    L = labels[0]
+    s = {om: Fraction(1, k + 1) for k, om in enumerate(labels)}
+    conj = [{om: {gm: v * (s[gm] / s[om]) for gm, v in rows[om].items()}
+             for om in labels} for rows in (d_rows, delta_rows)]
+    assert any(v.den != 1 for rows in conj for row in rows.values()
+               for v in row.values())
+    P = {om: c * s[om] for om, c in jack_symbolic(L, N).coeffs.items()}
+    monkeypatch.setattr(jack, "_mbasis_matrices",
+                        lambda n, m, N: (labels, *conj))
+    assert P[L] == 1 and eigen_check(JackExpansion(L, N, P)) is None
+    lowest = [om for om in labels if om in P][-1]
+    P[lowest] = P[lowest] * 2
+    assert eigen_check(JackExpansion(L, N, P)) == \
+        f"D eigen-equation fails at m_[{lowest}]"
