@@ -653,42 +653,65 @@ def _pivot_weight(x) -> int:
 
 
 def solve_exact(M: FieldMatrix, b: Sequence):
-    """Solve M x = b exactly by Gaussian elimination.
+    """Solve M x = b exactly by Gauss-Jordan elimination on sparse rows.
 
     Returns UniqueSolution, SolutionSpace (particular + reduced-echelon
     nullspace basis) or NoSolution.  Entries may be Fraction or
     AlphaRational; they are never mixed.
+
+    Each row is a dict from column to nonzero entry, the right-hand side
+    at column ``M.cols``; a row operation touches only the pivot row's
+    nonzero columns and deletes every entry that cancels.
     """
     if len(b) != M.rows:
         raise ValueError("right-hand side has wrong length")
-    rows = [list(M.entries[i * M.cols:(i + 1) * M.cols]) + [b[i]]
-            for i in range(M.rows)]
     n, m = M.rows, M.cols
+    rows = []
+    for i in range(n):
+        row = {j: e for j, e in enumerate(M.entries[i * m:(i + 1) * m]) if e}
+        if b[i]:
+            row[m] = b[i]
+        rows.append(row)
     pivots = []
     r = 0
     for col in range(m):
         best = None
         for i in range(r, n):
-            if rows[i][col]:
-                w = _pivot_weight(rows[i][col])
+            e = rows[i].get(col)
+            if e is not None:
+                w = _pivot_weight(e)
                 if best is None or w < best[0]:
                     best = (w, i)
+                    if w == 0:  # no weight is lower
+                        break
         if best is None:
             continue
         i = best[1]
         rows[r], rows[i] = rows[i], rows[r]
-        pv = rows[r][col]
-        rows[r] = [e / pv for e in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [e - f * rows[r][j] for j, e in enumerate(rows[i])]
+        prow = rows[r]
+        pv = prow[col]
+        if pv != 1:
+            prow = rows[r] = {j: e / pv for j, e in prow.items()}
+        for i, row in enumerate(rows):
+            if i == r or col not in row:
+                continue
+            f = row[col]
+            for j, e in prow.items():
+                x = row.get(j)
+                if x is None:
+                    row[j] = -(f * e)
+                else:
+                    x = x - f * e
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
         pivots.append(col)
         r += 1
         if r == n:
             break
     for i in range(r, n):
-        if rows[i][m]:
+        if m in rows[i]:
             return NoSolution(witness_row=i)
     if M.entries:
         zero = M.entries[0] * 0
@@ -699,8 +722,9 @@ def solve_exact(M: FieldMatrix, b: Sequence):
     one = zero + 1
     particular = [zero] * m
     for i, col in enumerate(pivots):
-        particular[col] = rows[i][m]
-    free = [c for c in range(m) if c not in pivots]
+        particular[col] = rows[i].get(m, zero)
+    pivot_set = set(pivots)
+    free = [c for c in range(m) if c not in pivot_set]
     if not free:
         return UniqueSolution(vector=particular)
     basis = []
@@ -708,17 +732,7 @@ def solve_exact(M: FieldMatrix, b: Sequence):
         v = [zero] * m
         v[fc] = one
         for i, col in enumerate(pivots):
-            v[col] = -rows[i][fc]
+            if fc in rows[i]:
+                v[col] = -rows[i][fc]
         basis.append(v)
     return SolutionSpace(particular=particular, nullspace=basis)
-
-
-def nullspace_dimension(M: FieldMatrix) -> int:
-    """Dimension of the kernel of M."""
-    zero = Fraction(0)
-    if M.entries:
-        zero = M.entries[0] * 0
-    res = solve_exact(M, [zero] * M.rows)
-    if isinstance(res, UniqueSolution):
-        return 0
-    return len(res.nullspace)

@@ -5,7 +5,11 @@ of the super-Virasoro algebra.
 Every exchange term with an (x_i - x_j) denominator is realized through exact
 polynomial division, so no rational function is ever materialized.  The two
 eigenoperators require input invariant under each diagonal transposition
-(symmetric superpolynomials); anything else raises NonPolynomialResult.
+(symmetric superpolynomials).  `apply_operator`, the entry point for outside
+input, checks this and raises NonPolynomialResult otherwise.  `apply_D` and
+`apply_Delta` trust their callers: a failed division still raises, but Delta
+divides only terms with exactly one of theta_i, theta_j, so it passes most
+non-symmetric input without notice.
 """
 
 from __future__ import annotations
@@ -470,4 +474,6 @@ def apply_operator(name: str, f: SuperPolynomial, alpha,
         if mode is None:
             raise ValueError("G needs --mode r <= 1/2, half-integral")
         return G_op(Fraction(mode), f)
+    if name in ("D", "Delta") and not f.is_symmetric():
+        raise NonPolynomialResult(f"{name} needs a symmetric input")
     return operator(name)(f, alpha)

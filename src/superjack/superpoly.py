@@ -210,11 +210,25 @@ class SuperPolynomial:
         return self.act_K(sigma)
 
     def is_symmetric(self) -> bool:
+        """Invariance under each adjacent diagonal transposition (i i+1).
+
+        Each term is looked up at its signed image: theta_i and theta_{i+1}
+        both present swap places (sign -1); one alone is renamed in place.
+        """
+        terms = self.terms
         for i in range(1, self.N):
-            sigma = list(range(1, self.N + 1))
-            sigma[i - 1], sigma[i] = sigma[i], sigma[i - 1]
-            if self.act_Ksigma(sigma) != self:
-                return False
+            j = i + 1
+            for (T, e), c in terms.items():
+                if i in T:
+                    if j in T:
+                        c = -c
+                    else:
+                        T = tuple(j if t == i else t for t in T)
+                elif j in T:
+                    T = tuple(i if t == j else t for t in T)
+                e = e[:i - 1] + (e[i], e[i - 1]) + e[j:]
+                if terms.get((T, e)) != c:
+                    return False
         return True
 
     # -- extraction and substitution -------------------------------------------

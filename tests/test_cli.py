@@ -144,10 +144,12 @@ def _write_x1_squared(tmp_path):
 
 
 def test_op_apply_nonsymmetric_input_exit_code(capsys, tmp_path):
-    code, _, err = run(capsys, "op", "apply", "--name", "D", "--alpha", "sym",
-                       "--input", _write_x1_squared(tmp_path))
-    assert code == 2
-    assert json.loads(err.strip())["error"] == "NonPolynomialResult"
+    # Delta divides no theta-free term, so only the symmetry check catches x1^2
+    for name in ("D", "Delta"):
+        code, _, err = run(capsys, "op", "apply", "--name", name, "--alpha",
+                           "sym", "--input", _write_x1_squared(tmp_path))
+        assert code == 2
+        assert json.loads(err.strip())["error"] == "NonPolynomialResult"
 
 
 @pytest.mark.parametrize("index", ["5", "-1"])

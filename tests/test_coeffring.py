@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from superjack.coeffring import (ALPHA, ONE, AlphaPolynomial, AlphaRational,
                                  FieldMatrix, IndeterminateError, NoSolution,
                                  PoleError, SolutionSpace, UniqueSolution,
-                                 alpha_eval, common_denominator,
-                                 nullspace_dimension, parse_alpha, poly_gcd,
+                                 _pivot_weight, alpha_eval,
+                                 common_denominator, parse_alpha, poly_gcd,
                                  poly_divide_linear, solve_exact)
 
 a = ALPHA
@@ -126,6 +126,66 @@ def test_poly_divide_linear_is_exact_division(coeffs, t, s):
         assert q * f == p
 
 
+def _dense_solve_exact(M, b):
+    """Oracle: Gauss-Jordan elimination on dense rows, every column updated."""
+    rows = [list(M.entries[i * M.cols:(i + 1) * M.cols]) + [b[i]]
+            for i in range(M.rows)]
+    n, m = M.rows, M.cols
+    pivots = []
+    r = 0
+    for col in range(m):
+        best = None
+        for i in range(r, n):
+            if rows[i][col]:
+                w = _pivot_weight(rows[i][col])
+                if best is None or w < best[0]:
+                    best = (w, i)
+        if best is None:
+            continue
+        i = best[1]
+        rows[r], rows[i] = rows[i], rows[r]
+        pv = rows[r][col]
+        rows[r] = [e / pv for e in rows[r]]
+        for i in range(n):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [e - f * rows[r][j] for j, e in enumerate(rows[i])]
+        pivots.append(col)
+        r += 1
+        if r == n:
+            break
+    for i in range(r, n):
+        if rows[i][m]:
+            return NoSolution(witness_row=i)
+    if M.entries:
+        zero = M.entries[0] * 0
+    elif b:
+        zero = b[0] * 0
+    else:
+        zero = Fraction(0)
+    one = zero + 1
+    particular = [zero] * m
+    for i, col in enumerate(pivots):
+        particular[col] = rows[i][m]
+    free = [c for c in range(m) if c not in pivots]
+    if not free:
+        return UniqueSolution(vector=particular)
+    basis = []
+    for fc in free:
+        v = [zero] * m
+        v[fc] = one
+        for i, col in enumerate(pivots):
+            v[col] = -rows[i][fc]
+        basis.append(v)
+    return SolutionSpace(particular=particular, nullspace=basis)
+
+
+def _nullspace_dimension(M):
+    res = solve_exact(M, [M.entries[0] * 0 if M.entries else Fraction(0)]
+                      * M.rows)
+    return 0 if isinstance(res, UniqueSolution) else len(res.nullspace)
+
+
 def test_solve_identity():
     F = Fraction
     M = FieldMatrix(2, 2, [F(1), F(0), F(0), F(1)])
@@ -148,7 +208,7 @@ def test_solve_homogeneous_nullspace():
     v = res.nullspace[0]
     scaled = [x / v[1] for x in v]
     assert scaled == [F(0), F(1), F(-1), F(1)]
-    assert nullspace_dimension(M) == 1
+    assert _nullspace_dimension(M) == 1
 
 
 def test_solve_inconsistent():
@@ -170,6 +230,64 @@ def test_solve_over_alpha_field_then_eval_commutes():
     M2 = FieldMatrix(2, 2, [F(2), F(1), F(0), F(3)])
     res2 = solve_exact(M2, [F(1), F(2)])
     assert [alpha_eval(c, point) for c in res.vector] == res2.vector
+
+
+@st.composite
+def systems(draw, entries):
+    """Small systems biased toward zeros, with duplicate rows, zero columns
+    and right-hand sides that are often inconsistent or zero."""
+    n = draw(st.integers(0, 6))
+    m = draw(st.integers(0, 6))
+    rows = [[draw(entries) for _ in range(m)] for _ in range(n)]
+    b = [draw(entries) for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        src = draw(st.integers(0, n - 1))
+        rows.append(list(rows[src]))
+        b.append(b[src] if draw(st.booleans()) else draw(entries))
+    if m and draw(st.booleans()):
+        col = draw(st.integers(0, m - 1))
+        for row in rows:
+            row[col] = row[col] * 0
+    if draw(st.booleans()):
+        b = [x * 0 for x in b]
+    return FieldMatrix(len(rows), m, [e for row in rows for e in row]), b
+
+
+fractions = st.one_of(
+    st.just(Fraction(0)), st.just(Fraction(0)), st.just(Fraction(1)),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+alpha_entries = st.one_of(st.just(AlphaRational(0)), st.just(ONE), rationals())
+
+
+@settings(max_examples=400, deadline=None)
+@given(systems(fractions))
+def test_solve_matches_dense_oracle_over_q(system):
+    M, b = system
+    assert solve_exact(M, b) == _dense_solve_exact(M, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems(alpha_entries))
+def test_solve_matches_dense_oracle_over_alpha_field(system):
+    M, b = system
+    assert solve_exact(M, b) == _dense_solve_exact(M, b)
+
+
+def test_solve_matches_dense_oracle_on_fixed_systems():
+    F = Fraction
+    cases = [
+        (FieldMatrix(2, 2, [a, ONE, AlphaRational(0), a + 1]), [ONE, a]),
+        (FieldMatrix(2, 2, [F(2), F(1), F(0), F(3)]), [F(1), F(2)]),
+        # one witness row of several inconsistent ones
+        (FieldMatrix(3, 1, [F(1), F(1), F(2)]), [F(0), F(1), F(1)]),
+        # rank-deficient with a zero column and a nullspace over Q(a)
+        (FieldMatrix(2, 3, [a, AlphaRational(0), ONE,
+                            a * a, AlphaRational(0), a]), [ONE, a]),
+        (FieldMatrix(0, 2, []), []),
+        (FieldMatrix(2, 0, []), [F(0), F(1)]),
+    ]
+    for M, b in cases:
+        assert solve_exact(M, b) == _dense_solve_exact(M, b)
 
 
 def test_subs_inverse():

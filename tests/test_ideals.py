@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from superjack import ideals
-from superjack.coeffring import FieldMatrix, NoSolution, solve_exact, UniqueSolution
+from superjack.coeffring import FieldMatrix, NoSolution, UniqueSolution
 from superjack.ideals import (CharacterSeries, NotInSpan, alpha_kr,
                               cluster_multiplicity, cochain_check,
                               degree_basis, dim_F, harness_clustering,
@@ -13,6 +13,7 @@ from superjack.ideals import (CharacterSeries, NotInSpan, alpha_kr,
 from superjack.jack import jack_at
 from superjack.spart import enumerate_all_m, is_admissible, parse_spart
 from superjack.superpoly import SuperPolynomial, power_sum
+from test_coeffring import _dense_solve_exact
 
 
 def test_alpha_kr():
@@ -52,7 +53,7 @@ def _dense_membership(f, basis):
     keys = sorted({key for g in polys + [f] for key in g.terms})
     entries = [Fraction(g.terms.get(key, 0)) for key in keys for g in polys]
     rhs = [Fraction(f.terms.get(key, 0)) for key in keys]
-    res = solve_exact(FieldMatrix(len(keys), len(polys), entries), rhs)
+    res = _dense_solve_exact(FieldMatrix(len(keys), len(polys), entries), rhs)
     if isinstance(res, NoSolution):
         return None
     vector = res.vector if isinstance(res, UniqueSolution) else res.particular

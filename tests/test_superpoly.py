@@ -67,6 +67,41 @@ def test_K_sigma_actions():
         assert pt.act_Ksigma(list(sigma)) == pt
 
 
+def _is_symmetric_by_copies(f):
+    """Oracle: compare f with a full copy under each adjacent transposition."""
+    for i in range(1, f.N):
+        sigma = list(range(1, f.N + 1))
+        sigma[i - 1], sigma[i] = sigma[i], sigma[i - 1]
+        if f.act_Ksigma(sigma) != f:
+            return False
+    return True
+
+
+def test_is_symmetric_matches_copy_route():
+    rng = random.Random(11)
+    verdicts = {True: 0, False: 0}
+    for _ in range(400):
+        N = rng.randint(1, 4)
+        f = SuperPolynomial(N)
+        for _ in range(rng.randint(1, 4)):
+            T = tuple(sorted(rng.sample(range(1, N + 1),
+                                        rng.randint(0, min(N, 3)))))
+            e = tuple(rng.randint(0, 2) for _ in range(N))
+            f._iadd_term((T, e), Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+        if rng.random() < 0.6:
+            sym = SuperPolynomial(N)
+            for sigma in itertools.permutations(range(1, N + 1)):
+                sym += f.act_Ksigma(list(sigma))
+            f = sym
+            if rng.random() < 0.3:
+                T = tuple(range(1, rng.randint(1, N) + 1))
+                f._iadd_term((T, (1,) + (0,) * (N - 1)), 1)
+        want = _is_symmetric_by_copies(f)
+        assert f.is_symmetric() == want, f.terms
+        verdicts[want] += 1
+    assert min(verdicts.values()) > 50, verdicts
+
+
 def test_monomial_display_example():
     N = 4
     mL = monomial_msym(parse_spart("1,0;1,1"), N)
