@@ -2,8 +2,10 @@
 operators, the Sekiguchi pair, the sl(1|2) generators and the negative half
 of the super-Virasoro algebra.
 
-Every exchange term with an (x_i - x_j) denominator is realized through exact
-polynomial division, so no rational function is ever materialized.  The two
+No rational function is ever materialized.  D and Delta realize their
+exchange terms with an (x_i - x_j) denominator through exact polynomial
+division; the Cherednik operators expand each quotient as the closed
+geometric sum (x_i^a x_j^b - x_i^b x_j^a) / (x_i - x_j).  The two
 eigenoperators require input invariant under each diagonal transposition
 (symmetric superpolynomials).  `apply_operator`, the entry point for outside
 input, checks this and raises NonPolynomialResult otherwise.  `apply_D` and
@@ -15,8 +17,7 @@ non-symmetric input without notice.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
-from math import factorial
+from itertools import combinations
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .superpoly import (DivisionFailure, SuperPolynomial, divide_xdiff,
@@ -83,14 +84,39 @@ def apply_Delta(f: SuperPolynomial, alpha) -> SuperPolynomial:
 
 
 def cherednik(f: SuperPolynomial, i: int, alpha) -> SuperPolynomial:
-    """Dunkl-Cherednik operator on the commuting variables, defined on all input."""
+    """Dunkl-Cherednik operator on the commuting variables, defined on all input.
+
+    xi_i = alpha x_i d_i + (1 - i) + sum_{j != i} x_max(i,j) (1 - K_ij) / (x_i - x_j),
+    with K_ij exchanging x_i and x_j only.  On c x_i^a x_j^b the exchange
+    quotient is the geometric sum sign(a - b) c sum x_i^p x_j^(a+b-1-p) over
+    min(a,b) <= p < max(a,b), so each term is expanded in place.
+    """
     N = f.N
-    out = f.diff_x(i).mul_x(i).scale(alpha) + f.scale(1 - i)
-    for j in range(1, N + 1):
-        if j == i:
-            continue
-        quot = divide_xdiff(f - f.swap_K(i, j), i, j)
-        out += quot.mul_x(i if j < i else j)
+    if not 1 <= i <= N:
+        raise ValueError(f"Cherednik index {i} is outside 1..{N}")
+    ii = i - 1
+    out = SuperPolynomial(N)
+    add = out._iadd_term
+    weights: dict = {}  # x_i-degree -> alpha * a + 1 - i
+    for (T, e), c in f.terms.items():
+        a = e[ii]
+        w = weights.get(a)
+        if w is None:
+            w = weights[a] = alpha * a + (1 - i) if a else 1 - i
+        if w:
+            add((T, e), c * w)
+        neg = -c
+        el = list(e)
+        for jj, b in enumerate(e):
+            if b == a:  # j = i, or equal degrees: no exchange term
+                continue
+            lo, hi, cj = (b, a, c) if a > b else (a, b, neg)
+            sh = jj < ii  # x_max(i,j) is x_i: its exponent rises by one
+            for p in range(lo + sh, hi + sh):
+                el[ii] = p
+                el[jj] = a + b - p
+                add((T, tuple(el)), cj)
+            el[jj] = b
     return out
 
 
@@ -134,14 +160,11 @@ def _coset_reps(N: int, m: int):
     return reps
 
 
-def sekiguchi_S_tilde(f: SuperPolynomial, alpha,
-                      full_sum: bool = False) -> UList:
+def sekiguchi_S_tilde(f: SuperPolynomial, alpha) -> UList:
     """Supersymmetric Sekiguchi operator on a theta-homogeneous input.
 
-    The default sums over minimal coset representatives and works over any
-    coefficient ring, Z[a] included.  ``full_sum=True`` symmetrizes over all
-    of S_N and divides by m!(N-m)!, a Fraction: it is a Q(a)-only test
-    oracle for the coset sum.
+    Sums over minimal coset representatives of S_N / (S_m x S_{N-m}), so it
+    works over any coefficient ring, Z[a] included.
     """
     N = f.N
     degs = f.fermionic_degrees()
@@ -157,14 +180,6 @@ def sekiguchi_S_tilde(f: SuperPolynomial, alpha,
             ul, lambda g, i=i: cherednik(g, i, alpha) + g.scale(alpha), N)
     for j in range(m + 1, N + 1):
         ul = _ulist_apply_shifted(ul, lambda g, j=j: cherednik(g, j, alpha), N)
-    if full_sum:
-        sigmas = [list(s) for s in permutations(range(1, N + 1))]
-        scale = Fraction(1, factorial(m) * factorial(N - m))
-        out = [SuperPolynomial(N) for _ in ul]
-        for sigma in sigmas:
-            for k, comp in enumerate(ul):
-                out[k] += comp.act_Ksigma(sigma)
-        return [c.scale(scale) for c in out]
     out = [SuperPolynomial(N) for _ in ul]
     for sigma in _coset_reps(N, m):
         for k, comp in enumerate(ul):

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .coeffring import (FieldMatrix, UniqueSolution, clear_denominators,
                         solve_exact)
-from .spart import SuperPartition, enumerate_sparts, z_stat
+from .spart import SuperPartition, enumerate_sparts
 
 Term = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -184,15 +184,6 @@ class SuperPolynomial:
         return out
 
     # -- symmetric group action ----------------------------------------------
-    def act_K(self, sigma: Sequence[int]) -> "SuperPolynomial":
-        """Permute the commuting variables only: x_i -> x_sigma(i)."""
-        inv = _invert(sigma)
-        out = SuperPolynomial(self.N)
-        for (T, e), c in self.terms.items():
-            e2 = tuple(e[inv[p - 1] - 1] for p in range(1, self.N + 1))
-            out._iadd_term((T, e2), c)
-        return out
-
     def act_Ksigma(self, sigma: Sequence[int]) -> "SuperPolynomial":
         """Diagonal action on x and theta together."""
         inv = _invert(sigma)
@@ -205,9 +196,13 @@ class SuperPolynomial:
         return out
 
     def swap_K(self, i: int, j: int) -> "SuperPolynomial":
-        sigma = list(range(1, self.N + 1))
-        sigma[i - 1], sigma[j - 1] = sigma[j - 1], sigma[i - 1]
-        return self.act_K(sigma)
+        """Exchange the commuting variables x_i and x_j only."""
+        out = {}
+        for (T, e), c in self.terms.items():
+            e2 = list(e)
+            e2[i - 1], e2[j - 1] = e[j - 1], e[i - 1]
+            out[(T, tuple(e2))] = c
+        return SuperPolynomial(self.N, out)
 
     def is_symmetric(self) -> bool:
         """Invariance under each adjacent diagonal transposition (i i+1).
@@ -553,16 +548,6 @@ def p_label(L: SuperPartition, N: int) -> SuperPolynomial:
     return out
 
 
-def scalar_product_p(L: SuperPartition, O: SuperPartition, alpha):
-    """Scalar product of p_Lambda with p_Omega at deformation alpha."""
-    if L != O:
-        return alpha * 0
-    m = L.m
-    sign = -1 if (m * (m - 1) // 2) % 2 else 1
-    val = alpha ** L.length * z_stat(L.sym)
-    return val if sign > 0 else -val
-
-
 def to_pbasis(f: SuperPolynomial, verify: bool = True) -> dict[SuperPartition, object]:
     """Expand in the power-sum basis; needs N >= n + m for faithfulness."""
     if f.is_zero():
@@ -622,15 +607,6 @@ def prescribed_part(P: SuperPolynomial, m: int) -> SuperPolynomial:
     return g
 
 
-def divided_difference(f: SuperPolynomial, i: int, j: int,
-                       super_swap: bool = False) -> SuperPolynomial:
-    """(f - K_ij f) / (x_i - x_j); with super_swap the diagonal swap is used."""
-    sigma = list(range(1, f.N + 1))
-    sigma[i - 1], sigma[j - 1] = sigma[j - 1], sigma[i - 1]
-    swapped = f.act_Ksigma(sigma) if super_swap else f.act_K(sigma)
-    return divide_xdiff(f - swapped, i, j)
-
-
 # ---------------------------------------------------------------------------
 # serialization helpers (shared by the CLI)
 # ---------------------------------------------------------------------------
@@ -662,8 +638,3 @@ def pair_decompose(f: SuperPolynomial, i: int, j: int):
             sign = 1 if (pos_i + pos_j) % 2 == 0 else -1
             D._iadd_term((rest, e), c if sign > 0 else -c)
     return A, B, C, D
-
-
-def pair_recompose(A, B, C, D, i: int, j: int) -> SuperPolynomial:
-    return (A + B.mul_theta(i) + C.mul_theta(j)
-            + D.mul_theta(j).mul_theta(i))

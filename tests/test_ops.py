@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import permutations
+from math import factorial
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from superjack.coeffring import ALPHA, AlphaPolynomial, AlphaRational
 from superjack import ops
@@ -15,7 +18,8 @@ from superjack.ops import (ALGEBRA_TABLE, OPERATORS, G_op, L_op,
 from superjack.jack import jack_poly, jack_symbolic
 from superjack.spart import (e_star_poly, e_tilde_poly, enumerate_all_m,
                              epsilon_u, parse_spart, star_pair)
-from superjack.superpoly import (SuperPolynomial, ferm_power,
+from superjack.suites import _labels
+from superjack.superpoly import (SuperPolynomial, divide_xdiff, ferm_power,
                                  integral_multiple, monomial_msym, power_sum)
 
 a = ALPHA
@@ -82,6 +86,88 @@ def test_cherednik_commute_and_hecke():
         assert lhs == cherednik(f, 1, a).swap_K(2, 3)
 
 
+def _cherednik_by_division(f, i, alpha):
+    """Oracle: swap x_i and x_j, subtract, divide by (x_i - x_j) exactly."""
+    out = f.diff_x(i).mul_x(i).scale(alpha) + f.scale(1 - i)
+    for j in range(1, f.N + 1):
+        if j == i:
+            continue
+        quot = divide_xdiff(f - f.swap_K(i, j), i, j)
+        out += quot.mul_x(i if j < i else j)
+    return out
+
+
+small_ints = st.integers(-4, 4)
+alpha_polys = st.builds(AlphaPolynomial, st.lists(small_ints, max_size=3))
+alpha_rationals = st.builds(
+    AlphaRational, alpha_polys,
+    alpha_polys.filter(bool) | st.just(AlphaPolynomial((1,))))
+fractions = st.builds(Fraction, small_ints, st.integers(1, 4))
+# Fraction and AlphaPolynomial do not multiply, so a case draws from Q(a)
+# (int, Fraction, AlphaRational) or from Z[a] (int, AlphaPolynomial,
+# AlphaRational), with an alpha that lives in the same ring
+RINGS = {
+    "Q(a)": (small_ints | fractions | alpha_rationals,
+             small_ints | fractions | st.just(ALPHA)),
+    "Z[a]": (small_ints | alpha_polys | alpha_rationals,
+             small_ints | st.just(ALPHA) | st.just(AlphaPolynomial.gen())),
+}
+
+
+@st.composite
+def cherednik_cases(draw):
+    coeffs, alphas = RINGS[draw(st.sampled_from(sorted(RINGS)))]
+    N = draw(st.integers(1, 5))
+    f = SuperPolynomial(N)
+    exps = []
+    for _ in range(draw(st.integers(0, 8))):
+        T = draw(st.lists(st.integers(1, N), max_size=min(3, N), unique=True))
+        if exps and draw(st.booleans()):
+            # move degree between two slots of an earlier term, where the
+            # exchange output of that term can land
+            e = list(draw(st.sampled_from(exps)))
+            s, t = draw(st.integers(0, N - 1)), draw(st.integers(0, N - 1))
+            k = draw(st.integers(0, min(e[s], 5 - e[t]))) if s != t else 0
+            e[s], e[t] = e[s] - k, e[t] + k
+        else:
+            e = draw(st.lists(st.integers(0, 5), min_size=N, max_size=N))
+        exps.append(tuple(e))
+        f._iadd_term((tuple(sorted(T)), exps[-1]), draw(coeffs))
+    return f, draw(alphas)
+
+
+# the exchange part of x1^2 lands on x1*x2, which carries its own diagonal
+# weight: both must be summed there
+X1_SQUARED_PLUS_X1X2 = SuperPolynomial(2, {((), (2, 0)): 1, ((), (1, 1)): 1})
+
+
+@settings(max_examples=400, deadline=None)
+@given(cherednik_cases())
+@example((X1_SQUARED_PLUS_X1X2, ALPHA))
+def test_cherednik_matches_division_route(case):
+    f, alpha = case
+    for i in range(1, f.N + 1):
+        got = cherednik(f, i, alpha)
+        assert got.terms == _cherednik_by_division(f, i, alpha).terms
+        assert all(got.terms.values())
+
+
+def test_sekiguchi_pair_matches_division_route(monkeypatch):
+    A = AlphaPolynomial.gen()
+    cases = [(integral_multiple(jack_poly(L, 3)), L) for L in _labels(3, 3, 2)]
+    got = [(sekiguchi_S(P, A), sekiguchi_S_tilde(P, A)) for P, _ in cases]
+    monkeypatch.setattr(ops, "cherednik", _cherednik_by_division)
+    for (P, L), (S, S_tilde) in zip(cases, got):
+        assert S == sekiguchi_S(P, A), str(L)
+        assert S_tilde == sekiguchi_S_tilde(P, A), str(L)
+
+
+@pytest.mark.parametrize("i", [0, -1, 4])
+def test_cherednik_rejects_index_outside_range(i):
+    with pytest.raises(ValueError):
+        cherednik(SuperPolynomial.x(1, 3, 2), i, a)
+
+
 def test_sekiguchi_constant():
     S1 = sekiguchi_S(SuperPolynomial.one(2), a)
     assert ulist_equals_scalar_multiple(S1, epsilon_u((), 2, a),
@@ -97,10 +183,30 @@ def test_sekiguchi_commutes_with_K():
         assert all(u == v for u, v in zip(S_of_swapped, swapped_S))
 
 
+def _sekiguchi_S_tilde_full_sum(f, alpha):
+    """Oracle for the coset sum: symmetrize over all of S_N and divide by
+    m!(N-m)!, a Fraction, so it works over Q(a) only."""
+    N = f.N
+    m, = f.fermionic_degrees()
+    ul = [ops._theta_support_projector(f, m)]
+    for i in range(1, m + 1):
+        ul = ops._ulist_apply_shifted(
+            ul, lambda g, i=i: cherednik(g, i, alpha) + g.scale(alpha), N)
+    for j in range(m + 1, N + 1):
+        ul = ops._ulist_apply_shifted(
+            ul, lambda g, j=j: cherednik(g, j, alpha), N)
+    out = [SuperPolynomial(N) for _ in ul]
+    for sigma in permutations(range(1, N + 1)):
+        for k, comp in enumerate(ul):
+            out[k] += comp.act_Ksigma(sigma)
+    scale = Fraction(1, factorial(m) * factorial(N - m))
+    return [c.scale(scale) for c in out]
+
+
 def test_sekiguchi_tilde_coset_equals_full_sum():
     f = ferm_power(0, 3) * power_sum(1, 3)
     fast = sekiguchi_S_tilde(f, a)
-    slow = sekiguchi_S_tilde(f, a, full_sum=True)
+    slow = _sekiguchi_S_tilde_full_sum(f, a)
     assert all(u == v for u, v in zip(fast, slow))
 
 
