@@ -157,13 +157,39 @@ def _poly_payload(f: SuperPolynomial) -> dict:
     return {"N": f.N, "terms": terms_to_json(f)}
 
 
+def _int_list(value) -> bool:
+    return isinstance(value, list) and all(type(v) is int for v in value)
+
+
 def _read_poly(path: str) -> SuperPolynomial:
+    """The --input polynomial, {"N": N, "terms": [{"thetas", "exps", "coeff"}]}.
+
+    Every term must name a monomial in the N variables: thetas increasing
+    strictly within 1..N, exps N non-negative integers, coeff a Q(a) literal.
+    """
     data = json.loads(Path(path).read_text() if path != "-" else sys.stdin.read())
-    N = int(data["N"])
+    N = data.get("N") if isinstance(data, dict) else None
+    if type(N) is not int or N < 1:
+        raise UsageError(f"N must be a positive integer, got {N!r}")
+    if not isinstance(data["terms"], list):
+        raise UsageError("terms must be a list")
     out = SuperPolynomial(N)
     for item in data["terms"]:
-        coeff = parse_alpha(item["coeff"])
-        out._iadd_term((tuple(item["thetas"]), tuple(item["exps"])), coeff)
+        if not isinstance(item, dict):
+            raise UsageError(f"a term must be a JSON object, got {item!r}")
+        thetas, exps = item["thetas"], item["exps"]
+        if not (_int_list(thetas) and all(1 <= t <= N for t in thetas)
+                and all(s < t for s, t in zip(thetas, thetas[1:]))):
+            raise UsageError(
+                f"thetas must increase strictly within 1..{N}, got {thetas!r}")
+        if not (_int_list(exps) and len(exps) == N and min(exps) >= 0):
+            raise UsageError(
+                f"exps must be {N} non-negative integers, got {exps!r}")
+        try:
+            coeff = parse_alpha(item["coeff"])
+        except (TypeError, ZeroDivisionError) as exc:
+            raise UsageError(f"bad coeff {item['coeff']!r}") from exc
+        out._iadd_term((tuple(thetas), tuple(exps)), coeff)
     return out
 
 

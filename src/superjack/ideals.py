@@ -110,11 +110,18 @@ def _span_solve(columns: Sequence[dict], rhs: Optional[dict] = None):
     default right-hand side is zero.  Returns the `solve_exact` result.
     """
     rhs = rhs or {}
-    keys = list(dict.fromkeys([key for col in columns for key in col]
-                              + list(rhs)))
-    entries = [Fraction(col.get(key, 0)) for key in keys for col in columns]
-    return solve_exact(FieldMatrix(len(keys), len(columns), entries),
-                       [Fraction(rhs.get(key, 0)) for key in keys])
+    row = {key: r for r, key in enumerate(dict.fromkeys(
+        [key for col in columns for key in col] + list(rhs)))}
+    width = len(columns)
+    zero = Fraction(0)  # shared; Fraction keeps the pivot divisions exact
+    entries = [zero] * (len(row) * width)
+    for j, col in enumerate(columns):
+        for key, c in col.items():
+            entries[row[key] * width + j] = Fraction(c)
+    b = [zero] * len(row)
+    for key, c in rhs.items():
+        b[row[key]] = Fraction(c)
+    return solve_exact(FieldMatrix(len(row), width, entries), b)
 
 
 def membership(f: SuperPolynomial, basis: Sequence[tuple[SuperPartition, SuperPolynomial]]):

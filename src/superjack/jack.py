@@ -3,8 +3,10 @@
 The primary construction is the joint triangular eigenproblem in the monomial
 superbasis: the expansion is monic at its label, supported on dominance-smaller
 labels, and killed by both eigenoperators minus their eigenvalues.  The
-symmetrization of a non-symmetric Jack polynomial is kept as an independent
-cross-check, never as the production path.
+non-symmetric Jack polynomials solve the same kind of problem for the N
+Cherednik operators on monomials, and both go through one factored
+triangular peel.  The symmetrization of a non-symmetric Jack polynomial is
+kept as an independent cross-check, never as the production path.
 """
 
 from __future__ import annotations
@@ -17,17 +19,21 @@ from math import gcd, lcm
 from typing import Optional
 
 from .coeffring import (ALPHA, ONE, AlphaPolynomial, AlphaRational,
-                        FieldMatrix, PoleError, UniqueSolution, alpha_eval,
-                        clear_denominators, poly_divide_linear, solve_exact)
+                        PoleError, alpha_eval, clear_denominators,
+                        poly_divide_linear)
+# unused here: perfbench's test_tracer_wraps_every_binding reads jack.solve_exact
+from .coeffring import solve_exact  # noqa: F401
 from .ops import apply_D, apply_Delta, cherednik, operator
 from .spart import (SuperPartition, add_circle_moves, bosonic_cells,
                     circle_to_square_moves, dominance_leq, e_star_poly,
                     e_tilde_poly, enumerate_sparts, eta_bar, f_stat,
-                    lower_hook, partition_dominates, remove_circle_moves,
-                    skew_circled_cells, square_to_circle_moves,
-                    tilde_composition, upper_hook, v_poly, z_stat)
+                    lower_hook, partition_dominates, partitions_bounded,
+                    remove_circle_moves, skew_circled_cells,
+                    square_to_circle_moves, tilde_composition, upper_hook,
+                    v_poly, z_stat)
 from .superpoly import (SuperPolynomial, ferm_power, from_mbasis,
-                        monomial_msym, prescribed_part, to_mbasis, to_pbasis)
+                        monomial_msym, prescribed_part, to_mbasis, to_pbasis,
+                        unique_arrangements)
 
 
 class DegenerateSystem(ArithmeticError):
@@ -80,20 +86,20 @@ class NonSymJack:
 # eigenoperator matrices over the monomial superbasis, cached per degree
 # ---------------------------------------------------------------------------
 
-def _affine_rows(mono, op):
-    """One row of op's matrix: op(mono; a) read off in the monomial superbasis.
+def _affine_row(image) -> dict:
+    """One operator row, {label: entry}, from an image read off in a basis.
 
-    Both eigenoperators are affine in the deformation parameter, and only
-    their diagonal terms carry it; the exchange terms stay rational.  So one
+    Every eigenoperator here is affine in the deformation parameter, and only
+    its diagonal terms carry it; the exchange terms stay rational.  So one
     pass with the generic parameter gives entries affine in a over an integer
     denominator, and normalizing them never needs a polynomial gcd.
     """
     row = {}
-    for gm, c in to_mbasis(op(mono, ALPHA), verify=False).items():
+    for key, c in image.items():
         c = c * ONE
         if c.num.degree() > 1 or c.den.degree() > 0:
-            raise RuntimeError(f"entry {c} at m_[{gm}] is not affine in a")
-        row[gm] = c
+            raise RuntimeError(f"entry {c} at {key} is not affine in a")
+        row[key] = c
     return row
 
 
@@ -104,8 +110,9 @@ def _mbasis_matrices(n: int, m: int, N: int):
     delta_rows = {}
     for om in labels:
         mono = monomial_msym(om, N)
-        row_d = _affine_rows(mono, apply_D)
-        row_delta = _affine_rows(mono, apply_Delta)
+        row_d = _affine_row(to_mbasis(apply_D(mono, ALPHA), verify=False))
+        row_delta = _affine_row(to_mbasis(apply_Delta(mono, ALPHA),
+                                          verify=False))
         for gm in set(row_d) | set(row_delta):
             if not dominance_leq(gm, om):
                 raise RuntimeError(
@@ -142,17 +149,9 @@ def jack_symbolic(L: SuperPartition, N: int) -> JackExpansion:
     n, m = L.degree()
     labels, d_rows, delta_rows = _mbasis_matrices(n, m, N)
     below = [om for om in labels if om != L and dominance_leq(om, L)]
-    try:
-        coeffs = {om: AlphaRational(num, _denominator(factors, d))
-                  for om, (num, factors, d)
-                  in _triangular_peel(L, below, d_rows, delta_rows).items()}
-    except DegenerateSystem:
-        coeffs = _jack_full_solve(L, below, d_rows, delta_rows,
-                                  AlphaRational(e_star_poly(L)),
-                                  AlphaRational(e_tilde_poly(L)))
-    result = JackExpansion(L, N, {om: c for om, c in coeffs.items() if c})
-    result.coeffs.setdefault(L, ONE)
-    _JACK_CACHE[key] = result
+    found = _triangular_peel(L, below, [(d_rows, e_star_poly),
+                                        (delta_rows, e_tilde_poly)])
+    result = _JACK_CACHE[key] = JackExpansion(L, N, _coefficients(found))
     return result
 
 
@@ -160,22 +159,27 @@ def jack_symbolic(L: SuperPartition, N: int) -> JackExpansion:
 # num / (d * prod f**k over factors.items()), with num in Z[a], each f a
 # primitive linear polynomial with positive leading coefficient, d > 0.
 
-def _triangular_peel(L, below, d_rows, delta_rows):
-    """Factored coefficients of P_L, each in lowest terms; zeros left out.
+def _triangular_peel(L, below, pairs):
+    """Factored coefficients of the monic triangular joint eigenfunction at L,
+    each in lowest terms; zeros left out.
 
-    Each coefficient is a row sum over those already found divided by a
-    difference of eigenvalues, which is linear in a.  So every denominator
+    `pairs` lists (rows, eigenvalue) per operator: rows[O][G] is the entry at
+    G in the image of basis element O, and eigenvalue(G) the diagonal entry
+    at G.  Each coefficient below L comes from the first operator whose
+    eigenvalue there differs from L's: a row sum over those already found
+    divided by that difference, which is linear in a.  So every denominator
     is an integer times a product of linear factors, and exact cancellation
     needs synthetic divisions only, never a gcd.
     """
-    e_l, et_l = e_star_poly(L), e_tilde_poly(L)
+    targets = [(rows, eigenvalue, eigenvalue(L)) for rows, eigenvalue in pairs]
     found = {L: (AlphaPolynomial.const(1), {}, 1)}
-    for gm in below:  # enumeration order is a linear dominance extension
-        rows, diff = d_rows, e_l - e_star_poly(gm)
-        if not diff:
-            rows, diff = delta_rows, et_l - e_tilde_poly(gm)
-            if not diff:
-                raise DegenerateSystem(f"{L} vs {gm}: equal eigenvalue pairs")
+    for gm in below:  # a linear extension of the triangular order
+        for rows, eigenvalue, target in targets:
+            diff = target - eigenvalue(gm)
+            if diff:
+                break
+        else:
+            raise DegenerateSystem(f"{L} vs {gm}: equal eigenvalues")
         terms = [(c, rows[om][gm]) for om, c in found.items() if gm in rows[om]]
         c = _divide_row_sum(terms, diff)
         if c is not None:
@@ -238,33 +242,10 @@ def _denominator(factors, d) -> AlphaPolynomial:
     return out
 
 
-def _jack_full_solve(L, below, d_rows, delta_rows, e_l, et_l):
-    """Stacked overdetermined solve of both eigenequations (fallback path)."""
-    unknowns = list(below)
-    rows = sorted({g for om in [L] + unknowns for g in d_rows[om]}
-                  | {g for om in [L] + unknowns for g in delta_rows[om]},
-                  key=lambda S: S.sort_key())
-    entries = []
-    rhs = []
-    for which, mats, ev in (("d", d_rows, e_l), ("delta", delta_rows, et_l)):
-        for g in rows:
-            row = []
-            for om in unknowns:
-                v = mats[om].get(g, AlphaRational(0))
-                if om == g:
-                    v = v - ev
-                row.append(v * ONE)
-            entries.extend(row)
-            b = mats[L].get(g, AlphaRational(0))
-            if L == g:
-                b = b - ev
-            rhs.append(-b)
-    res = solve_exact(FieldMatrix(2 * len(rows), len(unknowns), entries), rhs)
-    if not isinstance(res, UniqueSolution):
-        raise DegenerateSystem(f"joint eigenproblem singular for {L}")
-    out = {L: ONE}
-    out.update({om: c for om, c in zip(unknowns, res.vector)})
-    return out
+def _coefficients(found) -> dict:
+    """The peel's factored coefficients as elements of Q(a)."""
+    return {key: AlphaRational(num, _denominator(factors, d))
+            for key, (num, factors, d) in found.items()}
 
 
 def eigen_check(expansion: JackExpansion) -> Optional[str]:
@@ -352,70 +333,54 @@ def jack_expand(f: SuperPolynomial, N: int,
 # ---------------------------------------------------------------------------
 
 def _compositions_below(eta: tuple[int, ...]):
-    """Compositions whose sorted shape is dominated by that of eta."""
-    from .spart import partitions_bounded
+    """Compositions whose sorted shape is dominated by that of eta, in order.
+
+    Shapes come in the reverse-lex order of `partitions_bounded`, which
+    extends dominance, and the compositions of one shape in descending order:
+    every Cherednik operator is triangular in this order.
+    """
     n, N = sum(eta), len(eta)
     shape = tuple(sorted(eta, reverse=True))
     out = []
     for mu in partitions_bounded(n, N):
-        if not partition_dominates(shape, mu):
-            continue
-        padded = tuple(mu) + (0,) * (N - len(mu))
-        seen = set()
-        for arr in permutations(padded):
-            if arr not in seen:
-                seen.add(arr)
-                out.append(arr)
-    out.sort(reverse=True)
+        if partition_dominates(shape, mu):
+            padded = list(mu) + [0] * (N - len(mu))
+            out.extend(reversed(list(unique_arrangements(padded))))
     return out
 
 
 @lru_cache(maxsize=None)
 def jack_nonsym(eta: tuple[int, ...]) -> NonSymJack:
-    """Monic joint eigenfunction of the Cherednik operators."""
+    """Monic joint eigenfunction of the Cherednik operators.
+
+    Cherednik operator i sends x^nu to eta_bar(nu)_i x^nu plus monomials
+    later in the order of `_compositions_below`, so E_eta is the triangular
+    peel over the compositions after eta, with one row map per operator.
+    """
     eta = tuple(eta)
     N = len(eta)
     basis = _compositions_below(eta)
-    index = {comp: k for k, comp in enumerate(basis)}
-    bars = eta_bar(eta, ALPHA)
-    columns = []
-    for comp in basis:
-        cols = []
-        for i in range(1, N + 1):
-            mono = SuperPolynomial(N, {((), comp): ONE})
-            img = cherednik(mono, i, ALPHA)
-            col = {}
-            for (_, e), c in img.terms.items():
+    index = {nu: k for k, nu in enumerate(basis)}
+    start = index[eta]
+    alpha = AlphaPolynomial.gen()
+    rows = [{} for _ in range(N)]
+    for k in range(start, len(basis)):
+        nu = basis[k]
+        mono = SuperPolynomial(N, {((), nu): 1})
+        for i in range(N):
+            image = cherednik(mono, i + 1, alpha)
+            row = _affine_row({e: c for (_, e), c in image.terms.items()})
+            for e in row:
                 if e not in index:
-                    raise RuntimeError(f"Cherednik left the span: {e} from {comp}")
-                col[e] = c
-            cols.append(col)
-        columns.append(cols)
-    unknowns = [comp for comp in basis if comp != eta]
-    pos = {comp: k for k, comp in enumerate(unknowns)}
-    entries = []
-    rhs = []
-    for i in range(N):
-        for mu in basis:
-            row = [AlphaRational(0)] * len(unknowns)
-            for comp in unknowns:
-                v = columns[index[comp]][i].get(mu, AlphaRational(0))
-                if comp == mu:
-                    v = v - bars[i]
-                row[pos[comp]] = v
-            entries.extend(row)
-            b = columns[index[eta]][i].get(mu, AlphaRational(0))
-            if mu == eta:
-                b = b - bars[i]
-            rhs.append(-b)
-    res = solve_exact(FieldMatrix(N * len(basis), len(unknowns), entries), rhs)
-    if not isinstance(res, UniqueSolution):
-        raise DegenerateSystem(f"non-symmetric eigenproblem singular for {eta}")
-    terms = {eta: ONE}
-    for comp, c in zip(unknowns, res.vector):
-        if c:
-            terms[comp] = c
-    return NonSymJack(eta, terms)
+                    raise RuntimeError(f"Cherednik left the span: {e} from {nu}")
+                if index[e] < k:
+                    raise RuntimeError(
+                        f"triangularity broken: x^{e} in image of x^{nu}")
+            rows[i][nu] = row
+    pairs = [(rows[i], lambda nu, i=i: eta_bar(nu, alpha)[i])
+             for i in range(N)]
+    found = _triangular_peel(eta, basis[start + 1:], pairs)
+    return NonSymJack(eta, _coefficients(found))
 
 
 def symmetrized_from_nonsym(L: SuperPartition, N: int) -> SuperPolynomial:

@@ -161,6 +161,22 @@ def test_op_apply_index_outside_range_exit_code(capsys, tmp_path, index):
     assert json.loads(err.strip())["error"] == "UsageError"
 
 
+@pytest.mark.parametrize("N, term", [
+    (2, {"thetas": [2, 1]}), (2, {"thetas": [1, 1]}), (2, {"thetas": [3]}),
+    (2, {"thetas": [0]}), (2, {"exps": [1, 0, 4]}), (2, {"exps": [-1, 0]}),
+    (2, {"exps": [1]}), (2, {"exps": [1.5, 0]}), (2, {"coeff": "1/0"}),
+    (0, {"exps": []}),
+])
+def test_op_apply_malformed_term_exit_code(capsys, tmp_path, N, term):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"N": N, "terms": [
+        {"thetas": [], "exps": [1, 0], "coeff": "1", **term}]}))
+    code, out, err = run(capsys, "op", "apply", "--name", "Cherednik",
+                         "--index", "1", "--alpha", "sym", "--input", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err.strip())["error"] == "UsageError"
+
+
 def test_internal_arithmetic_error_exit_code(capsys, monkeypatch):
     def singular(L, N, cache_dir):
         raise DegenerateSystem(f"joint eigenproblem singular for {L}")

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from superjack import jack
-from superjack.coeffring import (ALPHA, ONE, AlphaRational, PoleError,
+from superjack.coeffring import (ALPHA, ONE, AlphaPolynomial, AlphaRational,
+                                 FieldMatrix, PoleError, UniqueSolution,
                                  parse_alpha)
-from superjack.jack import (JackExpansion, eigen_check, jack_at,
-                            jack_expand, jack_nonsym, jack_poly,
+from superjack.jack import (DegenerateSystem, JackExpansion, eigen_check,
+                            jack_at, jack_expand, jack_nonsym, jack_poly,
                             jack_symbolic, duality_check, evaluation_direct,
                             evaluation_formula, integral_form, norm_gram,
                             norm_hook, pieri_check, pieri_closed,
@@ -16,9 +17,11 @@ from superjack.jack import (JackExpansion, eigen_check, jack_at,
 from superjack.ops import apply_D, apply_Delta, cherednik, sekiguchi_S
 from superjack.spart import (e_star_poly, e_tilde_poly, enumerate_all_m,
                              enumerate_sparts, epsilon_u, eta_bar,
-                             dominance_leq, parse_spart, star_pair, v_poly)
+                             dominance_leq, fermionic_range, parse_spart,
+                             partition_dominates, star_pair, v_poly)
 from superjack.superpoly import (SuperPolynomial, integral_multiple,
                                  monomial_msym, to_mbasis, vandermonde)
+from test_coeffring import _dense_solve_exact
 
 a = ALPHA
 
@@ -241,6 +244,66 @@ def test_nonsym_eigen_N3():
             assert cherednik(pol, i + 1, a) == pol.scale(bars[i]), eta
 
 
+def _reverse_lex_compositions(eta):
+    """Compositions whose sorted shape eta's dominates, in reverse-lex order."""
+    shape = tuple(sorted(eta, reverse=True))
+    return sorted((c for c in itertools.product(range(sum(eta) + 1),
+                                                repeat=len(eta))
+                   if sum(c) == sum(eta)
+                   and partition_dominates(shape, sorted(c, reverse=True))),
+                  reverse=True)
+
+
+def _dense_nonsym(eta):
+    """Oracle: all N Cherednik eigen-equations stacked into one dense solve."""
+    N = len(eta)
+    basis = _reverse_lex_compositions(eta)
+    images = {nu: [cherednik(SuperPolynomial(N, {((), nu): ONE}), i, a)
+                   for i in range(1, N + 1)] for nu in basis}
+    bars = eta_bar(eta, a)
+    zero = AlphaRational(0)
+    unknowns = [nu for nu in basis if nu != eta]
+    entries, rhs = [], []
+    for i in range(N):
+        for mu in basis:
+            for nu in unknowns:
+                v = images[nu][i].terms.get(((), mu), zero)
+                entries.append(v - bars[i] if nu == mu else v)
+            b = images[eta][i].terms.get(((), mu), zero)
+            rhs.append(bars[i] - b if mu == eta else -b)
+    res = _dense_solve_exact(
+        FieldMatrix(N * len(basis), len(unknowns), entries), rhs)
+    assert isinstance(res, UniqueSolution), eta
+    terms = {eta: ONE}
+    terms.update((nu, c) for nu, c in zip(unknowns, res.vector) if c)
+    return terms
+
+
+def _compositions(n, N):
+    return [c for c in itertools.product(range(n + 1), repeat=N)
+            if sum(c) == n]
+
+
+def test_nonsym_peel_matches_dense_oracle():
+    grid = [(n, N) for N in (1, 2, 3) for n in range(6)]
+    grid += [(n, 4) for n in range(4)]
+    etas = [eta for n, N in grid for eta in _compositions(n, N)]
+    assert len(etas) == 118
+    for eta in etas:
+        assert jack_nonsym(eta).terms == _dense_nonsym(eta), eta
+
+
+def test_nonsym_reverse_lex_order_is_caught(monkeypatch):
+    # reverse-lex puts x^(1,1) before x^(0,2), which sends it to x^(1,1)
+    jack_nonsym.cache_clear()
+    monkeypatch.setattr(jack, "_compositions_below", _reverse_lex_compositions)
+    try:
+        with pytest.raises(RuntimeError, match="triangularity broken"):
+            jack_nonsym((0, 2))
+    finally:
+        jack_nonsym.cache_clear()
+
+
 def test_restriction_stability():
     # dropping the last variable yields zero or the same label's polynomial
     for n in range(5):
@@ -327,6 +390,10 @@ def _rational_peel(L, below, d_rows, delta_rows):
     return {om: c for om, c in coeffs.items() if c}
 
 
+def _sym_pairs(d_rows, delta_rows):
+    return [(d_rows, e_star_poly), (delta_rows, e_tilde_poly)]
+
+
 def _below(L, labels):
     return [om for om in labels if om != L and dominance_leq(om, L)]
 
@@ -356,7 +423,8 @@ def test_gcd_free_build_matches_rational_oracle():
             below = _below(L, labels)
             assert jack_symbolic(L, N).coeffs == _rational_peel(
                 L, below, want_d, want_delta), (str(L), N)
-            found = jack._triangular_peel(L, below, d_rows, delta_rows)
+            found = jack._triangular_peel(L, below,
+                                          _sym_pairs(d_rows, delta_rows))
             assert _not_in_lowest_terms(found) == [], (str(L), N)
 
 
@@ -367,21 +435,37 @@ def test_peel_without_cancellation_is_caught(monkeypatch):
     for n, m, N in _FAMILIES:
         labels, d_rows, delta_rows = jack._mbasis_matrices(n, m, N)
         for L in labels:
-            found = jack._triangular_peel(L, _below(L, labels), d_rows,
-                                          delta_rows)
+            found = jack._triangular_peel(L, _below(L, labels),
+                                          _sym_pairs(d_rows, delta_rows))
             caught += _not_in_lowest_terms(found)
     assert caught
 
 
-def test_full_solve_fallback_matches_peel():
-    # the stacked solve behind DegenerateSystem, reached directly
-    labels, d_rows, delta_rows = jack._mbasis_matrices(3, 1, 3)
-    for L in labels:
-        out = jack._jack_full_solve(L, _below(L, labels), d_rows, delta_rows,
-                                    AlphaRational(e_star_poly(L)),
-                                    AlphaRational(e_tilde_poly(L)))
-        assert {om: c for om, c in out.items() if c} \
-            == jack_symbolic(L, 3).coeffs, str(L)
+def test_no_comparable_labels_share_both_eigenvalues():
+    # so the peel of jack_symbolic never meets DegenerateSystem on this grid
+    pairs = 0
+    for N in range(1, 8):
+        for n in range(11):
+            for m in fermionic_range(n, N):
+                labels = enumerate_sparts(n, m, N)
+                ev = [(e_star_poly(L), e_tilde_poly(L)) for L in labels]
+                for k, L in enumerate(labels):
+                    for j in range(k + 1, len(labels)):
+                        if dominance_leq(labels[j], L):
+                            pairs += 1
+                            assert ev[j] != ev[k], (str(L), str(labels[j]))
+    assert pairs == 102333
+
+
+def test_equal_eigenvalue_pairs_raise(monkeypatch):
+    # 1; and 0;1 share e*, so a constant e~ leaves no operator to divide by
+    L = parse_spart("1;")
+    assert e_star_poly(L) == e_star_poly(parse_spart("0;1"))
+    monkeypatch.setattr(jack, "_JACK_CACHE", {})
+    monkeypatch.setattr(jack, "e_tilde_poly",
+                        lambda S: AlphaPolynomial.const(0))
+    with pytest.raises(DegenerateSystem, match="1; vs 0;1"):
+        jack_symbolic(L, 2)
 
 
 def test_clear_caches_then_rebuild():
