@@ -11,8 +11,7 @@ from .superpoly import (SuperPolynomial, ferm_power, monomial_msym,
                         to_mbasis)
 from .jack import (JackExpansion, jack_at, jack_poly, jack_symbolic,
                    jack_nonsym, norm_gram, norm_hook, pieri_closed,
-                   pieri_direct, duality_check, evaluation_direct,
-                   evaluation_formula)
+                   duality_check, evaluation_direct, evaluation_formula)
 from .ideals import (CharacterSeries, char_F, char_I, cluster_multiplicity,
                      ideal_basis, membership, stability_suite, vanish_check)
 

@@ -299,10 +299,6 @@ class AlphaRational:
 
     # -- constructors
     @staticmethod
-    def alpha() -> "AlphaRational":
-        return ALPHA
-
-    @staticmethod
     def from_fraction(q: Fraction) -> "AlphaRational":
         return AlphaRational(
             AlphaPolynomial((q.numerator,)), AlphaPolynomial((q.denominator,)),

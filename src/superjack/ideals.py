@@ -48,11 +48,6 @@ class GradedBasis:
     def at(self, n: int, m: int):
         return self.by_degree.get((n, m), [])
 
-    def elements(self):
-        for deg in sorted(self.by_degree):
-            for label, poly in self.by_degree[deg]:
-                yield deg, label, poly
-
 
 def admissible_at_degree(k: int, r: int, N: int, n: int, m: int,
                          allow_noncoprime: bool = False) -> list[SuperPartition]:
@@ -371,13 +366,15 @@ def cochain_check(k: int, r: int, N: int, nmax: int, d: str = "q",
     for (n, m), entries in sorted(basis.by_degree.items()):
         polys = [p for _, p in entries]
         images = [act(p, a0) for p in polys]
+        target = basis.by_degree.get((n + dn, m + dm))
+        if target is None and any(images):
+            target = degree_basis(k, r, N, n + dn, m + dm,
+                                  allow_noncoprime=allow_noncoprime)
         for (label, _), img in zip(entries, images):
             if act(img, a0):
                 failures.append(("d.d != 0", str(label), (n, m)))
             if img.is_zero():
                 continue
-            target = degree_basis(k, r, N, n + dn, m + dm,
-                                  allow_noncoprime=allow_noncoprime)
             try:
                 membership(img, target)
             except NotInSpan:

@@ -25,15 +25,15 @@ from .coeffring import (ALPHA, ONE, AlphaPolynomial, AlphaRational,
 from .coeffring import solve_exact  # noqa: F401
 from .ops import apply_D, apply_Delta, cherednik, operator
 from .spart import (SuperPartition, add_circle_moves, bosonic_cells,
-                    circle_to_square_moves, dominance_leq, e_star_poly,
-                    e_tilde_poly, enumerate_sparts, eta_bar, f_stat,
-                    lower_hook, partition_dominates, partitions_bounded,
+                    circle_to_square_moves, conjugate, dominance_leq,
+                    e_star_poly, e_tilde_poly, enumerate_sparts, eta_bar,
+                    f_stat, lower_hook, partition_dominates, partitions_bounded,
                     remove_circle_moves, skew_circled_cells,
                     square_to_circle_moves, tilde_composition, upper_hook,
                     v_poly, z_stat)
 from .superpoly import (SuperPolynomial, ferm_power, from_mbasis,
-                        monomial_msym, prescribed_part, to_mbasis, to_pbasis,
-                        unique_arrangements)
+                        monomial_msym, omega_alpha, prescribed_part,
+                        to_mbasis, to_pbasis, unique_arrangements)
 
 
 class DegenerateSystem(ArithmeticError):
@@ -301,33 +301,6 @@ def jack_at(L: SuperPartition, N: int, a0) -> SuperPolynomial:
     return jack_symbolic(L, N).at(a0)
 
 
-def jack_expand(f: SuperPolynomial, N: int,
-                verify: bool = True) -> dict[SuperPartition, object]:
-    """Expand a symmetric superpolynomial in the Jack basis (triangular peel)."""
-    residual = to_mbasis(f, verify=verify)
-    if not residual:
-        return {}
-    degrees = {L.degree() for L in residual}
-    if len(degrees) != 1:
-        raise ValueError("Jack expansion needs a bi-homogeneous input")
-    (n, m), = degrees
-    out = {}
-    for L in enumerate_sparts(n, m, N):
-        c = residual.get(L)
-        if not c:
-            continue
-        out[L] = c
-        for om, v in jack_symbolic(L, N).coeffs.items():
-            cur = residual.get(om, AlphaRational(0)) - c * v
-            if cur:
-                residual[om] = cur
-            else:
-                residual.pop(om, None)
-    if residual:
-        raise ValueError(f"not in the span of Jack superpolynomials: {residual}")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # non-symmetric Jack polynomials
 # ---------------------------------------------------------------------------
@@ -430,7 +403,7 @@ def norm_gram(L: SuperPartition, N: int) -> AlphaRational:
     n, m = L.degree()
     if N < n + m:
         raise ValueError(f"need N >= {n + m} for a faithful scalar product")
-    expansion = to_pbasis(jack_poly(L, N), verify=False)
+    expansion = to_pbasis(jack_symbolic(L, N).coeffs, N)
     acc = AlphaRational(0)
     for om, c in expansion.items():
         acc = acc + c * c * (ALPHA ** om.length) * z_stat(om.sym)
@@ -454,24 +427,24 @@ def evaluation_direct(L: SuperPartition, N: int) -> AlphaRational:
 
 
 def duality_check(L: SuperPartition, N: int) -> bool:
-    """Duality against the conjugate label at inverted parameter."""
-    from .spart import conjugate
-    from .superpoly import omega_alpha
+    """Duality against the conjugate label at inverted parameter.
+
+    omega_alpha P_L = sign * norm_hook(L) * P_L'(1/a), with L' the conjugate
+    label, compared in monomial-superbasis coordinates.
+    """
     n, m = L.degree()
     if N < n + m:
         raise ValueError(f"need N >= {n + m} for the duality check")
-    lhs = omega_alpha(jack_poly(L, N), ALPHA)
-    dual = jack_symbolic(conjugate(L), N)
-    rhs = SuperPolynomial(N)
-    for om, c in dual.coeffs.items():
-        rhs += monomial_msym(om, N).scale(c.subs_inverse())
+    lhs = omega_alpha(jack_symbolic(L, N).coeffs, N, ALPHA)
     sign = -1 if (m * (m - 1) // 2) % 2 else 1
-    rhs = rhs.scale(norm_hook(L) * sign)
-    return lhs == rhs
+    scale = norm_hook(L) * sign
+    dual = jack_symbolic(conjugate(L), N)
+    return lhs == {om: scale * c.subs_inverse()
+                   for om, c in dual.coeffs.items()}
 
 
 # ---------------------------------------------------------------------------
-# Pieri expansions: closed hook products versus direct operator action
+# Pieri expansions: closed hook products versus the operator's action
 # ---------------------------------------------------------------------------
 
 PIERI_KINDS = ("p0", "Q", "Qperp", "q", "qperp")
@@ -529,27 +502,25 @@ def pieri_closed(kind: str, L: SuperPartition, N: int) -> dict[SuperPartition, A
     return out
 
 
-def pieri_direct(kind: str, L: SuperPartition, N: int) -> dict[SuperPartition, object]:
-    """Apply the operator to the Jack polynomial and re-expand in Jack basis.
+def pieri_check(kind: str, L: SuperPartition, N: int) -> bool:
+    """The operator's image of P_L against the closed Pieri expansion.
 
     p0 multiplies; the other kinds name table operators, Qperp for Q_perp.
+    The image is read in monomial-superbasis coordinates and compared with
+    the closed coefficients times the m-coordinates of the Jack
+    superpolynomials they multiply.
     """
-    if kind not in PIERI_KINDS:
-        raise ValueError(f"unknown Pieri kind {kind!r}")
+    closed = pieri_closed(kind, L, N)
     P = jack_poly(L, N)
     if kind == "p0":
         g = ferm_power(0, N) * P
     else:
         g = operator(kind.replace("perp", "_perp"))(P, ALPHA)
-    return jack_expand(g, N, verify=False)
-
-
-def pieri_check(kind: str, L: SuperPartition, N: int) -> bool:
-    closed = pieri_closed(kind, L, N)
-    direct = pieri_direct(kind, L, N)
-    keys = set(closed) | set(direct)
-    return all(closed.get(k, AlphaRational(0)) == direct.get(k, AlphaRational(0))
-               for k in keys)
+    want: dict[SuperPartition, AlphaRational] = {}
+    for om, c in closed.items():
+        for gm, v in jack_symbolic(om, N).coeffs.items():
+            want[gm] = want[gm] + c * v if gm in want else c * v
+    return to_mbasis(g, verify=False) == {gm: c for gm, c in want.items() if c}
 
 
 # ---------------------------------------------------------------------------

@@ -548,45 +548,57 @@ def p_label(L: SuperPartition, N: int) -> SuperPolynomial:
     return out
 
 
-def to_pbasis(f: SuperPolynomial, verify: bool = True) -> dict[SuperPartition, object]:
-    """Expand in the power-sum basis; needs N >= n + m for faithfulness."""
-    if f.is_zero():
-        return {}
-    mcoeffs = to_mbasis(f, verify=verify)
+def _power_sum_solve(mcoeffs: dict, N: int) -> tuple[dict, dict]:
+    """Power-sum coordinates of an m-expansion, with the p_Lambda columns.
+
+    The columns are the m-coordinates of every p_Lambda of the input's
+    (n|m) family; they are faithful, so the solve is unique, when N >= n + m.
+    """
+    if not mcoeffs:
+        return {}, {}
     degrees = {L.degree() for L in mcoeffs}
     if len(degrees) != 1:
         raise ValueError("power-sum expansion needs a bi-homogeneous input")
     (n, m), = degrees
-    if f.N < n + m:
+    if N < n + m:
         raise ValueError(f"need N >= {n + m} variables for a faithful expansion")
-    labels = list(enumerate_sparts(n, m, f.N))
+    columns = {P: to_mbasis(p_label(P, N), verify=False)
+               for P in enumerate_sparts(n, m, N)}
     one = next(iter(mcoeffs.values())) ** 0
     if isinstance(one, int):
         one = Fraction(1)
-    columns = [to_mbasis(p_label(P, f.N), verify=False) for P in labels]
-    rows = sorted({L for col in columns for L in col} | set(mcoeffs),
+    rows = sorted({L for col in columns.values() for L in col} | set(mcoeffs),
                   key=lambda S: S.sort_key())
-    entries = []
-    for L in rows:
-        for col in columns:
-            entries.append(col.get(L, 0) * one)
+    entries = [col.get(L, 0) * one for L in rows for col in columns.values()]
     b = [mcoeffs.get(L, 0) * one for L in rows]
-    res = solve_exact(FieldMatrix(len(rows), len(labels), entries), b)
+    res = solve_exact(FieldMatrix(len(rows), len(columns), entries), b)
     if not isinstance(res, UniqueSolution):
         raise ValueError("power-sum basis failed to resolve the input")
-    return {P: c for P, c in zip(labels, res.vector) if c}
+    return {P: c for P, c in zip(columns, res.vector) if c}, columns
 
 
-def omega_alpha(f: SuperPolynomial, alpha) -> SuperPolynomial:
-    """Duality endomorphism: p_n -> (-1)^(n-1) alpha p_n, ptilde_n -> (-1)^n alpha ptilde_n."""
-    out = SuperPolynomial(f.N)
-    for P, c in to_pbasis(f).items():
+def to_pbasis(mcoeffs: dict[SuperPartition, object],
+              N: int) -> dict[SuperPartition, object]:
+    """Power-sum coordinates of a monomial-superbasis expansion in N variables;
+    needs N >= n + m for faithfulness."""
+    return _power_sum_solve(mcoeffs, N)[0]
+
+
+def omega_alpha(mcoeffs: dict[SuperPartition, object], N: int,
+                alpha) -> dict[SuperPartition, object]:
+    """Duality endomorphism on m-coordinates: p_n -> (-1)^(n-1) alpha p_n,
+    ptilde_n -> (-1)^n alpha ptilde_n, recombined on the p_Lambda columns."""
+    pcoeffs, columns = _power_sum_solve(mcoeffs, N)
+    out: dict[SuperPartition, object] = {}
+    for P, c in pcoeffs.items():
         scalar = alpha ** P.length
         flips = sum(a for a in P.antisym) + sum(s - 1 for s in P.sym)
         if flips % 2:
             scalar = -scalar
-        out += p_label(P, f.N).scale(c * scalar)
-    return out
+        c = c * scalar
+        for om, v in columns[P].items():
+            out[om] = out[om] + c * v if om in out else c * v
+    return {om: c for om, c in out.items() if c}
 
 
 def vandermonde(m: int, N: int) -> SuperPolynomial:

@@ -235,6 +235,27 @@ def test_cochain_q_and_qtilde():
         cochain_check(1, 2, 3, 5, "qt")
 
 
+def test_cochain_builds_each_target_basis_once(monkeypatch):
+    calls = []
+    build = ideals.degree_basis
+
+    def counting(k, r, N, n, m, **kw):
+        calls.append((N, n, m))
+        return build(k, r, N, n, m, **kw)
+
+    monkeypatch.setattr(ideals, "degree_basis", counting)
+    basis = ideal_basis(1, 2, 3, 6)
+    built = len(calls)
+    calls.clear()
+    for d in ("q", "q_tilde"):
+        rep = cochain_check(1, 2, 3, 6, d)
+        assert rep["failures"] == [], d
+        # the ideal basis itself, then at most one target per source degree
+        assert built <= len(calls) <= built + len(basis.by_degree), d
+        assert len(calls) == len(set(calls)), d
+        calls.clear()
+
+
 def test_clustering_harness_small():
     rep = harness_clustering(1, 2, 3, 5)
     assert rep["exceptions_in_bounds"] == []

@@ -8,19 +8,23 @@ from superjack.coeffring import (ALPHA, ONE, AlphaPolynomial, AlphaRational,
                                  FieldMatrix, PoleError, UniqueSolution,
                                  parse_alpha)
 from superjack.jack import (DegenerateSystem, JackExpansion, eigen_check,
-                            jack_at, jack_expand, jack_nonsym, jack_poly,
-                            jack_symbolic, duality_check, evaluation_direct,
+                            jack_at, jack_nonsym, jack_poly, jack_symbolic,
+                            duality_check, evaluation_direct,
                             evaluation_formula, integral_form, norm_gram,
                             norm_hook, pieri_check, pieri_closed,
-                            pieri_direct, removal_identities,
-                            symmetrization_check, PIERI_KINDS)
-from superjack.ops import apply_D, apply_Delta, cherednik, sekiguchi_S
-from superjack.spart import (e_star_poly, e_tilde_poly, enumerate_all_m,
-                             enumerate_sparts, epsilon_u, eta_bar,
-                             dominance_leq, fermionic_range, parse_spart,
-                             partition_dominates, star_pair, v_poly)
-from superjack.superpoly import (SuperPolynomial, integral_multiple,
-                                 monomial_msym, to_mbasis, vandermonde)
+                            removal_identities, symmetrization_check,
+                            PIERI_KINDS)
+from superjack.ops import (apply_D, apply_Delta, cherednik, operator,
+                           sekiguchi_S)
+from superjack.spart import (conjugate, e_star_poly, e_tilde_poly,
+                             enumerate_all_m, enumerate_sparts, epsilon_u,
+                             eta_bar, dominance_leq, fermionic_range,
+                             parse_spart, partition_dominates, star_pair,
+                             v_poly)
+from superjack.suites import _labels
+from superjack.superpoly import (SuperPolynomial, ferm_power,
+                                 integral_multiple, monomial_msym, p_label,
+                                 to_mbasis, to_pbasis, vandermonde)
 from test_coeffring import _dense_solve_exact
 
 a = ALPHA
@@ -156,6 +160,54 @@ def test_duality():
         assert duality_check(L, max(n + m, 1)), s
 
 
+def _omega_expanded(f, alpha):
+    """Oracle: omega_alpha on a whole polynomial, scaling each p_Lambda."""
+    out = SuperPolynomial(f.N)
+    for P, c in to_pbasis(to_mbasis(f), f.N).items():
+        scalar = alpha ** P.length
+        flips = sum(a for a in P.antisym) + sum(s - 1 for s in P.sym)
+        if flips % 2:
+            scalar = -scalar
+        out += p_label(P, f.N).scale(c * scalar)
+    return out
+
+
+def _duality_expanded(L, N):
+    """Oracle: the duality identity between expanded orbit polynomials."""
+    n, m = L.degree()
+    if N < n + m:
+        raise ValueError(f"need N >= {n + m} for the duality check")
+    lhs = _omega_expanded(jack_poly(L, N), ALPHA)
+    rhs = SuperPolynomial(N)
+    for om, c in jack_symbolic(conjugate(L), N).coeffs.items():
+        rhs += monomial_msym(om, N).scale(c.subs_inverse())
+    sign = -1 if (m * (m - 1) // 2) % 2 else 1
+    return lhs == rhs.scale(jack.norm_hook(L) * sign)
+
+
+# every label of suite_duality(3): n <= 3 at the faithful N = n + m
+_DUALITY_POOL = [(L, max(n + m, 1)) for n in range(4)
+                 for m in fermionic_range(n, n + 1)
+                 for L in enumerate_sparts(n, m, n + m if n + m else 1)]
+
+
+def test_duality_matches_expanded_oracle():
+    assert len(_DUALITY_POOL) == 30
+    for L, N in _DUALITY_POOL:
+        assert duality_check(L, N) is _duality_expanded(L, N) is True, str(L)
+    with pytest.raises(ValueError):
+        duality_check(parse_spart("1;1"), 2)
+
+
+def test_duality_mutant_norm_fails_on_both_routes(monkeypatch):
+    hook = jack.norm_hook
+    monkeypatch.setattr(jack, "norm_hook",
+                        lambda L, alpha=None: hook(L) * (a + 1) / (a + 2))
+    for L, N in _DUALITY_POOL[:10]:
+        assert not duality_check(L, N), str(L)
+        assert not _duality_expanded(L, N), str(L)
+
+
 def test_pieri_worked_example():
     cl = pieri_closed("p0", parse_spart("1;2,2"), 4)
     assert cl[parse_spart("2,1;2")] == ONE
@@ -167,9 +219,10 @@ def test_pieri_worked_example():
 def test_pieri_no_circles_to_remove():
     # no removable circle: the closed map is empty and the operator kills P
     assert pieri_closed("Qperp", parse_spart(";1"), 3) == {}
-    assert pieri_direct("Qperp", parse_spart(";1"), 3) == {}
+    assert pieri_check("Qperp", parse_spart(";1"), 3) is True
+    assert _pieri_direct("Qperp", parse_spart(";1"), 3) == {}
     with pytest.raises(ValueError):
-        pieri_direct("E", parse_spart(";1"), 3)
+        pieri_check("E", parse_spart(";1"), 3)
 
 
 def test_pieri_qperp_on_lone_circle():
@@ -182,6 +235,89 @@ def test_pieri_all_kinds_small():
     for s, N in [("0;", 2), (";2", 3), ("1;1", 3), ("1,0;", 3), ("0;2", 3)]:
         for kind in PIERI_KINDS:
             assert pieri_check(kind, parse_spart(s), N), (kind, s)
+
+
+def _jack_expand(f, N):
+    """Oracle: a symmetric superpolynomial in the Jack basis, by a peel that
+    subtracts the m-expansion of each leading Jack superpolynomial."""
+    residual = to_mbasis(f, verify=False)
+    if not residual:
+        return {}
+    degrees = {L.degree() for L in residual}
+    if len(degrees) != 1:
+        raise ValueError("Jack expansion needs a bi-homogeneous input")
+    (n, m), = degrees
+    out = {}
+    for L in enumerate_sparts(n, m, N):
+        c = residual.get(L)
+        if not c:
+            continue
+        out[L] = c
+        for om, v in jack_symbolic(L, N).coeffs.items():
+            cur = residual.get(om, AlphaRational(0)) - c * v
+            if cur:
+                residual[om] = cur
+            else:
+                residual.pop(om, None)
+    if residual:
+        raise ValueError(f"not in the span of Jack superpolynomials: {residual}")
+    return out
+
+
+def _pieri_direct(kind, L, N):
+    """Oracle: the operator's image of P_L re-expanded in the Jack basis."""
+    if kind not in PIERI_KINDS:
+        raise ValueError(f"unknown Pieri kind {kind!r}")
+    P = jack_poly(L, N)
+    if kind == "p0":
+        g = ferm_power(0, N) * P
+    else:
+        g = operator(kind.replace("perp", "_perp"))(P, ALPHA)
+    return _jack_expand(g, N)
+
+
+def _pieri_expanded_check(kind, L, N):
+    closed = jack.pieri_closed(kind, L, N)
+    direct = _pieri_direct(kind, L, N)
+    return all(closed.get(k, AlphaRational(0)) == direct.get(k, AlphaRational(0))
+               for k in set(closed) | set(direct))
+
+
+# every (kind, label, N) that suite_pieri(4, N, 2) checks for N in 2..4
+_PIERI_POOL = [(kind, L, N) for N in (2, 3, 4) for L in _labels(4, N, 2)
+               for kind in PIERI_KINDS]
+
+
+def test_pieri_matches_expanded_oracle():
+    assert len(_PIERI_POOL) == 645
+    for kind, L, N in _PIERI_POOL:
+        assert pieri_check(kind, L, N) is _pieri_expanded_check(kind, L, N) \
+            is True, (kind, str(L), N)
+
+
+def _lowest_scaled(closed):
+    low = min(closed, key=lambda S: S.sort_key())
+    return {**closed, low: closed[low] * (a + 1) / (a + 2)}
+
+
+def _first_dropped(closed):
+    return dict(list(closed.items())[1:])
+
+
+@pytest.mark.parametrize("mutate", [_lowest_scaled, _first_dropped])
+def test_pieri_mutant_fails_on_both_routes(monkeypatch, mutate):
+    closed_map = jack.pieri_closed
+    monkeypatch.setattr(jack, "pieri_closed",
+                        lambda kind, L, N: mutate(closed_map(kind, L, N)))
+    mutants = 0
+    for s, N in [("0;", 2), (";2", 3), ("1;1", 3), ("1,0;", 3), ("0;2", 3)]:
+        for kind in PIERI_KINDS:
+            if not closed_map(kind, parse_spart(s), N):
+                continue
+            assert not pieri_check(kind, parse_spart(s), N), (kind, s)
+            assert not _pieri_expanded_check(kind, parse_spart(s), N), (kind, s)
+            mutants += 1
+    assert mutants > 15
 
 
 def test_removal_identities():
@@ -336,7 +472,7 @@ def test_jack_expand_roundtrip():
     N = 3
     f = (jack_poly(parse_spart(";2"), N).scale(parse_alpha("a"))
          + jack_poly(parse_spart(";1,1"), N).scale(parse_alpha("1/(1+a)")))
-    d = jack_expand(f, N)
+    d = _jack_expand(f, N)
     assert d == {parse_spart(";2"): parse_alpha("a"),
                  parse_spart(";1,1"): parse_alpha("1/(1+a)")}
 
