@@ -8,11 +8,18 @@ threads.
 
 The text grammar round-trips: ``parse_alpha(str(x)) == x`` for every element,
 with ``a`` denoting the indeterminate, e.g. ``3/(2*a^2+a)``.
+
+Invariant: the coefficients of every AlphaPolynomial are a trimmed tuple of
+Python ints.  The public constructor validates its input (``operator.index``
+on each element, so a float or a Fraction raises TypeError); ring results,
+built from operands that already hold the invariant, go through ``_poly``,
+which only trims.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -37,6 +44,14 @@ def _trim(coeffs: Sequence[int]) -> tuple[int, ...]:
     return tuple(coeffs[:n])
 
 
+def _poly(coeffs: Sequence[int]) -> "AlphaPolynomial":
+    """AlphaPolynomial from a list or tuple of ints, trimmed but not checked."""
+    p = object.__new__(AlphaPolynomial)
+    p.coeffs = tuple(coeffs) if coeffs and coeffs[-1] else _trim(coeffs)
+    p._hash = None
+    return p
+
+
 class AlphaPolynomial:
     """Polynomial in a with integer coefficients, lowest degree first.
 
@@ -47,7 +62,7 @@ class AlphaPolynomial:
     __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        self.coeffs = _trim(tuple(int(c) for c in coeffs))
+        self.coeffs = _trim(tuple(operator.index(c) for c in coeffs))
         self._hash = None
 
     # -- construction helpers
@@ -80,10 +95,7 @@ class AlphaPolynomial:
         return self.coeffs[-1] if self.coeffs else 0
 
     def content(self) -> int:
-        g = 0
-        for c in self.coeffs:
-            g = math.gcd(g, c)
-        return g
+        return math.gcd(*self.coeffs)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -100,49 +112,60 @@ class AlphaPolynomial:
             self._hash = hash(self.coeffs)
         return self._hash
 
-    # -- ring operations
+    # -- ring operations (an int or constant operand skips the convolution)
     def __add__(self, other) -> "AlphaPolynomial":
-        other = _coerce_poly(other)
-        if other is NotImplemented:
+        if isinstance(other, AlphaPolynomial):
+            b = other.coeffs
+            if len(b) > 1:
+                a = self.coeffs
+                if len(a) < len(b):
+                    a, b = b, a
+                out = list(a)
+                for i, c in enumerate(b):
+                    out[i] += c
+                return _poly(out)
+            other = b[0] if b else 0
+        elif not isinstance(other, int):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return AlphaPolynomial(out)
+        if not other:
+            return self
+        a = self.coeffs or (0,)
+        return _poly((a[0] + other,) + a[1:])
 
     __radd__ = __add__
 
     def __neg__(self) -> "AlphaPolynomial":
-        return AlphaPolynomial(-c for c in self.coeffs)
+        return _poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if isinstance(other, (AlphaPolynomial, int)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        if isinstance(other, int):
+            return -self + other
+        return NotImplemented
 
     def __mul__(self, other) -> "AlphaPolynomial":
-        other = _coerce_poly(other)
-        if other is NotImplemented:
+        if isinstance(other, AlphaPolynomial):
+            b = other.coeffs
+            if len(b) > 1:
+                a = self.coeffs
+                out = [0] * (len(a) + len(b) - 1)
+                for i, ca in enumerate(a):
+                    if ca:
+                        for j, cb in enumerate(b):
+                            out[i + j] += ca * cb
+                return _poly(out)
+            other = b[0] if b else 0
+        elif not isinstance(other, int):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        if not other:
             return _POLY_ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return AlphaPolynomial(out)
+        if other == 1:
+            return self
+        return _poly([c * other for c in self.coeffs])
 
     __rmul__ = __mul__
 
@@ -162,7 +185,7 @@ class AlphaPolynomial:
         """Multiply by a**k."""
         if not self.coeffs:
             return self
-        return AlphaPolynomial((0,) * k + self.coeffs)
+        return _poly((0,) * k + self.coeffs)
 
     def __call__(self, a0):
         """Evaluate by Horner at any ring element (Fraction, AlphaRational...)."""
@@ -198,14 +221,6 @@ _POLY_ZERO = AlphaPolynomial()
 _POLY_ONE = AlphaPolynomial((1,))
 
 
-def _coerce_poly(x) -> AlphaPolynomial:
-    if isinstance(x, AlphaPolynomial):
-        return x
-    if isinstance(x, int):
-        return AlphaPolynomial((x,))
-    return NotImplemented
-
-
 def _poly_divmod_q(a: Sequence[Fraction], b: Sequence[Fraction]):
     """Division with remainder over Q on fraction coefficient lists."""
     a = list(a)
@@ -233,17 +248,13 @@ def poly_gcd(p: AlphaPolynomial, q: AlphaPolynomial) -> AlphaPolynomial:
         a, b = b, r
     if not a:
         return _POLY_ZERO
-    den_lcm = 1
-    for c in a:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
+    den_lcm = math.lcm(*(c.denominator for c in a))
     ints = [int(c * den_lcm) for c in a]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
+    g = math.gcd(*ints)
     ints = [c // g for c in ints]
     if ints[-1] < 0:
         ints = [-c for c in ints]
-    return AlphaPolynomial(ints)
+    return _poly(ints)
 
 
 def poly_divexact(p: AlphaPolynomial, q: AlphaPolynomial) -> AlphaPolynomial:
@@ -254,7 +265,7 @@ def poly_divexact(p: AlphaPolynomial, q: AlphaPolynomial) -> AlphaPolynomial:
         raise ArithmeticError("inexact polynomial division")
     if any(c.denominator != 1 for c in quo):
         raise ArithmeticError("quotient not integral")
-    return AlphaPolynomial(int(c) for c in quo)
+    return _poly([c.numerator for c in quo])
 
 
 def poly_divide_linear(p: AlphaPolynomial, f: AlphaPolynomial):
@@ -272,7 +283,7 @@ def poly_divide_linear(p: AlphaPolynomial, f: AlphaPolynomial):
         if rem:
             return None
         r = c[k] - q[k] * t
-    return None if r else AlphaPolynomial(q)
+    return None if r else _poly(q)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +335,12 @@ class AlphaRational:
             self._hash = hash((self.num, self.den))
         return self._hash
 
-    # -- field operations (Fraction-style cross reductions keep sizes down)
+    # -- field operations (Fraction-style cross reductions keep sizes down;
+    # an int or Fraction operand keeps the canonical form without a gcd)
     def __add__(self, other):
+        if isinstance(other, int):  # gcd(num + k*den, den) = gcd(num, den)
+            return AlphaRational(self.num + self.den * other, self.den,
+                                 _normalized=True)
         other = _coerce_rat(other)
         if other is NotImplemented:
             return NotImplemented
@@ -342,9 +357,10 @@ class AlphaRational:
         return AlphaRational(-self.num, self.den, _normalized=True)
 
     def __sub__(self, other):
-        other = _coerce_rat(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, int):
+            other = _coerce_rat(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -354,6 +370,8 @@ class AlphaRational:
         return other + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other.numerator, other.denominator)
         other = _coerce_rat(other)
         if other is NotImplemented:
             return NotImplemented
@@ -363,6 +381,18 @@ class AlphaRational:
         return AlphaRational(num, den, _normalized=True)
 
     __rmul__ = __mul__
+
+    def _scaled(self, p: int, q: int) -> "AlphaRational":
+        """self * p/q for coprime p and q > 0.  num/den is reduced over Q, so
+        only the contents gcd(q, content(num)) and gcd(p, content(den)) can
+        cancel; q > 0 keeps the denominator's leading coefficient positive."""
+        if not p or not self.num:
+            return ZERO
+        gq, gp = math.gcd(q, *self.num.coeffs), math.gcd(p, *self.den.coeffs)
+        p, q = p // gp, q // gq
+        return AlphaRational(_poly([c // gq * p for c in self.num.coeffs]),
+                             _poly([c // gp * q for c in self.den.coeffs]),
+                             _normalized=True)
 
     def __truediv__(self, other):
         other = _coerce_rat(other)
@@ -447,11 +477,10 @@ def _normalize(num: AlphaPolynomial, den: AlphaPolynomial):
         if g.degree() > 0:
             num = poly_divexact(num, g)
             den = poly_divexact(den, g)
-    cn, cd = num.content(), den.content()
-    g = math.gcd(cn, cd)
+    g = math.gcd(*num.coeffs, *den.coeffs)
     if g > 1:
-        num = AlphaPolynomial(c // g for c in num.coeffs)
-        den = AlphaPolynomial(c // g for c in den.coeffs)
+        num = _poly([c // g for c in num.coeffs])
+        den = _poly([c // g for c in den.coeffs])
     if den.leading() < 0:
         num, den = -num, -den
     return num, den

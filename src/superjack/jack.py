@@ -19,7 +19,7 @@ from math import gcd, lcm
 from typing import Optional
 
 from .coeffring import (ALPHA, ONE, AlphaPolynomial, AlphaRational,
-                        PoleError, alpha_eval, clear_denominators,
+                        PoleError, _poly, alpha_eval, clear_denominators,
                         poly_divide_linear)
 # unused here: perfbench's test_tracer_wraps_every_binding reads jack.solve_exact
 from .coeffring import solve_exact  # noqa: F401
@@ -217,7 +217,7 @@ def _divide_row_sum(terms, diff):
         content, num = -content, -num
     d *= abs(content)
     if diff.degree() == 1:
-        f = AlphaPolynomial(c // content for c in diff.coeffs)
+        f = _poly([c // content for c in diff.coeffs])
         factors[f] = factors.get(f, 0) + 1
     for f in list(factors):
         while factors[f]:
@@ -230,7 +230,7 @@ def _divide_row_sum(terms, diff):
             del factors[f]
     g = gcd(num.content(), d)
     if g > 1:
-        num = AlphaPolynomial(c // g for c in num.coeffs)
+        num = _poly([c // g for c in num.coeffs])
         d //= g
     return num, factors, d
 

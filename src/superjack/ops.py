@@ -105,11 +105,13 @@ def cherednik(f: SuperPolynomial, i: int, alpha) -> SuperPolynomial:
             w = weights[a] = alpha * a + (1 - i) if a else 1 - i
         if w:
             add((T, e), c * w)
-        neg = -c
+        neg = None  # -c, formed at the first exchange with a < b
         el = list(e)
         for jj, b in enumerate(e):
             if b == a:  # j = i, or equal degrees: no exchange term
                 continue
+            if a < b and neg is None:
+                neg = -c
             lo, hi, cj = (b, a, c) if a > b else (a, b, neg)
             sh = jj < ii  # x_max(i,j) is x_i: its exponent rises by one
             for p in range(lo + sh, hi + sh):
@@ -125,11 +127,12 @@ def cherednik(f: SuperPolynomial, i: int, alpha) -> SuperPolynomial:
 # ---------------------------------------------------------------------------
 
 def _ulist_apply_shifted(ul: UList, op: Callable, N: int) -> UList:
-    """Multiply the u-polynomial by (op + u)."""
-    zero = SuperPolynomial(N)
-    out = [op(c) for c in ul] + [zero]
+    """Multiply the u-polynomial by (op + u); op must return a new polynomial."""
+    out = [op(c) for c in ul] + [SuperPolynomial(N)]
     for k in range(1, len(out)):
-        out[k] = out[k] + ul[k - 1]
+        add = out[k]._iadd_term
+        for key, c in ul[k - 1].terms.items():
+            add(key, c)
     return out
 
 
@@ -235,11 +238,13 @@ def q_perp(f: SuperPolynomial, alpha=None) -> SuperPolynomial:
 
 
 def Q_op(f: SuperPolynomial, alpha) -> SuperPolynomial:
-    g = f.scale(_over(f.N, alpha))
+    """sum_i theta_i (x_i d_i + N/alpha) f, with the N/alpha half scaled once."""
     out = SuperPolynomial(f.N)
+    thetas = SuperPolynomial(f.N)
     for i in range(1, f.N + 1):
-        out += (g + f.diff_x(i).mul_x(i)).mul_theta(i)
-    return out
+        out += f.diff_x(i).mul_x(i).mul_theta(i)
+        thetas += f.mul_theta(i)
+    return out + thetas.scale(_over(f.N, alpha))
 
 
 def Q_perp(f: SuperPolynomial, alpha=None) -> SuperPolynomial:

@@ -3,10 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from superjack import coeffring
 from superjack.coeffring import (ALPHA, ONE, AlphaPolynomial, AlphaRational,
                                  FieldMatrix, IndeterminateError, NoSolution,
                                  PoleError, SolutionSpace, UniqueSolution,
-                                 _pivot_weight, alpha_eval,
+                                 _normalize, _pivot_weight, alpha_eval,
                                  common_denominator, parse_alpha, poly_gcd,
                                  poly_divide_linear, solve_exact)
 
@@ -124,6 +125,119 @@ def test_poly_divide_linear_is_exact_division(coeffs, t, s):
     assert (q is not None) == divides
     if q is not None:
         assert q * f == p
+
+
+@pytest.mark.parametrize("bad", [1.7, 2.0, Fraction(5, 2), Fraction(4, 2)])
+def test_constructor_rejects_non_int_coefficients(bad):
+    # int() used to truncate: [1.7, Fraction(5, 2)] became 1 + 2a
+    with pytest.raises(TypeError):
+        AlphaPolynomial([1, bad])
+    with pytest.raises(TypeError):
+        AlphaPolynomial([bad])
+
+
+def test_constructor_accepts_bool():
+    p = AlphaPolynomial([True, False, True])
+    assert p.coeffs == (1, 0, 1)
+    assert all(type(c) is int for c in p.coeffs)
+
+
+# The ring operations build results through the private constructor
+# coeffring._poly and take shortcuts for scalar operands.  Each is checked
+# against the reference route: the full convolution or cross product built
+# by the public constructor, then _normalize for Q(a).
+
+def _ref_mul(p, q):
+    out = [0] * (len(p.coeffs) + len(q.coeffs))
+    for i, x in enumerate(p.coeffs):
+        for j, y in enumerate(q.coeffs):
+            out[i + j] += x * y
+    return AlphaPolynomial(out)
+
+
+def _ref_add(p, q):
+    n = max(len(p.coeffs), len(q.coeffs))
+    return AlphaPolynomial(
+        (p.coeffs[k] if k < len(p.coeffs) else 0)
+        + (q.coeffs[k] if k < len(q.coeffs) else 0) for k in range(n))
+
+
+def _ref_neg(p):
+    return AlphaPolynomial(-c for c in p.coeffs)
+
+
+def _same_poly(got, want):
+    assert isinstance(got, AlphaPolynomial)
+    assert got.coeffs == want.coeffs
+    assert all(type(c) is int for c in got.coeffs)
+    assert hash(got) == hash(want)
+
+
+def _same_rat(got, num, den):
+    want_num, want_den = _normalize(num, den)
+    _same_poly(got.num, want_num)
+    _same_poly(got.den, want_den)
+
+
+def _check_leading_cancellation():
+    g = AlphaPolynomial.gen()
+    _same_poly((g + 1) + (-g), AlphaPolynomial((1,)))
+    _same_poly(AlphaPolynomial((-3,)) + 3, AlphaPolynomial())
+    _same_poly((g + 2) - g, AlphaPolynomial((2,)))
+
+
+def test_leading_cancellation_trims():
+    _check_leading_cancellation()
+
+
+def test_untrimmed_results_are_caught(monkeypatch):
+    # mutant: a private constructor that skips the trim
+    def untrimmed(coeffs):
+        p = object.__new__(AlphaPolynomial)
+        p.coeffs, p._hash = tuple(coeffs), None
+        return p
+
+    monkeypatch.setattr(coeffring, "_poly", untrimmed)
+    with pytest.raises(AssertionError):
+        _check_leading_cancellation()
+
+
+int_polys = st.builds(AlphaPolynomial, st.lists(st.integers(-3, 3), max_size=4))
+scalars = st.integers(-4, 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_polys, int_polys, scalars)
+def test_poly_fast_paths_match_reference(p, q, k):
+    K = AlphaPolynomial((k,))
+    _same_poly(p + q, _ref_add(p, q))
+    _same_poly(p * q, _ref_mul(p, q))
+    for x in (k, K):  # int and constant-polynomial operands
+        _same_poly(p + x, _ref_add(p, K))
+        _same_poly(x + p, _ref_add(p, K))
+        _same_poly(p * x, _ref_mul(p, K))
+        _same_poly(x * p, _ref_mul(p, K))
+        _same_poly(p - x, _ref_add(p, _ref_neg(K)))
+    _same_poly(k - p, _ref_add(K, _ref_neg(p)))
+    _same_poly(-p, _ref_neg(p))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rationals(), scalars,
+       st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)))
+def test_rational_fast_paths_match_reference(x, k, r):
+    P, Q = AlphaPolynomial((r.numerator,)), AlphaPolynomial((r.denominator,))
+    K = AlphaPolynomial((k,))
+    for y in (x * r, r * x):
+        _same_rat(y, _ref_mul(x.num, P), _ref_mul(x.den, Q))
+    for y in (x * k, k * x):
+        _same_rat(y, _ref_mul(x.num, K), x.den)
+    for y in (x + k, k + x):
+        _same_rat(y, _ref_add(x.num, _ref_mul(x.den, K)), x.den)
+    _same_rat(x - k, _ref_add(x.num, _ref_mul(x.den, _ref_neg(K))), x.den)
+    # the results stay canonical: rebuilding them changes nothing
+    for y in (x * r, x * k, x + k):
+        assert AlphaRational(y.num, y.den) == y
 
 
 def _dense_solve_exact(M, b):

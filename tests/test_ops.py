@@ -4,7 +4,7 @@ from itertools import permutations
 from math import factorial
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from superjack.coeffring import ALPHA, AlphaPolynomial, AlphaRational
 from superjack import ops
@@ -15,7 +15,7 @@ from superjack.ops import (ALGEBRA_TABLE, OPERATORS, G_op, L_op,
                            l_minus2_combination, nabla_perp, q_op,
                            sekiguchi_S, sekiguchi_S_tilde,
                            ulist_equals_scalar_multiple)
-from superjack.jack import jack_poly, jack_symbolic
+from superjack.jack import jack_at, jack_poly, jack_symbolic
 from superjack.spart import (e_star_poly, e_tilde_poly, enumerate_all_m,
                              epsilon_u, parse_spart, star_pair)
 from superjack.suites import _labels
@@ -160,6 +160,36 @@ def test_sekiguchi_pair_matches_division_route(monkeypatch):
     for (P, L), (S, S_tilde) in zip(cases, got):
         assert S == sekiguchi_S(P, A), str(L)
         assert S_tilde == sekiguchi_S_tilde(P, A), str(L)
+
+
+def _Q_op_per_variable(f, alpha):
+    """Oracle: Q with the N/alpha part added to x_i d_i f once per variable."""
+    g = f.scale(Fraction(f.N) / alpha)
+    out = SuperPolynomial(f.N)
+    for i in range(1, f.N + 1):
+        out += (g + f.diff_x(i).mul_x(i)).mul_theta(i)
+    return out
+
+
+Q_ALPHAS = [ALPHA, Fraction(-3, 2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(cherednik_cases(), st.sampled_from(Q_ALPHAS))
+def test_Q_op_matches_per_variable_route(case, alpha):
+    f, _ = case
+    # Fraction and AlphaPolynomial do not multiply
+    assume(alpha is ALPHA or not any(isinstance(c, AlphaPolynomial)
+                                     for c in f.terms.values()))
+    assert ops.Q_op(f, alpha) == _Q_op_per_variable(f, alpha)
+
+
+@pytest.mark.parametrize("alpha", Q_ALPHAS)
+def test_Q_op_matches_per_variable_route_on_jacks(alpha):
+    for N in (2, 3, 4):
+        for L in _labels(3, N, 2):
+            P = jack_poly(L, N) if alpha is ALPHA else jack_at(L, N, alpha)
+            assert ops.Q_op(P, alpha) == _Q_op_per_variable(P, alpha), str(L)
 
 
 @pytest.mark.parametrize("i", [0, -1, 4])
