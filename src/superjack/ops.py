@@ -4,22 +4,26 @@ of the super-Virasoro algebra.
 
 No rational function is ever materialized.  D and Delta realize their
 exchange terms with an (x_i - x_j) denominator through exact polynomial
-division; the Cherednik operators expand each quotient as the closed
-geometric sum (x_i^a x_j^b - x_i^b x_j^a) / (x_i - x_j).  The two
-eigenoperators require input invariant under each diagonal transposition
-(symmetric superpolynomials).  `apply_operator`, the entry point for outside
-input, checks this and raises NonPolynomialResult otherwise.  `apply_D` and
+division, and write each image into one term dict: every quotient gets its
+thetas and x shift as it is written, and the diagonal parts are closed
+per-term weights, scaled by the parameter once per distinct value.  The
+Cherednik operators expand each quotient as the closed geometric sum
+(x_i^a x_j^b - x_i^b x_j^a) / (x_i - x_j).  The two eigenoperators require
+input invariant under each diagonal transposition (symmetric
+superpolynomials).  `apply_operator`, the entry point for outside input,
+checks this and raises NonPolynomialResult otherwise.  `apply_D` and
 `apply_Delta` trust their callers: a failed division still raises, but Delta
 divides only terms with exactly one of theta_i, theta_j, so it passes most
-non-symmetric input without notice.
-"""
+non-symmetric input without notice."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, NamedTuple, Optional, Sequence
 
+from .coeffring import AlphaPolynomial, AlphaRational
 from .superpoly import (DivisionFailure, SuperPolynomial, divide_xdiff,
                         pair_decompose, power_sum, ferm_power)
 
@@ -31,56 +35,116 @@ class NonPolynomialResult(ArithmeticError):
 
 
 def _over(n: int, alpha):
-    """Exact n / alpha, for alpha an int, a Fraction or an element of Q(a)."""
+    """Exact n / alpha, for alpha an int, a Fraction or an element of Z[a] or
+    Q(a); the quotient by an element of Z[a] is taken in Q(a)."""
+    if isinstance(alpha, AlphaPolynomial):
+        alpha = AlphaRational(alpha)
     return Fraction(n) / alpha
 
 
-def _diffdiff(f: SuperPolynomial, i: int, j: int) -> SuperPolynomial:
-    return f.diff_x(i) - f.diff_x(j)
+def _diffdiff(f: SuperPolynomial, i: int, j: int, out=None) -> SuperPolynomial:
+    """(d_i - d_j) f added into the term dict out (a new one by default);
+    zero entries may remain, which divide_xdiff skips."""
+    out = {} if out is None else out
+    get = out.get
+    for (T, e), c in f.terms.items():
+        for p, s in ((i - 1, c), (j - 1, -c)):
+            k = e[p]
+            if k:
+                el = list(e)
+                el[p] = k - 1
+                key = (T, tuple(el))
+                cur = get(key)
+                out[key] = s * k if cur is None else cur + s * k
+    return SuperPolynomial(f.N, out)
+
+
+def _put(out: dict, q: SuperPolynomial, thetas: tuple, shift: tuple) -> None:
+    """out += theta_tk ... theta_t1 x^shift q, for q free of those thetas.
+
+    Each theta is inserted on the left in the listed order, so (j, i) writes
+    theta_i theta_j; shift lists the 0-based exponents that rise by one.
+    """
+    get = out.get
+    for (T, e), c in q.terms.items():
+        for t in thetas:
+            pos = bisect_left(T, t)
+            T = T[:pos] + (t,) + T[pos:]
+            if pos % 2:
+                c = -c
+        el = list(e)
+        for p in shift:
+            el[p] += 1
+        key = (T, tuple(el))
+        cur = get(key)
+        out[key] = c if cur is None else cur + c
+
+
+def _with_diagonal(out: dict, f: SuperPolynomial, weight: Callable,
+                   scalar) -> SuperPolynomial:
+    """Add scalar * weight(T, e) * c at the key of each term c of f, then drop
+    zeros.  Each distinct c * weight is multiplied by scalar once, and only
+    after the exchange sums in out are complete, so those stay in f's ring."""
+    products: dict = {}
+    for key, c in f.terms.items():
+        w = weight(*key)
+        if w:
+            cw = c * w
+            v = products.get(cw)
+            if v is None:
+                v = products[cw] = cw * scalar
+            cur = out.get(key)
+            out[key] = v if cur is None else cur + v
+    return SuperPolynomial(f.N, {k: c for k, c in out.items() if c})
 
 
 def apply_D(f: SuperPolynomial, alpha) -> SuperPolynomial:
-    """Quadratic eigenoperator; input must be pairwise diagonal-invariant."""
+    """Quadratic eigenoperator; input must be pairwise diagonal-invariant.
+
+    Per pair (i, j), with f = A + theta_i B + theta_j C + theta_i theta_j D,
+    the exchange part is x_i x_j (r0 + theta_i rB + theta_j rC
+    + theta_i theta_j (d_i - d_j) sD), each r an exact quotient by x_i - x_j;
+    the diagonal sum_i x_i^2 d_i^2 weighs a term by sum_i e_i (e_i - 1).
+    """
     N = f.N
-    out = SuperPolynomial(N)
+    out: dict = {}
     try:
         for i, j in combinations(range(1, N + 1), 2):
+            xij = (i - 1, j - 1)
             A, B, C, D2 = pair_decompose(f, i, j)
             s_bc = divide_xdiff(B - C, i, j)
-            r0 = divide_xdiff(_diffdiff(A, i, j), i, j)
-            rB = divide_xdiff(_diffdiff(B, i, j) - s_bc, i, j)
-            rC = divide_xdiff(_diffdiff(C, i, j) + s_bc, i, j)
-            sD = divide_xdiff(D2, i, j)
-            rD = _diffdiff(sD, i, j)
-            pair = (r0 + rB.mul_theta(i) + rC.mul_theta(j)
-                    + rD.mul_theta(j).mul_theta(i))
-            out += pair.mul_x(i).mul_x(j)
+            minus_s = {key: -c for key, c in s_bc.terms.items()}
+            _put(out, divide_xdiff(_diffdiff(A, i, j), i, j), (), xij)
+            _put(out, divide_xdiff(_diffdiff(B, i, j, minus_s), i, j),
+                 (i,), xij)
+            _put(out, divide_xdiff(_diffdiff(C, i, j, dict(s_bc.terms)), i, j),
+                 (j,), xij)
+            _put(out, _diffdiff(divide_xdiff(D2, i, j), i, j), (j, i), xij)
     except DivisionFailure as exc:
         raise NonPolynomialResult(str(exc)) from exc
-    # the terms carrying alpha are summed apart and scaled once, so every
-    # sum above stays in the coefficient ring of f
-    diag = SuperPolynomial(N)
-    for i in range(1, N + 1):
-        diag += f.diff_x(i).diff_x(i).mul_x(i, 2)
-    return out + diag.scale(alpha * Fraction(1, 2))
+    return _with_diagonal(out, f, lambda T, e: sum(k * (k - 1) for k in e),
+                          alpha * Fraction(1, 2))
 
 
 def apply_Delta(f: SuperPolynomial, alpha) -> SuperPolynomial:
-    """Fermionic eigenoperator lifting the degeneracy of the quadratic one."""
+    """Fermionic eigenoperator lifting the degeneracy of the quadratic one.
+
+    Per pair the exchange part is (x_i theta_j + x_j theta_i) (B - C)/(x_i - x_j)
+    - theta_i theta_j D, in the notation of apply_D; the diagonal
+    sum_i theta_i x_i d_{x_i} d_{theta_i} weighs a term by sum_{i in T} e_i.
+    """
     N = f.N
-    out = SuperPolynomial(N)
+    out: dict = {}
     try:
         for i, j in combinations(range(1, N + 1), 2):
             _, B, C, D2 = pair_decompose(f, i, j)
             s_bc = divide_xdiff(B - C, i, j)
-            out += s_bc.mul_x(i).mul_theta(j) + s_bc.mul_x(j).mul_theta(i)
-            out -= D2.mul_theta(j).mul_theta(i)
+            _put(out, s_bc, (j,), (i - 1,))
+            _put(out, s_bc, (i,), (j - 1,))
+            _put(out, -D2, (j, i), ())
     except DivisionFailure as exc:
         raise NonPolynomialResult(str(exc)) from exc
-    diag = SuperPolynomial(N)
-    for i in range(1, N + 1):
-        diag += f.diff_theta(i).diff_x(i).mul_x(i).mul_theta(i)
-    return out + diag.scale(alpha)
+    return _with_diagonal(out, f, lambda T, e: sum(e[t - 1] for t in T), alpha)
 
 
 def cherednik(f: SuperPolynomial, i: int, alpha) -> SuperPolynomial:
@@ -449,26 +513,6 @@ def check_virasoro_relations(alpha, test_polys: Sequence[SuperPolynomial],
         if L_op(0, f) != l0:
             failures.append(f"L_0 bridge on {f}")
     return failures
-
-
-def l_minus2_combination(f: SuperPolynomial, alpha) -> SuperPolynomial:
-    """L_{-2} expressed through the eigenoperators and power sums.
-
-    3/(4a) [Delta, p2] + 1/(2a) [D, p2] - p2/2 - 1/(2a) (p1^2 - p2); the
-    (p1^2 - p2) weight printed in the source carries a factor-2 slip, fixed
-    here and pinned by tests against the direct mode action.
-    """
-    N = f.N
-    p2 = power_sum(2, N)
-    p1 = power_sum(1, N)
-    inv_a = _over(1, alpha)
-    quarter3 = inv_a * Fraction(3, 4)
-    half_inv = inv_a * Fraction(1, 2)
-    comm_delta = apply_Delta(p2 * f, alpha) - p2 * apply_Delta(f, alpha)
-    comm_d = apply_D(p2 * f, alpha) - p2 * apply_D(f, alpha)
-    return (comm_delta.scale(quarter3) + comm_d.scale(half_inv)
-            - (p2 * f).scale(Fraction(1, 2))
-            - (p1 * p1 * f - p2 * f).scale(half_inv))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ ints, Fractions and AlphaRational mix freely.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -411,27 +412,37 @@ def _invert(sigma: Sequence[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def divide_xdiff(f: SuperPolynomial, i: int, j: int) -> SuperPolynomial:
-    """Exact quotient f / (x_i - x_j); raises DivisionFailure on remainder."""
-    levels: dict[int, dict] = {}
-    for (T, e), c in f.terms.items():
-        levels.setdefault(e[i - 1], {}).setdefault((T, e), c)
-    out = SuperPolynomial(f.N)
+    """Exact quotient f / (x_i - x_j); raises DivisionFailure on remainder.
+
+    Peels the x_i-levels from the top: a term c x_i^k r gives c x_i^(k-1) r
+    to the quotient and carries c x_i^(k-1) x_j r one level down.  Distinct
+    terms of one level give distinct quotient keys, so the quotient is
+    written by assignment.
+    """
+    ii, jj = i - 1, j - 1
+    levels: defaultdict[int, dict] = defaultdict(dict)
+    for key, c in f.terms.items():
+        levels[key[1][ii]][key] = c
+    out = {}
     for ei in range(max(levels, default=0), 0, -1):
-        for (T, e), c in levels.get(ei, {}).items():
+        lv = levels.get(ei)
+        if not lv:
+            continue
+        below = levels[ei - 1]
+        for (T, e), c in lv.items():
             if not c:
                 continue
-            e_q = list(e)
-            e_q[i - 1] = ei - 1
-            out._iadd_term((T, tuple(e_q)), c)
-            e_c = list(e_q)
-            e_c[j - 1] += 1
-            key = (T, tuple(e_c))
-            lv = levels.setdefault(ei - 1, {})
-            lv[key] = lv.get(key, 0) + c
-    for c in levels.get(0, {}).values():
+            el = list(e)
+            el[ii] = ei - 1
+            out[(T, tuple(el))] = c
+            el[jj] += 1
+            key = (T, tuple(el))
+            cur = below.get(key)
+            below[key] = c if cur is None else cur + c
+    for c in levels[0].values():
         if c:
             raise DivisionFailure(f"(x{i} - x{j}) does not divide the input")
-    return out
+    return SuperPolynomial(f.N, out)
 
 
 def unique_arrangements(items: list):
@@ -505,11 +516,14 @@ def to_mbasis(f: SuperPolynomial, verify: bool = True) -> dict[SuperPartition, o
 
 
 def from_mbasis(coeffs: dict[SuperPartition, object], N: int) -> SuperPolynomial:
-    out = SuperPolynomial(N)
+    """The polynomial sum c_L m_L; distinct labels have disjoint orbits, so
+    each orbit term is written once, as +-c."""
+    out = {}
     for L, c in coeffs.items():
         if c:
-            out += monomial_msym(L, N).scale(c)
-    return out
+            for key, sign in monomial_msym(L, N).terms.items():
+                out[key] = c if sign > 0 else -c
+    return SuperPolynomial(N, out)
 
 
 def power_sum(n: int, N: int) -> SuperPolynomial:
@@ -629,24 +643,27 @@ def terms_to_json(f: SuperPolynomial) -> list[dict]:
 
 
 def pair_decompose(f: SuperPolynomial, i: int, j: int):
-    """Split f = A + theta_i B + theta_j C + theta_i theta_j D with A..D free of both."""
-    N = f.N
-    A, B, C, D = (SuperPolynomial(N) for _ in range(4))
-    for (T, e), c in f.terms.items():
-        has_i, has_j = i in T, j in T
-        if not has_i and not has_j:
-            A.terms[(T, e)] = c
-        elif has_i and not has_j:
+    """Split f = A + theta_i B + theta_j C + theta_i theta_j D with A..D free of both.
+
+    Removing theta_i (or theta_j, or both) is injective on the terms that
+    carry it, so each part is filled by assignment.
+    """
+    A, B, C, D = {}, {}, {}, {}
+    for key, c in f.terms.items():
+        T = key[0]
+        if i in T:
             pos = T.index(i)
-            B._iadd_term((T[:pos] + T[pos + 1:], e), c if pos % 2 == 0 else -c)
-        elif has_j and not has_i:
+            rest = T[:pos] + T[pos + 1:]
+            if j in T:
+                pos_j = rest.index(j)
+                if (pos + pos_j) % 2:
+                    c = -c
+                D[(rest[:pos_j] + rest[pos_j + 1:], key[1])] = c
+            else:
+                B[(rest, key[1])] = -c if pos % 2 else c
+        elif j in T:
             pos = T.index(j)
-            C._iadd_term((T[:pos] + T[pos + 1:], e), c if pos % 2 == 0 else -c)
+            C[(T[:pos] + T[pos + 1:], key[1])] = -c if pos % 2 else c
         else:
-            pos_i = T.index(i)
-            rest = T[:pos_i] + T[pos_i + 1:]
-            pos_j = rest.index(j)
-            rest = rest[:pos_j] + rest[pos_j + 1:]
-            sign = 1 if (pos_i + pos_j) % 2 == 0 else -1
-            D._iadd_term((rest, e), c if sign > 0 else -c)
-    return A, B, C, D
+            A[key] = c
+    return tuple(SuperPolynomial(f.N, part) for part in (A, B, C, D))

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
@@ -12,11 +13,11 @@ from superjack.jack import (DegenerateSystem, JackExpansion, eigen_check,
                             duality_check, evaluation_direct,
                             evaluation_formula, integral_form, norm_gram,
                             norm_hook, pieri_check, pieri_closed,
-                            removal_identities, symmetrization_check,
+                            symmetrization_check,
                             PIERI_KINDS)
 from superjack.ops import (apply_D, apply_Delta, cherednik, operator,
                            sekiguchi_S)
-from superjack.spart import (conjugate, e_star_poly, e_tilde_poly,
+from superjack.spart import (SuperPartition, conjugate, e_star_poly, e_tilde_poly,
                              enumerate_all_m, enumerate_sparts, epsilon_u,
                              eta_bar, dominance_leq, fermionic_range,
                              parse_spart, partition_dominates, star_pair,
@@ -318,6 +319,69 @@ def test_pieri_mutant_fails_on_both_routes(monkeypatch, mutate):
             assert not _pieri_expanded_check(kind, parse_spart(s), N), (kind, s)
             mutants += 1
     assert mutants > 15
+
+
+# ---------------------------------------------------------------------------
+# removal/extraction factorizations, checked on small labels
+# ---------------------------------------------------------------------------
+
+def _shift_vars_down(f: SuperPolynomial) -> SuperPolynomial:
+    out = SuperPolynomial(f.N - 1)
+    for (T, e), c in f.terms.items():
+        if e[0] != 0 or (T and T[0] == 1):
+            raise ValueError("variable 1 still present")
+        out.terms[(tuple(t - 1 for t in T), e[1:])] = c
+    return out
+
+
+def removal_identities(L: SuperPartition, N: Optional[int] = None) -> dict[str, Optional[bool]]:
+    """Check the four factorization identities applicable to the label."""
+    report: dict[str, Optional[bool]] = {
+        "column_removal": None, "circle_removal": None,
+        "row_extraction": None, "fermionic_row_extraction": None,
+    }
+    ell = L.length
+    star_len = sum(1 for p in L.star if p)
+    # column removal: no circle in the first column, full first column
+    if ell and 0 not in L.antisym and star_len == ell:
+        P = jack_poly(L, ell)
+        reduced = SuperPartition(tuple(a - 1 for a in L.antisym),
+                                 tuple(s - 1 for s in L.sym if s > 1))
+        rhs = jack_poly(reduced, ell)
+        for i in range(1, ell + 1):
+            rhs = rhs.mul_x(i)
+        report["column_removal"] = P == rhs
+    # circle removal: lone circle at the bottom of the first column
+    if ell and L.antisym and L.antisym[-1] == 0 and star_len == ell - 1:
+        P = jack_poly(L, ell)
+        g = P.diff_theta(ell)
+        g = SuperPolynomial(ell, {(T, e): c for (T, e), c in g.terms.items()
+                                  if e[ell - 1] == 0})
+        g = SuperPolynomial(ell - 1, {(T, e[:-1]): c
+                                      for (T, e), c in g.terms.items()})
+        if (L.m - 1) % 2:
+            g = -g
+        reduced = SuperPartition(L.antisym[:-1], L.sym)
+        report["circle_removal"] = g == jack_poly(reduced, ell - 1)
+    if N is None:
+        N = max(ell + 1, 2)
+    # row extraction: first row bosonic
+    if L.sym and (L.m == 0 or L.sym[0] > L.antisym[0]):
+        k0 = L.sym[0]
+        P = jack_poly(L, N)
+        got = P.coefficient_xpower(1, k0)
+        reduced = SuperPartition(L.antisym, L.sym[1:])
+        want = jack_poly(reduced, N - 1)
+        report["row_extraction"] = _shift_vars_down(got) == want
+    # fermionic row extraction: first row circled
+    if L.antisym and (not L.sym or L.antisym[0] >= L.sym[0]):
+        k0 = L.antisym[0]
+        P = jack_poly(L, N)
+        got = P.diff_theta(1).coefficient_xpower(1, k0)
+        reduced = SuperPartition(L.antisym[1:], L.sym)
+        want = jack_poly(reduced, N - 1)
+        report["fermionic_row_extraction"] = _shift_vars_down(got) == want
+    return report
 
 
 def test_removal_identities():

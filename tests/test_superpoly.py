@@ -134,6 +134,31 @@ def test_to_mbasis_roundtrip():
     assert to_mbasis(mL) == {parse_spart("1,0;1"): 1}
 
 
+def _from_mbasis_summed(coeffs, N):
+    """Oracle: sum the scaled monomials as whole polynomials."""
+    out = SuperPolynomial(N)
+    for L, c in coeffs.items():
+        if c:
+            out += monomial_msym(L, N).scale(c)
+    return out
+
+
+def test_from_mbasis_matches_summing_route():
+    rng = random.Random(12)
+    values = [0, 1, -2, Fraction(3, 4), Fraction(-5, 3), ALPHA,
+              AlphaRational(AlphaPolynomial((1, 2)), AlphaPolynomial((3, 1)))]
+    for _ in range(200):
+        N = rng.randint(1, 4)
+        labels = [L for n in range(rng.randint(0, 4) + 1)
+                  for L in enumerate_all_m(n, N)]
+        picked = rng.sample(labels, min(len(labels), rng.randint(0, 6)))
+        coeffs = {L: rng.choice(values) for L in picked}
+        got = from_mbasis(coeffs, N)
+        assert got.terms == _from_mbasis_summed(coeffs, N).terms
+        assert all(got.terms.values())
+        assert to_mbasis(got) == {L: c for L, c in coeffs.items() if c}
+
+
 def test_to_mbasis_p1_squared():
     p1 = power_sum(1, 2)
     assert to_mbasis(p1 * p1) == {parse_spart(";2"): 1, parse_spart(";1,1"): 2}
