@@ -14,7 +14,8 @@ superpolynomials).  `apply_operator`, the entry point for outside input,
 checks this and raises NonPolynomialResult otherwise.  `apply_D` and
 `apply_Delta` trust their callers: a failed division still raises, but Delta
 divides only terms with exactly one of theta_i, theta_j, so it passes most
-non-symmetric input without notice."""
+non-symmetric input without notice.
+"""
 
 from __future__ import annotations
 

@@ -567,13 +567,6 @@ def test_divide_xdiff_matches_oracle(case):
         assert got == q
 
 
-def test_nonsymmetric_division_failure_on_both_routes():
-    f = SuperPolynomial.x(1, 2)
-    for route in (apply_D, _apply_D_oracle):
-        with pytest.raises(NonPolynomialResult):
-            route(f, ALPHA)
-
-
 @pytest.mark.parametrize("name", ["Q", "E", "nabla_perp"])
 def test_integral_parameter_matches_rational(name):
     # n / a for the Z[a] generator is the Q(a) element n / a
