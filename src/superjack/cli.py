@@ -17,12 +17,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from .coeffring import ALPHA, AlphaRational, PoleError, alpha_eval, parse_alpha
-from .ideals import char_F, char_I, cluster_multiplicity
+from .ideals import (admissible_at_degree, char_F, char_I,
+                     cluster_multiplicity)
 from .jack import (PIERI_KINDS, JackExpansion, eigen_check, jack_symbolic,
                    pieri_closed, _JACK_CACHE)
 from .ops import NonPolynomialResult, apply_operator
-from .spart import SuperPartition, enumerate_sparts, is_admissible, parse_spart
-from .superpoly import SuperPolynomial, terms_to_json
+from .spart import SuperPartition, enumerate_sparts, parse_spart
+from .superpoly import SuperPolynomial, from_mbasis, terms_to_json
 from .suites import SUITES
 
 CACHE_VERSION = "1"
@@ -201,51 +202,31 @@ def cmd_compute(args, conf) -> int:
     L = parse_spart(args.spart)
     N = args.N
     a0 = _parse_alpha_flag(args.alpha)
-    cache_dir = _resolve_cache_dir(args, conf)
-    expansion = jack_cached(L, N, cache_dir)
+    expansion = jack_cached(L, N, _resolve_cache_dir(args, conf))
     if a0 is None:
-        if args.basis == "m":
-            items = sorted(expansion.coeffs.items(),
-                           key=lambda kv: kv[0].sort_key(), reverse=True)
-            if args.out == "json":
-                print(json.dumps({"label": str(L), "N": N, "alpha": "sym",
-                                  "basis": "m",
-                                  "coeffs": {str(k): str(v) for k, v in items}}))
-            else:
-                print(f"P[{L}] (N={N}) =")
-                for om, c in items:
-                    print(f"  {c} * m[{om}]" if str(c) != "1" else f"  m[{om}]")
-        else:
-            poly = expansion.polynomial()
-            if args.out == "json":
-                print(json.dumps(_poly_payload(poly)))
-            else:
-                print(poly)
-        return 0
-    try:
-        poly = expansion.at(a0)
-    except PoleError as exc:
-        _emit_error("PoleError", str(exc), label=str(L), N=N,
-                    alpha=str(a0))
-        return 3
-    if args.basis == "m":
-        from .superpoly import to_mbasis
-        coeffs = to_mbasis(poly, verify=False)
-        items = sorted(coeffs.items(), key=lambda kv: kv[0].sort_key(),
-                       reverse=True)
-        if args.out == "json":
-            print(json.dumps({"label": str(L), "N": N, "alpha": str(a0),
-                              "basis": "m",
-                              "coeffs": {str(k): str(v) for k, v in items}}))
-        else:
-            print(f"P[{L}] (N={N}, alpha={a0}) =")
-            for om, c in items:
-                print(f"  {c} * m[{om}]")
+        coeffs, alpha, head = expansion.coeffs, "sym", f"P[{L}] (N={N}) ="
     else:
-        if args.out == "json":
-            print(json.dumps(_poly_payload(poly)))
-        else:
-            print(poly)
+        try:
+            coeffs = expansion.coeffs_at(a0)
+        except PoleError as exc:
+            _emit_error("PoleError", str(exc), label=str(L), N=N,
+                        alpha=str(a0))
+            return 3
+        alpha, head = str(a0), f"P[{L}] (N={N}, alpha={a0}) ="
+    if args.basis == "vars":
+        poly = from_mbasis(coeffs, N)
+        print(json.dumps(_poly_payload(poly)) if args.out == "json" else poly)
+        return 0
+    items = sorted(coeffs.items(), key=lambda kv: kv[0].sort_key(), reverse=True)
+    if args.out == "json":
+        print(json.dumps({"label": str(L), "N": N, "alpha": alpha, "basis": "m",
+                          "coeffs": {str(k): str(v) for k, v in items}}))
+    else:
+        print(head)
+        for om, c in items:
+            # the generic expansion leaves its unit coefficients implicit
+            print(f"  m[{om}]" if a0 is None and str(c) == "1"
+                  else f"  {c} * m[{om}]")
     return 0
 
 
@@ -255,8 +236,7 @@ def cmd_enumerate(args, conf) -> int:
             k, r = (int(v) for v in args.admissible.split(","))
         except ValueError as exc:
             raise UsageError("--admissible expects 'k,r'") from exc
-        labels = [L for L in enumerate_sparts(args.n, args.m, args.N)
-                  if is_admissible(L, k, r, args.N)]
+        labels = admissible_at_degree(k, r, args.N, args.n, args.m)
     else:
         labels = list(enumerate_sparts(args.n, args.m, args.N))
     if args.out == "json":
@@ -273,11 +253,7 @@ def cmd_pieri(args, conf) -> int:
     items = sorted(coeffs.items(), key=lambda kv: kv[0].sort_key(), reverse=True)
     a0 = _parse_alpha_flag(args.alpha)
     if a0 is not None:
-        try:
-            items = [(k, alpha_eval(v, a0)) for k, v in items]
-        except PoleError as exc:
-            _emit_error("PoleError", str(exc))
-            return 3
+        items = [(k, alpha_eval(v, a0)) for k, v in items]
     if args.out == "json":
         print(json.dumps({"upsilon": args.upsilon, "label": str(L),
                           "N": args.N,
@@ -335,12 +311,7 @@ def cmd_characters(args, conf) -> int:
 def cmd_cluster(args, conf) -> int:
     L = parse_spart(args.spart)
     cluster = tuple(int(v) for v in args.cluster.split(","))
-    try:
-        res = cluster_multiplicity(L, args.k, args.r, args.N, cluster,
-                                   args.primed)
-    except PoleError as exc:
-        _emit_error("PoleError", str(exc))
-        return 3
+    res = cluster_multiplicity(L, args.k, args.r, args.N, cluster, args.primed)
     payload = {"label": str(L), "k": args.k, "r": args.r, "N": args.N,
                "cluster": list(cluster), "primed": args.primed,
                "multiplicity": res.multiplicity, "a": res.a,
@@ -368,11 +339,7 @@ def cmd_verify(args, conf) -> int:
                 kwargs[p] = True
         elif v is not None:
             kwargs[p] = v
-    try:
-        ok, report = fn(**kwargs)
-    except PoleError as exc:
-        _emit_error("PoleError", str(exc))
-        return 3
+    ok, report = fn(**kwargs)
     if args.out == "json":
         print(json.dumps({"suite": args.suite, "ok": ok,
                           "report": _jsonable(report)}))

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 from .coeffring import FieldMatrix, NoSolution, solve_exact, UniqueSolution
 from .jack import jack_at
 from .ops import OPERATORS, L_op, operator
-from .spart import (SuperPartition, enumerate_all_m, enumerate_sparts,
+from .spart import (SuperPartition, enumerate_admissible, enumerate_sparts,
                     fermionic_range, is_admissible)
 from .superpoly import (SuperPolynomial, ferm_power, monomial_msym,
                         power_sum, prescribed_part, to_mbasis)
@@ -267,10 +267,9 @@ def char_I(k: int, r: int, N: int, nmax: int,
            allow_noncoprime: bool = False) -> CharacterSeries:
     """Admissible-label counts per bidegree."""
     table = {}
-    for n in range(nmax + 1):
-        for L in enumerate_all_m(n, N):
-            if is_admissible(L, k, r, N, allow_noncoprime=allow_noncoprime):
-                table[(n, L.m)] = table.get((n, L.m), 0) + 1
+    for L in enumerate_admissible(k, r, N, nmax,
+                                  allow_noncoprime=allow_noncoprime):
+        table[(L.n, L.m)] = table.get((L.n, L.m), 0) + 1
     return CharacterSeries(table, nmax)
 
 
@@ -439,28 +438,27 @@ def harness_clustering(k: int, r: int, N: int, nmax: int,
                        allow_noncoprime: bool = False) -> dict:
     """Sweep the multiplicity over admissible labels and log exceptions."""
     rows = []
-    for n in range(nmax + 1):
-        for m in fermionic_range(n, N)[1:]:
-            for L in admissible_at_degree(k, r, N, n, m,
-                                          allow_noncoprime=allow_noncoprime):
-                for cluster, primed in _representative_clusters(k, m, N):
-                    res = cluster_multiplicity(
-                        L, k, r, N, cluster, primed,
-                        allow_noncoprime=allow_noncoprime)
-                    if res.multiplicity is None:
-                        rows.append({"label": str(L), "cluster": cluster,
-                                     "primed": primed, "s": None,
-                                     "expected": None, "zero": True,
-                                     "exception": False})
-                        continue
-                    rows.append({
-                        "label": str(L), "cluster": cluster, "primed": primed,
-                        "s": res.multiplicity, "expected": res.expected,
-                        "zero": False,
-                        "exception": res.multiplicity != res.expected,
-                        "divides": res.multiplicity >= res.expected,
-                        "within_bounds": N >= k + m + 1 and r > m > 0,
-                    })
+    for L in enumerate_admissible(k, r, N, nmax,
+                                  allow_noncoprime=allow_noncoprime):
+        m = L.m
+        if not m:
+            continue
+        for cluster, primed in _representative_clusters(k, m, N):
+            res = cluster_multiplicity(L, k, r, N, cluster, primed,
+                                       allow_noncoprime=allow_noncoprime)
+            if res.multiplicity is None:
+                rows.append({"label": str(L), "cluster": cluster,
+                             "primed": primed, "s": None, "expected": None,
+                             "zero": True, "exception": False})
+                continue
+            rows.append({
+                "label": str(L), "cluster": cluster, "primed": primed,
+                "s": res.multiplicity, "expected": res.expected,
+                "zero": False,
+                "exception": res.multiplicity != res.expected,
+                "divides": res.multiplicity >= res.expected,
+                "within_bounds": N >= k + m + 1 and r > m > 0,
+            })
     exceptions = [row for row in rows if row.get("exception")]
     bad = [row for row in exceptions if row.get("within_bounds")]
     return {"k": k, "r": r, "N": N, "nmax": nmax, "rows": rows,

@@ -49,8 +49,13 @@ class JackExpansion:
     def polynomial(self) -> SuperPolynomial:
         return from_mbasis(self.coeffs, self.N)
 
-    def at(self, a0) -> SuperPolynomial:
-        """Specialize the deformation parameter; exact over Q."""
+    def coeffs_at(self, a0) -> dict[SuperPartition, Fraction]:
+        """The monomial-superbasis coefficients at the parameter a0, exact
+        over Q, with the zeros left out.
+
+        A coefficient with a pole at a0 raises PoleError carrying the
+        ``label``, the ``offending`` monomial and its ``coefficient``.
+        """
         a0 = Fraction(a0)
         numeric = {}
         for om, c in self.coeffs.items():
@@ -66,7 +71,11 @@ class JackExpansion:
                 raise err from exc
             if v:
                 numeric[om] = v
-        return from_mbasis(numeric, self.N)
+        return numeric
+
+    def at(self, a0) -> SuperPolynomial:
+        """Specialize the deformation parameter; exact over Q."""
+        return from_mbasis(self.coeffs_at(a0), self.N)
 
 
 @dataclass

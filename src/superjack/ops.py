@@ -123,8 +123,10 @@ def apply_D(f: SuperPolynomial, alpha) -> SuperPolynomial:
             _put(out, _diffdiff(divide_xdiff(D2, i, j), i, j), (j, i), xij)
     except DivisionFailure as exc:
         raise NonPolynomialResult(str(exc)) from exc
-    return _with_diagonal(out, f, lambda T, e: sum(k * (k - 1) for k in e),
-                          alpha * Fraction(1, 2))
+    # k (k - 1) is even: halving the weight keeps alpha free of a rational
+    # factor, which the Z[a] parameter cannot take
+    return _with_diagonal(out, f, lambda T, e: sum(k * (k - 1) for k in e) // 2,
+                          alpha)
 
 
 def apply_Delta(f: SuperPolynomial, alpha) -> SuperPolynomial:
@@ -466,12 +468,12 @@ def check_algebra_table(alpha, test_polys: Sequence[SuperPolynomial]) -> list[st
     return failures
 
 
-def check_virasoro_relations(alpha, test_polys: Sequence[SuperPolynomial],
-                             n_range=(-2, -1, 0, 1),
-                             r_range=(Fraction(-3, 2), Fraction(-1, 2),
-                                      Fraction(1, 2))) -> list[str]:
+def check_virasoro_relations(alpha, test_polys: Sequence[SuperPolynomial]
+                             ) -> list[str]:
     """Check the negative-half super-Virasoro relations and the bridge
     identities to the homogeneous generators."""
+    n_range = (-2, -1, 0, 1)
+    r_range = (Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2))
     failures = []
     for f in test_polys:
         N = f.N

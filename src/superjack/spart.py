@@ -180,9 +180,6 @@ class SuperPartition:
         return "(" + ",".join(parts) + ")"
 
 
-EMPTY = SuperPartition((), ())
-
-
 def parse_spart(text: str) -> SuperPartition:
     """Parse '3,1,0;5,3,3' or the circled display '(5o,4,3o,3,1o,0o,0)'."""
     t = text.strip()
@@ -266,13 +263,11 @@ def to_overpartition(L: SuperPartition) -> list[tuple[int, bool]]:
 
 @dataclass(frozen=True)
 class Move:
-    """One-cell modification of a superpartition diagram.
-
-    kind is one of 'add_circle', 'remove_circle', 'square_to_circle',
-    'circle_to_square'; cell is the marked cell, valid as a coordinate in
-    both the original and the modified diagram.
+    """One-cell modification of a superpartition diagram (adding or removing
+    a circle, turning a square into a circle or back); cell is the marked
+    cell, valid as a coordinate in both the original and the modified
+    diagram.
     """
-    kind: str
     result: SuperPartition
     cell: Cell
 
@@ -295,7 +290,7 @@ def add_circle_moves(L: SuperPartition, N: Optional[int] = None) -> list[Move]:
         if N is not None and res.length > N:
             continue
         i = sum(1 for p in star if p > v) + 1
-        moves.append(Move("add_circle", res, (i, v + 1)))
+        moves.append(Move(res, (i, v + 1)))
     return moves
 
 
@@ -307,7 +302,7 @@ def remove_circle_moves(L: SuperPartition) -> list[Move]:
         sym = tuple(sorted(L.sym + (v,), reverse=True)) if v else L.sym
         res = SuperPartition(anti, sym)
         i = sum(1 for p in star if p > v) + 1
-        moves.append(Move("remove_circle", res, (i, v + 1)))
+        moves.append(Move(res, (i, v + 1)))
     return moves
 
 
@@ -321,7 +316,7 @@ def square_to_circle_moves(L: SuperPartition) -> list[Move]:
         sym = _without_one(L.sym, s)
         res = SuperPartition(anti, sym)
         i = sum(1 for p in star if p >= s)
-        moves.append(Move("square_to_circle", res, (i, s)))
+        moves.append(Move(res, (i, s)))
     return moves
 
 
@@ -333,7 +328,7 @@ def circle_to_square_moves(L: SuperPartition) -> list[Move]:
         sym = tuple(sorted(L.sym + (v + 1,), reverse=True))
         res = SuperPartition(anti, sym)
         i = sum(1 for p in star if p > v) + 1
-        moves.append(Move("circle_to_square", res, (i, v + 1)))
+        moves.append(Move(res, (i, v + 1)))
     return moves
 
 

@@ -14,9 +14,9 @@ from .jack import (duality_check, jack_at, jack_poly, norm_gram, norm_hook,
                    pieri_check, PIERI_KINDS)
 from .ops import (check_algebra_table, check_virasoro_relations,
                   sekiguchi_S, sekiguchi_S_tilde, ulist_equals_scalar_multiple)
-from .spart import (almost_admissible_variants, enumerate_all_m,
-                    enumerate_sparts, epsilon_u, fermionic_range,
-                    is_admissible, star_pair)
+from .spart import (almost_admissible_variants, enumerate_admissible,
+                    enumerate_all_m, enumerate_sparts, epsilon_u,
+                    fermionic_range, star_pair)
 from .superpoly import integral_multiple, monomial_msym
 
 
@@ -50,28 +50,26 @@ def suite_sekiguchi(nmax: int, N: int, mmax: int = 2) -> tuple[bool, dict]:
     return not failures, {"checked": count, "failures": failures}
 
 
-def suite_norm(nmax: int) -> tuple[bool, dict]:
+def _small_labels_sweep(nmax: int, check) -> tuple[bool, dict]:
+    """check(L, N) over every label of degree n <= nmax in N = max(n+m, 1)."""
     failures = []
     count = 0
     for n in range(nmax + 1):
         for m in fermionic_range(n, n + 1):
-            for L in enumerate_sparts(n, m, n + m if n + m else 1):
+            N = max(n + m, 1)
+            for L in enumerate_sparts(n, m, N):
                 count += 1
-                if norm_hook(L) != norm_gram(L, max(n + m, 1)):
+                if not check(L, N):
                     failures.append(str(L))
     return not failures, {"checked": count, "failures": failures}
+
+
+def suite_norm(nmax: int) -> tuple[bool, dict]:
+    return _small_labels_sweep(nmax, lambda L, N: norm_hook(L) == norm_gram(L, N))
 
 
 def suite_duality(nmax: int) -> tuple[bool, dict]:
-    failures = []
-    count = 0
-    for n in range(nmax + 1):
-        for m in fermionic_range(n, n + 1):
-            for L in enumerate_sparts(n, m, n + m if n + m else 1):
-                count += 1
-                if not duality_check(L, max(n + m, 1)):
-                    failures.append(str(L))
-    return not failures, {"checked": count, "failures": failures}
+    return _small_labels_sweep(nmax, duality_check)
 
 
 def suite_pieri(nmax: int, N: int, mmax: int = 2) -> tuple[bool, dict]:
@@ -95,17 +93,13 @@ def suite_vanishing(k: int, r: int, N: int, nmax: int) -> tuple[bool, dict]:
     if N < k + 1:
         return True, {"checked": 0, "failures": [], "skipped": "N < k+1"}
     failures = []
-    count = 0
-    for n in range(nmax + 1):
-        for L in enumerate_all_m(n, N):
-            if not is_admissible(L, k, r, N):
-                continue
-            count += 1
-            if not vanish_check(L, k, r, N):
-                failures.append(("full", str(L)))
-            if r > L.m and not prescribed_vanish_check(L, k, r, N):
-                failures.append(("prescribed", str(L)))
-    return not failures, {"checked": count, "failures": failures}
+    labels = enumerate_admissible(k, r, N, nmax)
+    for L in labels:
+        if not vanish_check(L, k, r, N):
+            failures.append(("full", str(L)))
+        if r > L.m and not prescribed_vanish_check(L, k, r, N):
+            failures.append(("prescribed", str(L)))
+    return not failures, {"checked": len(labels), "failures": failures}
 
 
 def suite_regularity(k: int, r: int, N: int, nmax: int,
@@ -115,25 +109,21 @@ def suite_regularity(k: int, r: int, N: int, nmax: int,
     a0 = alpha_kr(k, r)
     poles = []
     seen = set()
-    count = 0
-    for n in range(nmax + 1):
-        for L in enumerate_all_m(n, N):
-            if not is_admissible(L, k, r, N, allow_noncoprime=allow_noncoprime):
+    for L in enumerate_admissible(k, r, N, nmax,
+                                  allow_noncoprime=allow_noncoprime):
+        todo = [L]
+        if include_almost:
+            todo += almost_admissible_variants(
+                L, k, r, N, allow_noncoprime=allow_noncoprime)
+        for V in todo:
+            if V in seen:
                 continue
-            todo = [L]
-            if include_almost:
-                todo += almost_admissible_variants(
-                    L, k, r, N, allow_noncoprime=allow_noncoprime)
-            for V in todo:
-                if V in seen:
-                    continue
-                seen.add(V)
-                count += 1
-                try:
-                    jack_at(V, N, a0)
-                except PoleError:
-                    poles.append(str(V))
-    return not poles, {"checked": count, "poles": poles}
+            seen.add(V)
+            try:
+                jack_at(V, N, a0)
+            except PoleError:
+                poles.append(str(V))
+    return not poles, {"checked": len(seen), "poles": poles}
 
 
 def suite_cochain(k: int, r: int, N: int, nmax: int, d: str = "q") -> tuple[bool, dict]:

@@ -59,12 +59,6 @@ class SuperPolynomial:
     def theta(i: int, N: int) -> "SuperPolynomial":
         return SuperPolynomial(N, {((i,), (0,) * N): 1})
 
-    @staticmethod
-    def constant(c, N: int) -> "SuperPolynomial":
-        if not c:
-            return SuperPolynomial(N)
-        return SuperPolynomial(N, {((), (0,) * N): c})
-
     def copy(self) -> "SuperPolynomial":
         return SuperPolynomial(self.N, dict(self.terms))
 

@@ -1,12 +1,14 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from superjack import cli
 from superjack.cli import cache_load, cache_store, dispatch
-from superjack.coeffring import parse_alpha
+from superjack.coeffring import PoleError, parse_alpha
 from superjack.jack import DegenerateSystem, jack_symbolic, _JACK_CACHE
 from superjack.spart import parse_spart
+from superjack.superpoly import terms_to_json, to_mbasis
 
 
 def run(capsys, *argv):
@@ -47,6 +49,50 @@ def test_compute_pole_exit_code(capsys):
     assert code == 3
     payload = json.loads(err.strip().splitlines()[-1])
     assert payload["error"] == "PoleError"
+
+
+def _compute_by_orbit_round_trip(L, N, a0, basis, out):
+    """`jack compute` output rebuilt from to_mbasis(expansion.at(a0))."""
+    expansion = jack_symbolic(L, N)
+    if a0 is None:
+        coeffs, poly = expansion.coeffs, expansion.polynomial()
+    else:
+        poly = expansion.at(a0)
+        coeffs = to_mbasis(poly, verify=False)
+    if basis == "vars":
+        text = (json.dumps({"N": N, "terms": terms_to_json(poly)})
+                if out == "json" else str(poly))
+        return text + "\n"
+    items = sorted(coeffs.items(), key=lambda kv: kv[0].sort_key(), reverse=True)
+    if out == "json":
+        return json.dumps({"label": str(L), "N": N,
+                           "alpha": "sym" if a0 is None else str(a0),
+                           "basis": "m",
+                           "coeffs": {str(k): str(v) for k, v in items}}) + "\n"
+    head = f"P[{L}] (N={N})" if a0 is None else f"P[{L}] (N={N}, alpha={a0})"
+    lines = [head + " ="] + [
+        f"  m[{om}]" if a0 is None and str(c) == "1" else f"  {c} * m[{om}]"
+        for om, c in items]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("out", ["json", "pretty"])
+@pytest.mark.parametrize("basis", ["m", "vars"])
+@pytest.mark.parametrize("alpha", ["sym", "-2", "-1"])
+def test_compute_matches_orbit_round_trip(capsys, alpha, basis, out):
+    L, N = parse_spart("1;2"), 3
+    a0 = None if alpha == "sym" else Fraction(alpha)
+    code, got, err = run(capsys, "compute", "--spart", str(L), "--N", str(N),
+                         "--alpha", alpha, "--basis", basis, "--out", out)
+    try:
+        want = _compute_by_orbit_round_trip(L, N, a0, basis, out)
+    except PoleError as exc:  # -1 is a pole of this label
+        assert (code, got) == (3, "")
+        assert json.loads(err) == {"error": "PoleError", "message": str(exc),
+                                   "label": str(L), "N": N, "alpha": alpha}
+        return
+    assert alpha != "-1"
+    assert (code, got, err) == (0, want, "")
 
 
 def test_usage_errors(capsys):

@@ -98,6 +98,28 @@ def test_jack_at_pole():
     assert info.value.offending == parse_spart(";1,1,1")
 
 
+@pytest.mark.parametrize("a0", [Fraction(-2), Fraction(-1, 2), Fraction(3, 2),
+                                Fraction(-1)], ids=str)
+def test_coeffs_at_matches_orbit_round_trip(a0):
+    # the specialized coordinates against the expanded polynomial read back
+    poles = 0
+    for N in range(1, 5):
+        for n in range(5):
+            for L in enumerate_all_m(n, N):
+                expansion = jack_symbolic(L, N)
+                try:
+                    got = expansion.coeffs_at(a0)
+                except PoleError as exc:
+                    with pytest.raises(PoleError) as info:
+                        to_mbasis(expansion.at(a0))
+                    assert info.value.offending == exc.offending, str(L)
+                    poles += 1
+                    continue
+                assert got == to_mbasis(expansion.at(a0)), str(L)
+                assert all(got.values())
+    assert (poles > 0) == (a0 < 0), poles
+
+
 def test_admissible_regularity_sample():
     from superjack.spart import is_admissible
     for k, r, N in [(1, 2, 3), (2, 3, 3)]:

@@ -567,16 +567,19 @@ def test_divide_xdiff_matches_oracle(case):
         assert got == q
 
 
-@pytest.mark.parametrize("name", ["Q", "E", "nabla_perp"])
+@pytest.mark.parametrize("name", ["Q", "E", "nabla_perp", "D", "Delta"])
 def test_integral_parameter_matches_rational(name):
-    # n / a for the Z[a] generator is the Q(a) element n / a
+    # n / a for the Z[a] generator is the Q(a) element n / a; D and Delta
+    # keep integral inputs in Z[a]
     gen = AlphaPolynomial.gen()
-    polys = [SuperPolynomial.x(1, 2), monomial_msym(parse_spart("1;1"), 2),
+    polys = [monomial_msym(parse_spart("1;1"), 2),
              monomial_msym(parse_spart("1,0;2"), 3),
              integral_multiple(jack_poly(parse_spart("0;2,1"), 3))]
+    if name not in ("D", "Delta"):  # both need symmetric input
+        polys.append(SuperPolynomial.x(1, 2))
     for f in polys:
         got = ops.operator(name)(f, gen)
         want = ops.operator(name)(f, ALPHA)
         assert got.terms == want.terms, str(f)
-        assert all(isinstance(c, (int, Fraction, AlphaRational))
+        assert all(isinstance(c, (int, Fraction, AlphaPolynomial, AlphaRational))
                    for c in got.terms.values())
