@@ -17,12 +17,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from .coeffring import ALPHA, AlphaRational, PoleError, alpha_eval, parse_alpha
-from .ideals import (admissible_at_degree, char_F, char_I,
-                     cluster_multiplicity)
+from .ideals import char_F, char_I, cluster_multiplicity
 from .jack import (PIERI_KINDS, JackExpansion, eigen_check, jack_symbolic,
                    pieri_closed, _JACK_CACHE)
 from .ops import NonPolynomialResult, apply_operator
-from .spart import SuperPartition, enumerate_sparts, parse_spart
+from .spart import (SuperPartition, admissible_at_degree, enumerate_sparts,
+                    parse_spart)
 from .superpoly import SuperPolynomial, from_mbasis, terms_to_json
 from .suites import SUITES
 

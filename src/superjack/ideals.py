@@ -16,8 +16,8 @@ from typing import Callable, Optional, Sequence
 from .coeffring import FieldMatrix, NoSolution, solve_exact, UniqueSolution
 from .jack import jack_at
 from .ops import OPERATORS, L_op, operator
-from .spart import (SuperPartition, enumerate_admissible, enumerate_sparts,
-                    fermionic_range, is_admissible)
+from .spart import (SuperPartition, admissible_at_degree, enumerate_admissible,
+                    enumerate_sparts, fermionic_range)
 from .superpoly import (SuperPolynomial, ferm_power, monomial_msym,
                         power_sum, prescribed_part, to_mbasis)
 
@@ -47,12 +47,6 @@ class GradedBasis:
 
     def at(self, n: int, m: int):
         return self.by_degree.get((n, m), [])
-
-
-def admissible_at_degree(k: int, r: int, N: int, n: int, m: int,
-                         allow_noncoprime: bool = False) -> list[SuperPartition]:
-    return [L for L in enumerate_sparts(n, m, N)
-            if is_admissible(L, k, r, N, allow_noncoprime=allow_noncoprime)]
 
 
 class DegreeBasis(tuple):
@@ -438,11 +432,10 @@ def harness_clustering(k: int, r: int, N: int, nmax: int,
                        allow_noncoprime: bool = False) -> dict:
     """Sweep the multiplicity over admissible labels and log exceptions."""
     rows = []
-    for L in enumerate_admissible(k, r, N, nmax,
-                                  allow_noncoprime=allow_noncoprime):
+    labels = (L for n in range(nmax + 1) for m in fermionic_range(n, N)[1:]
+              for L in admissible_at_degree(k, r, N, n, m, allow_noncoprime))
+    for L in labels:
         m = L.m
-        if not m:
-            continue
         for cluster, primed in _representative_clusters(k, m, N):
             res = cluster_multiplicity(L, k, r, N, cluster, primed,
                                        allow_noncoprime=allow_noncoprime)

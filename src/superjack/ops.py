@@ -35,12 +35,16 @@ class NonPolynomialResult(ArithmeticError):
     """Exact division failed: the input is outside the operator's domain."""
 
 
+def _field(alpha):
+    """alpha in a field holding Q: an element of Z[a] is taken in Q(a), so it
+    can meet Fraction coefficients and divide."""
+    return AlphaRational(alpha) if isinstance(alpha, AlphaPolynomial) else alpha
+
+
 def _over(n: int, alpha):
     """Exact n / alpha, for alpha an int, a Fraction or an element of Z[a] or
-    Q(a); the quotient by an element of Z[a] is taken in Q(a)."""
-    if isinstance(alpha, AlphaPolynomial):
-        alpha = AlphaRational(alpha)
-    return Fraction(n) / alpha
+    Q(a)."""
+    return Fraction(n) / _field(alpha)
 
 
 def _diffdiff(f: SuperPolynomial, i: int, j: int, out=None) -> SuperPolynomial:
@@ -86,6 +90,7 @@ def _with_diagonal(out: dict, f: SuperPolynomial, weight: Callable,
     """Add scalar * weight(T, e) * c at the key of each term c of f, then drop
     zeros.  Each distinct c * weight is multiplied by scalar once, and only
     after the exchange sums in out are complete, so those stay in f's ring."""
+    scalar = _field(scalar)
     products: dict = {}
     for key, c in f.terms.items():
         w = weight(*key)
@@ -123,8 +128,7 @@ def apply_D(f: SuperPolynomial, alpha) -> SuperPolynomial:
             _put(out, _diffdiff(divide_xdiff(D2, i, j), i, j), (j, i), xij)
     except DivisionFailure as exc:
         raise NonPolynomialResult(str(exc)) from exc
-    # k (k - 1) is even: halving the weight keeps alpha free of a rational
-    # factor, which the Z[a] parameter cannot take
+    # k (k - 1) is even, so the halved weight stays an integer
     return _with_diagonal(out, f, lambda T, e: sum(k * (k - 1) for k in e) // 2,
                           alpha)
 

@@ -376,14 +376,16 @@ def enumerate_all_m(n: int, N: int) -> list[SuperPartition]:
     return [L for m in fermionic_range(n, N) for L in enumerate_sparts(n, m, N)]
 
 
+def admissible_at_degree(k: int, r: int, N: int, n: int, m: int,
+                         allow_noncoprime: bool = False) -> list[SuperPartition]:
+    return [L for L in enumerate_sparts(n, m, N)
+            if is_admissible(L, k, r, N, allow_noncoprime=allow_noncoprime)]
+
+
 def enumerate_admissible(k: int, r: int, N: int, nmax: int,
                          allow_noncoprime: bool = False) -> list[SuperPartition]:
-    out = []
-    for n in range(nmax + 1):
-        for L in enumerate_all_m(n, N):
-            if is_admissible(L, k, r, N, allow_noncoprime=allow_noncoprime):
-                out.append(L)
-    return out
+    return [L for n in range(nmax + 1) for m in fermionic_range(n, N)
+            for L in admissible_at_degree(k, r, N, n, m, allow_noncoprime)]
 
 
 # ---------------------------------------------------------------------------

@@ -569,17 +569,20 @@ def test_divide_xdiff_matches_oracle(case):
 
 @pytest.mark.parametrize("name", ["Q", "E", "nabla_perp", "D", "Delta"])
 def test_integral_parameter_matches_rational(name):
-    # n / a for the Z[a] generator is the Q(a) element n / a; D and Delta
-    # keep integral inputs in Z[a]
+    # the Z[a] generator is taken in Q(a), so it meets Fraction coefficients
+    # and gives n / a; the exchange terms of D and Delta keep the Z[a]
+    # coefficients of an integral input
     gen = AlphaPolynomial.gen()
+    ring = (int, Fraction, AlphaRational) + (
+        (AlphaPolynomial,) if name in ("D", "Delta") else ())
     polys = [monomial_msym(parse_spart("1;1"), 2),
-             monomial_msym(parse_spart("1,0;2"), 3),
-             integral_multiple(jack_poly(parse_spart("0;2,1"), 3))]
+             monomial_msym(parse_spart("1,0;2"), 3).scale(Fraction(1, 2)),
+             integral_multiple(jack_poly(parse_spart("0;2,1"), 3)),
+             jack_at(parse_spart("1;2"), 3, Fraction(-3, 2))]
     if name not in ("D", "Delta"):  # both need symmetric input
         polys.append(SuperPolynomial.x(1, 2))
     for f in polys:
         got = ops.operator(name)(f, gen)
         want = ops.operator(name)(f, ALPHA)
         assert got.terms == want.terms, str(f)
-        assert all(isinstance(c, (int, Fraction, AlphaPolynomial, AlphaRational))
-                   for c in got.terms.values())
+        assert all(isinstance(c, ring) for c in got.terms.values())
