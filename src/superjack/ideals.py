@@ -16,8 +16,8 @@ from typing import Callable, Optional, Sequence
 from .coeffring import FieldMatrix, NoSolution, solve_exact, UniqueSolution
 from .jack import jack_at
 from .ops import OPERATORS, L_op, operator
-from .spart import (SuperPartition, admissible_at_degree, enumerate_admissible,
-                    enumerate_sparts, fermionic_range)
+from .spart import (SuperPartition, admissible_at_degree, check_kr,
+                    enumerate_admissible, enumerate_sparts, fermionic_range)
 from .superpoly import (SuperPolynomial, ferm_power, monomial_msym,
                         power_sum, prescribed_part, to_mbasis)
 
@@ -325,6 +325,7 @@ def cluster_multiplicity(L: SuperPartition, k: int, r: int, N: int,
                          cluster: Sequence[int], primed: int,
                          allow_noncoprime: bool = False) -> ClusterResult:
     """Order of vanishing in (x - x') with the cluster merged to x' + t."""
+    check_kr(k, r, allow_noncoprime)
     cluster = tuple(cluster)
     if primed in cluster or len(set(cluster)) != len(cluster):
         raise ValueError("cluster indices must be distinct and avoid primed")

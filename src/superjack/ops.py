@@ -2,19 +2,20 @@
 operators, the Sekiguchi pair, the sl(1|2) generators and the negative half
 of the super-Virasoro algebra.
 
-No rational function is ever materialized.  D and Delta realize their
-exchange terms with an (x_i - x_j) denominator through exact polynomial
-division, and write each image into one term dict: every quotient gets its
-thetas and x shift as it is written, and the diagonal parts are closed
-per-term weights, scaled by the parameter once per distinct value.  The
-Cherednik operators expand each quotient as the closed geometric sum
-(x_i^a x_j^b - x_i^b x_j^a) / (x_i - x_j).  The two eigenoperators require
-input invariant under each diagonal transposition (symmetric
-superpolynomials).  `apply_operator`, the entry point for outside input,
-checks this and raises NonPolynomialResult otherwise.  `apply_D` and
-`apply_Delta` trust their callers: a failed division still raises, but Delta
-divides only terms with exactly one of theta_i, theta_j, so it passes most
-non-symmetric input without notice.
+No rational function is ever materialized.  D and Delta require symmetric
+input.  They realize the exchange terms of the pair (1, 2), with their
+(x_1 - x_2) denominator, through exact polynomial division, and write that
+image into one term dict.  Every other pair (i, j) gets the same image
+relabeled: the exchange of (i, j) is K_sigma (exchange of (1, 2)) K_sigma^-1
+for any sigma with sigma(1) = i and sigma(2) = j, and K_sigma fixes a
+symmetric input.  The diagonal parts are closed per-term weights, scaled by
+the parameter once per distinct value.  Only the (1, 2) division is
+checked, so `apply_D` and `apply_Delta` trust their callers: input that is
+invariant under K_12 but not symmetric gets a wrong image, not an error.
+`apply_operator`, the entry point for outside input, is the trust
+boundary: it checks symmetry and raises NonPolynomialResult otherwise.  The
+Cherednik operators, defined on all input, expand each quotient as the
+closed geometric sum (x_i^a x_j^b - x_i^b x_j^a) / (x_i - x_j).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .coeffring import AlphaPolynomial, AlphaRational
 from .superpoly import (DivisionFailure, SuperPolynomial, divide_xdiff,
-                        pair_decompose, power_sum, ferm_power)
+                        pair_decompose, permute_into, power_sum, ferm_power)
 
 UList = list  # list of SuperPolynomial, coefficient of u^k at index k
 
@@ -104,53 +105,73 @@ def _with_diagonal(out: dict, f: SuperPolynomial, weight: Callable,
     return SuperPolynomial(f.N, {k: c for k, c in out.items() if c})
 
 
-def apply_D(f: SuperPolynomial, alpha) -> SuperPolynomial:
-    """Quadratic eigenoperator; input must be pairwise diagonal-invariant.
+def _add_to_every_pair(out: dict, img: dict, N: int) -> None:
+    """out += K_sigma img for each pair i < j, sigma = (i, j, rest increasing),
+    img the (1, 2) exchange image of a symmetric f: K_sigma conjugates the
+    (1, 2) exchange into the (i, j) one and fixes f."""
+    for i, j in combinations(range(1, N + 1), 2):
+        permute_into(out, img, (i, j) + tuple(
+            k for k in range(1, N + 1) if k not in (i, j)))
 
-    Per pair (i, j), with f = A + theta_i B + theta_j C + theta_i theta_j D,
-    the exchange part is x_i x_j (r0 + theta_i rB + theta_j rC
-    + theta_i theta_j (d_i - d_j) sD), each r an exact quotient by x_i - x_j;
-    the diagonal sum_i x_i^2 d_i^2 weighs a term by sum_i e_i (e_i - 1).
+
+def apply_D(f: SuperPolynomial, alpha) -> SuperPolynomial:
+    """Quadratic eigenoperator on a symmetric f.
+
+    For the pair (1, 2), with f = A + theta_1 B + theta_2 C
+    + theta_1 theta_2 D, the exchange part is x_1 x_2 (r0 + theta_1 rB
+    + theta_2 rC + theta_1 theta_2 (d_1 - d_2) sD), each r an exact quotient
+    by x_1 - x_2; every other pair's exchange part is that image relabeled.
+    The diagonal sum_i x_i^2 d_i^2 weighs a term by sum_i e_i (e_i - 1).
+    Only the (1, 2) divisions are checked, so an f that is invariant under
+    K_12 but not symmetric gets a wrong image instead of an error:
+    `apply_operator` checks symmetry first.
     """
     N = f.N
-    out: dict = {}
-    try:
-        for i, j in combinations(range(1, N + 1), 2):
-            xij = (i - 1, j - 1)
-            A, B, C, D2 = pair_decompose(f, i, j)
-            s_bc = divide_xdiff(B - C, i, j)
+    img: dict = {}
+    if N > 1:
+        try:
+            A, B, C, D2 = pair_decompose(f, 1, 2)
+            s_bc = divide_xdiff(B - C, 1, 2)
             minus_s = {key: -c for key, c in s_bc.terms.items()}
-            _put(out, divide_xdiff(_diffdiff(A, i, j), i, j), (), xij)
-            _put(out, divide_xdiff(_diffdiff(B, i, j, minus_s), i, j),
-                 (i,), xij)
-            _put(out, divide_xdiff(_diffdiff(C, i, j, dict(s_bc.terms)), i, j),
-                 (j,), xij)
-            _put(out, _diffdiff(divide_xdiff(D2, i, j), i, j), (j, i), xij)
-    except DivisionFailure as exc:
-        raise NonPolynomialResult(str(exc)) from exc
+            _put(img, divide_xdiff(_diffdiff(A, 1, 2), 1, 2), (), (0, 1))
+            _put(img, divide_xdiff(_diffdiff(B, 1, 2, minus_s), 1, 2),
+                 (1,), (0, 1))
+            _put(img, divide_xdiff(_diffdiff(C, 1, 2, dict(s_bc.terms)), 1, 2),
+                 (2,), (0, 1))
+            _put(img, _diffdiff(divide_xdiff(D2, 1, 2), 1, 2), (2, 1), (0, 1))
+        except DivisionFailure as exc:
+            raise NonPolynomialResult(str(exc)) from exc
+    out: dict = {}
+    _add_to_every_pair(out, img, N)
     # k (k - 1) is even, so the halved weight stays an integer
     return _with_diagonal(out, f, lambda T, e: sum(k * (k - 1) for k in e) // 2,
                           alpha)
 
 
 def apply_Delta(f: SuperPolynomial, alpha) -> SuperPolynomial:
-    """Fermionic eigenoperator lifting the degeneracy of the quadratic one.
+    """Fermionic eigenoperator lifting the degeneracy of the quadratic one,
+    on a symmetric f.
 
-    Per pair the exchange part is (x_i theta_j + x_j theta_i) (B - C)/(x_i - x_j)
-    - theta_i theta_j D, in the notation of apply_D; the diagonal
+    For the pair (1, 2) the exchange part is (x_1 theta_2 + x_2 theta_1)
+    (B - C)/(x_1 - x_2) - theta_1 theta_2 D, in the notation of apply_D, and
+    every other pair's is that image relabeled; the diagonal
     sum_i theta_i x_i d_{x_i} d_{theta_i} weighs a term by sum_{i in T} e_i.
+    Only B - C is divided, so most non-symmetric input passes without
+    notice: `apply_operator` checks symmetry first.
     """
     N = f.N
+    img: dict = {}
+    if N > 1:
+        _, B, C, D2 = pair_decompose(f, 1, 2)
+        try:
+            s_bc = divide_xdiff(B - C, 1, 2)
+        except DivisionFailure as exc:
+            raise NonPolynomialResult(str(exc)) from exc
+        _put(img, s_bc, (2,), (0,))
+        _put(img, s_bc, (1,), (1,))
+        _put(img, -D2, (2, 1), ())
     out: dict = {}
-    try:
-        for i, j in combinations(range(1, N + 1), 2):
-            _, B, C, D2 = pair_decompose(f, i, j)
-            s_bc = divide_xdiff(B - C, i, j)
-            _put(out, s_bc, (j,), (i - 1,))
-            _put(out, s_bc, (i,), (j - 1,))
-            _put(out, -D2, (j, i), ())
-    except DivisionFailure as exc:
-        raise NonPolynomialResult(str(exc)) from exc
+    _add_to_every_pair(out, img, N)
     return _with_diagonal(out, f, lambda T, e: sum(e[t - 1] for t in T), alpha)
 
 

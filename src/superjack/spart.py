@@ -236,13 +236,19 @@ def dominance_leq(O: SuperPartition, L: SuperPartition) -> bool:
             and partition_dominates(L.circled, O.circled))
 
 
-def is_admissible(L: SuperPartition, k: int, r: int, N: int,
-                  allow_noncoprime: bool = False) -> bool:
-    """Admissibility: circled[i] - starred[i+k] >= r for 1 <= i <= N-k."""
+def check_kr(k: int, r: int, allow_noncoprime: bool = False) -> None:
+    """Raise ValueError outside k >= 1, r >= 2 and, unless allowed,
+    gcd(k+1, r-1) = 1."""
     if k < 1 or r < 2:
         raise ValueError("need k >= 1 and r >= 2")
     if not allow_noncoprime and math.gcd(k + 1, r - 1) != 1:
         raise ValueError(f"k+1={k + 1} and r-1={r - 1} are not coprime")
+
+
+def is_admissible(L: SuperPartition, k: int, r: int, N: int,
+                  allow_noncoprime: bool = False) -> bool:
+    """Admissibility: circled[i] - starred[i+k] >= r for 1 <= i <= N-k."""
+    check_kr(k, r, allow_noncoprime)
     circ, star = star_pair(L, N)
     return all(circ[i] - star[i + k] >= r for i in range(N - k))
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .coeffring import (FieldMatrix, UniqueSolution, clear_denominators,
@@ -181,14 +182,9 @@ class SuperPolynomial:
     # -- symmetric group action ----------------------------------------------
     def act_Ksigma(self, sigma: Sequence[int]) -> "SuperPolynomial":
         """Diagonal action on x and theta together."""
-        inv = _invert(sigma)
-        out = SuperPolynomial(self.N)
-        for (T, e), c in self.terms.items():
-            e2 = tuple(e[inv[p - 1] - 1] for p in range(1, self.N + 1))
-            imgs = [sigma[t - 1] for t in T]
-            sign = _sort_sign(imgs)
-            out._iadd_term((tuple(sorted(imgs)), e2), c if sign > 0 else -c)
-        return out
+        out: dict = {}
+        permute_into(out, self.terms, sigma)
+        return SuperPolynomial(self.N, out)
 
     def swap_K(self, i: int, j: int) -> "SuperPolynomial":
         """Exchange the commuting variables x_i and x_j only."""
@@ -399,6 +395,33 @@ def _invert(sigma: Sequence[int]) -> list[int]:
     for i, s in enumerate(sigma, start=1):
         inv[s - 1] = i
     return inv
+
+
+def permute_into(out: dict, terms: dict, sigma: Sequence[int]) -> None:
+    """out += K_sigma of the term dict, zero terms skipped: K_sigma sends
+    x_k to x_sigma(k) and theta_k to theta_sigma(k).
+
+    Exponent tuples are permuted by sigma^-1.  Each distinct theta tuple is
+    mapped through sigma and re-sorted, with the sign of that sort, once.
+    """
+    where = [s - 1 for s in _invert(sigma)]
+    # itemgetter of a single index returns the bare item, not a 1-tuple
+    pull = itemgetter(*where) if len(where) > 1 else tuple
+    get = out.get
+    thetas: dict = {}
+    for (T, e), c in terms.items():
+        if not c:
+            continue
+        hit = thetas.get(T)
+        if hit is None:
+            mapped = [sigma[t - 1] for t in T]
+            hit = thetas[T] = (tuple(sorted(mapped)), _sort_sign(mapped))
+        T2, sign = hit
+        if sign < 0:
+            c = -c
+        key = (T2, pull(e))
+        cur = get(key)
+        out[key] = c if cur is None else cur + c
 
 
 # ---------------------------------------------------------------------------

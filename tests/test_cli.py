@@ -158,6 +158,15 @@ def test_cluster_vanishing_polynomial_exit_code(capsys):
     assert not payload["matches"]
 
 
+def test_cluster_noncoprime_exit_code(capsys):
+    # gcd(k+1, r-1) = 2: outside the theorem, rejected as jack verify does
+    code, out, err = run(capsys, "cluster", "--spart", ";2", "--k", "1",
+                         "--r", "3", "--N", "3", "--cluster", "1,2",
+                         "--primed", "3", "--out", "json")
+    assert code == 2 and out == ""
+    assert json.loads(err.strip())["error"] == "UsageError"
+
+
 def test_op_apply(capsys, tmp_path):
     poly = {"N": 2, "terms": [
         {"thetas": [], "exps": [1, 0], "coeff": "1"},
@@ -195,6 +204,19 @@ def test_op_apply_nonsymmetric_input_exit_code(capsys, tmp_path):
         code, _, err = run(capsys, "op", "apply", "--name", name, "--alpha",
                            "sym", "--input", _write_x1_squared(tmp_path))
         assert code == 2
+        assert json.loads(err.strip())["error"] == "NonPolynomialResult"
+
+
+def test_op_apply_k12_invariant_input_exit_code(capsys, tmp_path):
+    # x1*x2 in 3 variables passes the (1, 2) divisions D and Delta make, so
+    # only the symmetry check stands between it and a wrong image
+    path = tmp_path / "x1x2.json"
+    path.write_text(json.dumps({"N": 3, "terms": [
+        {"thetas": [], "exps": [1, 1, 0], "coeff": "1"}]}))
+    for name in ("D", "Delta"):
+        code, out, err = run(capsys, "op", "apply", "--name", name,
+                             "--alpha", "sym", "--input", str(path))
+        assert code == 2 and out == ""
         assert json.loads(err.strip())["error"] == "NonPolynomialResult"
 
 

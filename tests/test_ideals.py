@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from superjack import ideals
-from superjack.coeffring import FieldMatrix, NoSolution, UniqueSolution
+from superjack.coeffring import (FieldMatrix, NoSolution, PoleError,
+                                 UniqueSolution)
 from superjack.ideals import (CharacterSeries, NotInSpan, alpha_kr,
                               cluster_multiplicity, cochain_check,
                               degree_basis, dim_F, harness_clustering,
@@ -224,6 +225,15 @@ def test_cluster_vanishing_polynomial():
 def test_cluster_input_validation():
     with pytest.raises(ValueError):
         cluster_multiplicity(parse_spart(";4,2"), 2, 3, 3, (1, 2), 1)
+
+
+def test_cluster_reads_allow_noncoprime():
+    # gcd(k+1, r-1) = 2: rejected unless asked for; then a = -1 is a pole
+    L = parse_spart(";2")
+    with pytest.raises(ValueError, match="not coprime"):
+        cluster_multiplicity(L, 1, 3, 3, (1, 2), 3)
+    with pytest.raises(PoleError):
+        cluster_multiplicity(L, 1, 3, 3, (1, 2), 3, allow_noncoprime=True)
 
 
 def test_cochain_q_and_qtilde():

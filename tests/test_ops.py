@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from superjack.coeffring import ALPHA, AlphaPolynomial, AlphaRational
-from superjack import ops
+from superjack import ops, superpoly
 from superjack.ops import (ALGEBRA_TABLE, OPERATORS, G_op, L_op,
                            NonPolynomialResult, apply_D, apply_Delta,
                            apply_operator, check_algebra_table,
@@ -501,15 +501,71 @@ def _both_routes(f, alpha):
         assert all(got.terms.values())
 
 
-def test_eigenoperators_match_oracle_on_every_small_monomial():
-    # all 330 monomials with n <= 5 and N <= 5, over Q(a)
-    count = 0
-    for N in range(1, 6):
-        for n in range(6):
+def _small_monomials():
+    """(L, N) for all 330 labels with n <= 5 and N <= 5, then the 58 with
+    n <= 4 and N = 6."""
+    for N, nmax in ((1, 5), (2, 5), (3, 5), (4, 5), (5, 5), (6, 4)):
+        for n in range(nmax + 1):
             for L in enumerate_all_m(n, N):
-                _both_routes(monomial_msym(L, N), ALPHA)
-                count += 1
-    assert count == 330
+                yield L, N
+
+
+def test_eigenoperators_match_oracle_on_every_small_monomial():
+    count = 0
+    for L, N in _small_monomials():
+        _both_routes(monomial_msym(L, N), ALPHA)
+        count += 1
+    assert count == 330 + 58
+
+
+def test_eigenoperators_integral_parameter_on_fraction_input():
+    # the Z[a] generator against the Q(a) oracle, on Fraction coefficients
+    gen = AlphaPolynomial.gen()
+    for N in (3, 4):
+        for n in range(5):
+            for L in enumerate_all_m(n, N):
+                f = monomial_msym(L, N).scale(Fraction(-2, 3 + n))
+                for new, old in ((apply_D, _apply_D_oracle),
+                                 (apply_Delta, _apply_Delta_oracle)):
+                    got = new(f, gen)
+                    assert got.terms == old(f, ALPHA).terms, (new.__name__, N,
+                                                              str(L))
+                    assert all(got.terms.values())
+
+
+def test_relabel_without_theta_sign_fails_the_oracle(monkeypatch):
+    # mutant: theta indices mapped to another pair but re-sorted with no
+    # sign; the oracle comparison must catch it, for both operators
+    cases = [(name, L, N, monomial_msym(L, N))
+             for L, N in _small_monomials() if N <= 5
+             for name in ("D", "Delta")]
+    oracle = {"D": _apply_D_oracle, "Delta": _apply_Delta_oracle}
+    want = [oracle[name](f, ALPHA).terms for name, _, _, f in cases]
+    monkeypatch.setattr(superpoly, "_sort_sign", lambda seq: 1)
+    bad = {(name, L, N) for (name, L, N, f), terms in zip(cases, want)
+           if ops.operator(name)(f, ALPHA).terms != terms}
+    assert {name for name, _, _ in bad} == {"D", "Delta"}
+    assert len(bad) > 100, len(bad)  # 205 of the 660 cases
+
+
+@pytest.mark.parametrize("N", range(2, 7))
+def test_eigenoperators_divide_for_one_pair(monkeypatch, N):
+    # the (1, 2) image is relabeled to every pair: five divisions for D and
+    # one for Delta, whatever N
+    calls = []
+
+    def counted(f, i, j):
+        calls.append((i, j))
+        return divide_xdiff(f, i, j)
+
+    monkeypatch.setattr(ops, "divide_xdiff", counted)
+    for n in range(4):
+        for L in enumerate_all_m(n, N):
+            f = monomial_msym(L, N)
+            for name, per_call in (("D", 5), ("Delta", 1)):
+                calls.clear()
+                ops.operator(name)(f, ALPHA)
+                assert calls == [(1, 2)] * per_call, (name, str(L))
 
 
 @st.composite

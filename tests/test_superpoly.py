@@ -65,6 +65,37 @@ def test_K_sigma_actions():
         assert pt.act_Ksigma(list(sigma)) == pt
 
 
+def _act_Ksigma_by_products(f, sigma):
+    """Oracle: rebuild each term as a product of the images of its factors,
+    theta_sigma(t) in the term's order, then x_sigma(k)^e_k."""
+    N = f.N
+    out = SuperPolynomial(N)
+    for (T, e), c in f.terms.items():
+        term = SuperPolynomial.one(N).scale(c)
+        for t_ in T:
+            term = term * t(sigma[t_ - 1], N)
+        for k, p in enumerate(e):
+            term = term * x(sigma[k], N, p)
+        out += term
+    return out
+
+
+def test_K_sigma_matches_product_route():
+    rng = random.Random(23)
+    for N in range(1, 5):
+        for _ in range(5):
+            f = SuperPolynomial(N)
+            for _ in range(6):
+                T = tuple(sorted(rng.sample(range(1, N + 1),
+                                            rng.randint(0, min(N, 3)))))
+                e = tuple(rng.randint(0, 3) for _ in range(N))
+                f._iadd_term((T, e), rng.randint(-3, 3))
+            for sigma in itertools.permutations(range(1, N + 1)):
+                got = f.act_Ksigma(sigma)
+                assert got.terms == _act_Ksigma_by_products(f, sigma).terms
+                assert all(got.terms.values())
+
+
 def _is_symmetric_by_copies(f):
     """Oracle: compare f with a full copy under each adjacent transposition."""
     for i in range(1, f.N):
