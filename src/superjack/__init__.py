@@ -10,8 +10,8 @@ from .superpoly import (SuperPolynomial, ferm_power, monomial_msym,
                         omega_alpha, p_label, power_sum, prescribed_part,
                         to_mbasis)
 from .jack import (JackExpansion, jack_at, jack_poly, jack_symbolic,
-                   jack_nonsym, norm_gram, norm_hook, pieri_closed,
-                   duality_check, evaluation_direct, evaluation_formula)
+                   norm_gram, norm_hook, pieri_closed, duality_check,
+                   evaluation_direct, evaluation_formula)
 from .ideals import (CharacterSeries, char_F, char_I, cluster_multiplicity,
                      ideal_basis, membership, stability_suite, vanish_check)
 

@@ -117,6 +117,22 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one JSON UsageError, then exits 2."""
+
+    def error(self, message):
+        _emit_error("UsageError", f"{self.prog}: {message}")
+        self.exit(2)
+
+
+def _positive_N(text: str) -> int:
+    """The --N value: a positive number of variables."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"N must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _parse_alpha_flag(text: str):
     """'sym' for the generic parameter, else an exact rational like -2 or -3/2."""
     if text == "sym":
@@ -372,7 +388,7 @@ def _jsonable(obj):
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process; each parse returns a fresh
     Namespace and no default reads the environment."""
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="jack",
         description="Exact Jack superpolynomials at rational parameter")
     top.add_argument("--config", help="key=value configuration file")
@@ -381,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="expand one Jack superpolynomial")
     p.add_argument("--spart", required=True)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_positive_N, required=True)
     p.add_argument("--alpha", default="sym")
     p.add_argument("--basis", choices=("m", "vars"), default="m")
     p.add_argument("--out", choices=("json", "pretty"), default="pretty")
@@ -390,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list superpartitions")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_positive_N, required=True)
     p.add_argument("--admissible", help="'k,r' to filter admissible labels")
     p.add_argument("--out", choices=("json", "pretty"), default="pretty")
     p.set_defaults(fn=cmd_enumerate)
@@ -399,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--upsilon", required=True,
                    choices=PIERI_KINDS)
     p.add_argument("--spart", required=True)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_positive_N, required=True)
     p.add_argument("--alpha", default="sym")
     p.add_argument("--out", choices=("json", "pretty"), default="pretty")
     p.set_defaults(fn=cmd_pieri)
@@ -419,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True, choices=("F", "I"))
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, default=2)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_positive_N, required=True)
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--out", choices=("json", "pretty"), default="pretty")
     p.set_defaults(fn=cmd_characters)
@@ -428,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spart", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_positive_N, required=True)
     p.add_argument("--cluster", required=True, help="comma-separated indices")
     p.add_argument("--primed", type=int, required=True)
     p.add_argument("--out", choices=("json", "pretty"), default="pretty")
@@ -438,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--r", type=int)
-    p.add_argument("--N", type=int)
+    p.add_argument("--N", type=_positive_N)
     p.add_argument("--nmax", type=int)
     p.add_argument("--mmax", type=int)
     p.add_argument("--d", choices=("q", "q_tilde"))

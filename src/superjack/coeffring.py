@@ -56,7 +56,8 @@ class AlphaPolynomial:
     """Polynomial in a with integer coefficients, lowest degree first.
 
     The zero polynomial is the empty coefficient tuple; otherwise the leading
-    coefficient is non-zero.
+    coefficient is non-zero.  With a Fraction, +, - and * give the result in
+    Q(a), as an AlphaRational.
     """
 
     __slots__ = ("coeffs", "_hash")
@@ -125,6 +126,8 @@ class AlphaPolynomial:
                     out[i] += c
                 return _poly(out)
             other = b[0] if b else 0
+        elif isinstance(other, Fraction):  # Z[a] plus Q lies in Q(a)
+            return AlphaRational(self, _POLY_ONE, _normalized=True) + other
         elif not isinstance(other, int):
             return NotImplemented
         if not other:
@@ -138,12 +141,12 @@ class AlphaPolynomial:
         return _poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, (AlphaPolynomial, int)):
+        if isinstance(other, (AlphaPolynomial, int, Fraction)):
             return self + (-other)
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, int):
+        if isinstance(other, (int, Fraction)):
             return -self + other
         return NotImplemented
 
@@ -159,6 +162,9 @@ class AlphaPolynomial:
                             out[i + j] += ca * cb
                 return _poly(out)
             other = b[0] if b else 0
+        elif isinstance(other, Fraction):  # Z[a] times Q lies in Q(a)
+            return AlphaRational(self, _POLY_ONE, _normalized=True)._scaled(
+                other.numerator, other.denominator)
         elif not isinstance(other, int):
             return NotImplemented
         if not other:

@@ -269,6 +269,8 @@ def char_I(k: int, r: int, N: int, nmax: int,
 
 def dim_F(k: int, N: int, n: int, m: int) -> int:
     """Dimension of the coincidence-vanishing subspace at one bidegree."""
+    if N < k + 1:
+        raise ValueError("coincidence vanishing needs N >= k+1")
     labels = enumerate_sparts(n, m, N)
     images = [monomial_msym(L, N).merge_x(range(1, k + 2), 1) for L in labels]
     return len(labels) - rank_of(images)
@@ -329,6 +331,8 @@ def cluster_multiplicity(L: SuperPartition, k: int, r: int, N: int,
     cluster = tuple(cluster)
     if primed in cluster or len(set(cluster)) != len(cluster):
         raise ValueError("cluster indices must be distinct and avoid primed")
+    if not all(1 <= i <= N for i in cluster + (primed,)):
+        raise ValueError(f"cluster and primed indices must lie in 1..{N}")
     m = L.m
     P = jack_at(L, N, alpha_kr(k, r))
     g = prescribed_part(P, m).extend(N + 2)

@@ -1,12 +1,11 @@
 """Jack superpolynomials over Q(a), their specializations and identities.
 
-The primary construction is the joint triangular eigenproblem in the monomial
-superbasis: the expansion is monic at its label, supported on dominance-smaller
-labels, and killed by both eigenoperators minus their eigenvalues.  The
-non-symmetric Jack polynomials solve the same kind of problem for the N
-Cherednik operators on monomials, and both go through one factored
-triangular peel.  The symmetrization of a non-symmetric Jack polynomial is
-kept as an independent cross-check, never as the production path.
+P_L is the joint triangular eigenfunction of D and Delta in the monomial
+superbasis: monic at its label, supported on dominance-smaller labels, and
+killed by both eigenoperators minus their eigenvalues.  Both operators are
+applied once per family with the Z[a] generator, so their rows hold ints and
+elements of Z[a] of degree at most 1, and one factored triangular peel
+solves for every coefficient without a polynomial gcd.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from math import gcd, lcm
 from typing import Optional
 
@@ -23,17 +21,15 @@ from .coeffring import (ALPHA, ONE, AlphaPolynomial, AlphaRational,
                         poly_divide_linear)
 # unused here: perfbench's test_tracer_wraps_every_binding reads jack.solve_exact
 from .coeffring import solve_exact  # noqa: F401
-from .ops import apply_D, apply_Delta, cherednik, operator
+from .ops import apply_D, apply_Delta, operator
 from .spart import (SuperPartition, add_circle_moves, bosonic_cells,
                     circle_to_square_moves, conjugate, dominance_leq,
-                    e_star_poly, e_tilde_poly, enumerate_sparts, eta_bar,
-                    f_stat, lower_hook, partition_dominates, partitions_bounded,
+                    e_star_poly, e_tilde_poly, enumerate_sparts, lower_hook,
                     remove_circle_moves, skew_circled_cells,
-                    square_to_circle_moves, tilde_composition, upper_hook,
-                    v_poly, z_stat)
+                    square_to_circle_moves, upper_hook, v_poly, z_stat)
 from .superpoly import (SuperPolynomial, ferm_power, from_mbasis,
                         monomial_msym, omega_alpha, prescribed_part,
-                        to_mbasis, to_pbasis, unique_arrangements)
+                        to_mbasis, to_pbasis)
 
 
 class DegenerateSystem(ArithmeticError):
@@ -78,50 +74,23 @@ class JackExpansion:
         return from_mbasis(self.coeffs_at(a0), self.N)
 
 
-@dataclass
-class NonSymJack:
-    eta: tuple[int, ...]
-    terms: dict[tuple[int, ...], AlphaRational]
-
-    def polynomial(self) -> SuperPolynomial:
-        N = len(self.eta)
-        out = SuperPolynomial(N)
-        for comp, c in self.terms.items():
-            out._iadd_term(((), comp), c)
-        return out
-
-
 # ---------------------------------------------------------------------------
 # eigenoperator matrices over the monomial superbasis, cached per degree
 # ---------------------------------------------------------------------------
 
-def _affine_row(image) -> dict:
-    """One operator row, {label: entry}, from an image read off in a basis.
-
-    Every eigenoperator here is affine in the deformation parameter, and only
-    its diagonal terms carry it; the exchange terms stay rational.  So one
-    pass with the generic parameter gives entries affine in a over an integer
-    denominator, and normalizing them never needs a polynomial gcd.
-    """
-    row = {}
-    for key, c in image.items():
-        c = c * ONE
-        if c.num.degree() > 1 or c.den.degree() > 0:
-            raise RuntimeError(f"entry {c} at {key} is not affine in a")
-        row[key] = c
-    return row
-
-
 @lru_cache(maxsize=None)
 def _mbasis_matrices(n: int, m: int, N: int):
+    """The family's labels and its D and Delta rows, {label: {label: entry}};
+    only the diagonal terms carry the parameter, so each entry is an int or
+    an element of Z[a] of degree 1."""
     labels = enumerate_sparts(n, m, N)
+    alpha = AlphaPolynomial.gen()
     d_rows = {}
     delta_rows = {}
     for om in labels:
         mono = monomial_msym(om, N)
-        row_d = _affine_row(to_mbasis(apply_D(mono, ALPHA), verify=False))
-        row_delta = _affine_row(to_mbasis(apply_Delta(mono, ALPHA),
-                                          verify=False))
+        row_d = to_mbasis(apply_D(mono, alpha), verify=False)
+        row_delta = to_mbasis(apply_Delta(mono, alpha), verify=False)
         for gm in set(row_d) | set(row_delta):
             if not dominance_leq(gm, om):
                 raise RuntimeError(
@@ -138,11 +107,9 @@ def clear_caches() -> dict[str, int]:
     """Empty the in-process caches of the Jack layer; return their sizes."""
     sizes = {"_JACK_CACHE": len(_JACK_CACHE),
              "_mbasis_matrices": _mbasis_matrices.cache_info().currsize,
-             "jack_nonsym": jack_nonsym.cache_info().currsize,
              "enumerate_sparts": enumerate_sparts.cache_info().currsize}
     _JACK_CACHE.clear()
     _mbasis_matrices.cache_clear()
-    jack_nonsym.cache_clear()
     enumerate_sparts.cache_clear()
     return sizes
 
@@ -199,20 +166,20 @@ def _triangular_peel(L, below, pairs):
 def _divide_row_sum(terms, diff):
     """(sum of c * v over terms) / diff in lowest factored form, or None if 0.
 
-    The row entries v are affine in a over an integer denominator.
+    The row entries v are ints or elements of Z[a].
     """
     if diff.degree() > 1:
         raise RuntimeError(f"eigenvalue difference {diff} is not linear in a")
     factors: dict[AlphaPolynomial, int] = {}
     d = 1
-    for (_, fac, dc), v in terms:
+    for (_, fac, dc), _v in terms:
         for f, k in fac.items():
             if k > factors.get(f, 0):
                 factors[f] = k
-        d = lcm(d, dc * v.den.coeffs[0])
+        d = lcm(d, dc)
     num = AlphaPolynomial()
     for (cn, fac, dc), v in terms:
-        part = cn * v.num * (d // (dc * v.den.coeffs[0]))
+        part = cn * v * (d // dc)
         for f, k in factors.items():
             extra = k - fac.get(f, 0)
             if extra:
@@ -266,8 +233,8 @@ def eigen_check(expansion: JackExpansion) -> Optional[str]:
     label G of the family, sum over O of c_O * row_O[G] must equal e_L * c_G.
     An m-expansion is symmetric and both operators keep symmetry, so these
     coordinates decide the equations as the expanded polynomial would.  The
-    coefficients are cleared to Z[a] and the rows to integer denominators,
-    so the comparison is exact equality in Z[a] with no Q(a) normalize.
+    rows lie in Z[a] and the coefficients are cleared to Z[a], so the
+    comparison is exact equality in Z[a] with no Q(a) normalize.
     """
     L, N, coeffs = expansion.label, expansion.N, expansion.coeffs
     n, m = L.degree()
@@ -285,18 +252,12 @@ def eigen_check(expansion: JackExpansion) -> Optional[str]:
     cleared = clear_denominators(coeffs)
     for name, rows, ev in (("D", d_rows, e_star_poly(L)),
                            ("Delta", delta_rows, e_tilde_poly(L))):
-        scale = 1
-        for om in cleared:
-            for v in rows[om].values():
-                scale = lcm(scale, v.den.coeffs[0])
         image: dict[SuperPartition, AlphaPolynomial] = {}
         for om, c in cleared.items():
             for gm, v in rows[om].items():
-                term = c * (v.num * (scale // v.den.coeffs[0]))
-                image[gm] = image[gm] + term if gm in image else term
-        target = ev * scale
+                image[gm] = image[gm] + c * v if gm in image else c * v
         for gm in labels:  # biggest first: the leading residual term
-            if image.get(gm, 0) != target * cleared.get(gm, 0):
+            if image.get(gm, 0) != ev * cleared.get(gm, 0):
                 return f"{name} eigen-equation fails at m_[{gm}]"
     return None
 
@@ -308,80 +269,6 @@ def jack_poly(L: SuperPartition, N: int) -> SuperPolynomial:
 def jack_at(L: SuperPartition, N: int, a0) -> SuperPolynomial:
     """The Jack superpolynomial with the parameter specialized to a rational."""
     return jack_symbolic(L, N).at(a0)
-
-
-# ---------------------------------------------------------------------------
-# non-symmetric Jack polynomials
-# ---------------------------------------------------------------------------
-
-def _compositions_below(eta: tuple[int, ...]):
-    """Compositions whose sorted shape is dominated by that of eta, in order.
-
-    Shapes come in the reverse-lex order of `partitions_bounded`, which
-    extends dominance, and the compositions of one shape in descending order:
-    every Cherednik operator is triangular in this order.
-    """
-    n, N = sum(eta), len(eta)
-    shape = tuple(sorted(eta, reverse=True))
-    out = []
-    for mu in partitions_bounded(n, N):
-        if partition_dominates(shape, mu):
-            padded = list(mu) + [0] * (N - len(mu))
-            out.extend(reversed(list(unique_arrangements(padded))))
-    return out
-
-
-@lru_cache(maxsize=None)
-def jack_nonsym(eta: tuple[int, ...]) -> NonSymJack:
-    """Monic joint eigenfunction of the Cherednik operators.
-
-    Cherednik operator i sends x^nu to eta_bar(nu)_i x^nu plus monomials
-    later in the order of `_compositions_below`, so E_eta is the triangular
-    peel over the compositions after eta, with one row map per operator.
-    """
-    eta = tuple(eta)
-    N = len(eta)
-    basis = _compositions_below(eta)
-    index = {nu: k for k, nu in enumerate(basis)}
-    start = index[eta]
-    alpha = AlphaPolynomial.gen()
-    rows = [{} for _ in range(N)]
-    for k in range(start, len(basis)):
-        nu = basis[k]
-        mono = SuperPolynomial(N, {((), nu): 1})
-        for i in range(N):
-            image = cherednik(mono, i + 1, alpha)
-            row = _affine_row({e: c for (_, e), c in image.terms.items()})
-            for e in row:
-                if e not in index:
-                    raise RuntimeError(f"Cherednik left the span: {e} from {nu}")
-                if index[e] < k:
-                    raise RuntimeError(
-                        f"triangularity broken: x^{e} in image of x^{nu}")
-            rows[i][nu] = row
-    pairs = [(rows[i], lambda nu, i=i: eta_bar(nu, alpha)[i])
-             for i in range(N)]
-    found = _triangular_peel(eta, basis[start + 1:], pairs)
-    return NonSymJack(eta, _coefficients(found))
-
-
-def symmetrized_from_nonsym(L: SuperPartition, N: int) -> SuperPolynomial:
-    """Symmetrization route: sign/f * sum_w K_w theta_1..theta_m E_(tilde L)."""
-    m = L.m
-    E = jack_nonsym(tilde_composition(L, N)).polynomial()
-    lead = E
-    for i in range(m, 0, -1):
-        lead = lead.mul_theta(i)
-    total = SuperPolynomial(N)
-    for sigma in permutations(range(1, N + 1)):
-        total += lead.act_Ksigma(list(sigma))
-    sign = -1 if (m * (m - 1) // 2) % 2 else 1
-    scale = AlphaRational(Fraction(sign, f_stat(L.sym)))
-    return total.scale(scale)
-
-
-def symmetrization_check(L: SuperPartition, N: int) -> bool:
-    return symmetrized_from_nonsym(L, N) == jack_poly(L, N)
 
 
 # ---------------------------------------------------------------------------

@@ -36,16 +36,12 @@ class NonPolynomialResult(ArithmeticError):
     """Exact division failed: the input is outside the operator's domain."""
 
 
-def _field(alpha):
-    """alpha in a field holding Q: an element of Z[a] is taken in Q(a), so it
-    can meet Fraction coefficients and divide."""
-    return AlphaRational(alpha) if isinstance(alpha, AlphaPolynomial) else alpha
-
-
 def _over(n: int, alpha):
     """Exact n / alpha, for alpha an int, a Fraction or an element of Z[a] or
-    Q(a)."""
-    return Fraction(n) / _field(alpha)
+    Q(a); an element of Z[a] is lifted to Q(a), where it can divide."""
+    if isinstance(alpha, AlphaPolynomial):
+        alpha = AlphaRational(alpha)
+    return Fraction(n) / alpha
 
 
 def _diffdiff(f: SuperPolynomial, i: int, j: int, out=None) -> SuperPolynomial:
@@ -90,8 +86,9 @@ def _with_diagonal(out: dict, f: SuperPolynomial, weight: Callable,
                    scalar) -> SuperPolynomial:
     """Add scalar * weight(T, e) * c at the key of each term c of f, then drop
     zeros.  Each distinct c * weight is multiplied by scalar once, and only
-    after the exchange sums in out are complete, so those stay in f's ring."""
-    scalar = _field(scalar)
+    after the exchange sums in out are complete, so those stay in f's ring.
+    A Z[a] scalar keeps the image of integral input in Z[a]; on a Fraction
+    coefficient it gives the Q(a) product."""
     products: dict = {}
     for key, c in f.terms.items():
         w = weight(*key)

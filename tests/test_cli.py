@@ -167,6 +167,50 @@ def test_cluster_noncoprime_exit_code(capsys):
     assert json.loads(err.strip())["error"] == "UsageError"
 
 
+def _usage_error(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, ""), argv
+    lines = err.strip().splitlines()
+    assert len(lines) == 1, err
+    assert json.loads(lines[0])["error"] == "UsageError"
+    return json.loads(lines[0])["message"]
+
+
+@pytest.mark.parametrize("N", ["0", "-1", "x"])
+def test_N_must_be_a_positive_integer(capsys, N):
+    # N = 0 used to end stability in an IndexError (exit 1) and let compute
+    # print a coefficient
+    for argv in (("verify", "--suite", "stability", "--k", "1", "--r", "2",
+                  "--N", N, "--nmax", "3"),
+                 ("compute", "--spart", ";", "--N", N)):
+        assert "N must be a positive integer" in _usage_error(capsys, *argv)
+
+
+def test_bad_flags_are_json_usage_errors(capsys):
+    assert "required: --N" in _usage_error(capsys, "compute", "--spart", ";1")
+    assert "--out" in _usage_error(capsys, "compute", "--spart", ";1",
+                                   "--N", "2", "--out", "xml")
+
+
+@pytest.mark.parametrize("argv", [
+    ("characters", "--space", "F", "--k", "1", "--N", "1", "--nmax", "3"),
+    ("verify", "--suite", "conjecture-IF", "--k", "2", "--N", "2",
+     "--nmax", "3")])
+def test_coincidence_needs_k_plus_one_variables(capsys, argv):
+    assert _usage_error(capsys, *argv) == \
+        "coincidence vanishing needs N >= k+1"
+
+
+@pytest.mark.parametrize("cluster,primed", [("9", "1"), ("1,2", "0"),
+                                            ("1,2", "-1")])
+def test_cluster_indices_must_lie_in_range(capsys, cluster, primed):
+    # 0 and -1 used to reach the helper variables x_{N+2} and x_{N+1}
+    assert _usage_error(
+        capsys, "cluster", "--spart", "2;2", "--k", "1", "--r", "2",
+        "--N", "3", "--cluster", cluster, "--primed", primed) == \
+        "cluster and primed indices must lie in 1..3"
+
+
 def test_op_apply(capsys, tmp_path):
     poly = {"N": 2, "terms": [
         {"thetas": [], "exps": [1, 0], "coeff": "1"},

@@ -240,6 +240,17 @@ def test_rational_fast_paths_match_reference(x, k, r):
         assert AlphaRational(y.num, y.den) == y
 
 
+@settings(max_examples=300, deadline=None)
+@given(int_polys, st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)))
+def test_poly_with_fraction_is_the_q_a_result(p, r):
+    # Z[a] meets Q in Q(a): either order gives the canonical AlphaRational
+    P, R = AlphaRational(p), AlphaRational.from_fraction(r)
+    for got, want in ((p * r, P * R), (r * p, P * R), (p + r, P + R),
+                      (r + p, P + R), (p - r, P - R), (r - p, R - P)):
+        assert isinstance(got, AlphaRational)
+        _same_rat(got, want.num, want.den)
+
+
 def _dense_solve_exact(M, b):
     """Oracle: Gauss-Jordan elimination on dense rows, every column updated."""
     rows = [list(M.entries[i * M.cols:(i + 1) * M.cols]) + [b[i]]

@@ -9,19 +9,18 @@ from superjack.coeffring import (ALPHA, ONE, AlphaPolynomial, AlphaRational,
                                  FieldMatrix, PoleError, UniqueSolution,
                                  parse_alpha)
 from superjack.jack import (DegenerateSystem, JackExpansion, eigen_check,
-                            jack_at, jack_nonsym, jack_poly, jack_symbolic,
+                            jack_at, jack_poly, jack_symbolic,
                             duality_check, evaluation_direct,
                             evaluation_formula, integral_form, norm_gram,
                             norm_hook, pieri_check, pieri_closed,
-                            symmetrization_check,
                             PIERI_KINDS)
 from superjack.ops import (apply_D, apply_Delta, cherednik, operator,
                            sekiguchi_S)
 from superjack.spart import (SuperPartition, conjugate, e_star_poly, e_tilde_poly,
                              enumerate_all_m, enumerate_sparts, epsilon_u,
-                             eta_bar, dominance_leq, fermionic_range,
+                             eta_bar, dominance_leq, f_stat, fermionic_range,
                              parse_spart, partition_dominates, star_pair,
-                             v_poly)
+                             tilde_composition, v_poly)
 from superjack.suites import _labels
 from superjack.superpoly import (SuperPolynomial, ferm_power,
                                  integral_multiple, monomial_msym, p_label,
@@ -78,12 +77,6 @@ def test_eigen_relations():
             et = AlphaRational(e_tilde_poly(L))
             assert apply_D(P, a) == P.scale(e), str(L)
             assert apply_Delta(P, a) == P.scale(et), str(L)
-
-
-def test_cross_oracle_symmetrization():
-    # the triangular solve agrees with symmetrizing a non-symmetric Jack
-    for s, N in [("0;", 2), (";2", 2), ("2,0;", 3), ("1,0;1", 3)]:
-        assert symmetrization_check(parse_spart(s), N), s
 
 
 def test_jack_at_squared_vandermonde():
@@ -446,26 +439,6 @@ def test_integral_form_scan():
     assert parse_spart("2,1;") in witnesses
 
 
-def test_nonsym_trivial_and_eigen():
-    E0 = jack_nonsym((0, 0, 0))
-    assert E0.polynomial() == SuperPolynomial.one(3)
-    E = jack_nonsym((1, 0))
-    assert E.terms == {(1, 0): ONE, (0, 1): parse_alpha("1/(1+a)")}
-    for eta in itertools.product(range(3), repeat=2):
-        pol = jack_nonsym(tuple(eta)).polynomial()
-        bars = eta_bar(eta, a)
-        for i in range(2):
-            assert cherednik(pol, i + 1, a) == pol.scale(bars[i]), eta
-
-
-def test_nonsym_eigen_N3():
-    for eta in [(2, 1, 0), (0, 1, 2), (1, 1, 2), (3, 0, 1), (0, 2, 2)]:
-        pol = jack_nonsym(eta).polynomial()
-        bars = eta_bar(eta, a)
-        for i in range(3):
-            assert cherednik(pol, i + 1, a) == pol.scale(bars[i]), eta
-
-
 def _reverse_lex_compositions(eta):
     """Compositions whose sorted shape eta's dominates, in reverse-lex order."""
     shape = tuple(sorted(eta, reverse=True))
@@ -501,29 +474,50 @@ def _dense_nonsym(eta):
     return terms
 
 
-def _compositions(n, N):
-    return [c for c in itertools.product(range(n + 1), repeat=N)
-            if sum(c) == n]
+def _nonsym_poly(eta):
+    N = len(eta)
+    return SuperPolynomial(N, {((), nu): c
+                               for nu, c in _dense_nonsym(eta).items()})
 
 
-def test_nonsym_peel_matches_dense_oracle():
-    grid = [(n, N) for N in (1, 2, 3) for n in range(6)]
-    grid += [(n, 4) for n in range(4)]
-    etas = [eta for n, N in grid for eta in _compositions(n, N)]
-    assert len(etas) == 118
-    for eta in etas:
-        assert jack_nonsym(eta).terms == _dense_nonsym(eta), eta
+def test_nonsym_trivial_and_eigen():
+    assert _nonsym_poly((0, 0, 0)) == SuperPolynomial.one(3)
+    assert _dense_nonsym((1, 0)) == {(1, 0): ONE,
+                                     (0, 1): parse_alpha("1/(1+a)")}
+    for eta in itertools.product(range(3), repeat=2):
+        pol = _nonsym_poly(eta)
+        bars = eta_bar(eta, a)
+        for i in range(2):
+            assert cherednik(pol, i + 1, a) == pol.scale(bars[i]), eta
 
 
-def test_nonsym_reverse_lex_order_is_caught(monkeypatch):
-    # reverse-lex puts x^(1,1) before x^(0,2), which sends it to x^(1,1)
-    jack_nonsym.cache_clear()
-    monkeypatch.setattr(jack, "_compositions_below", _reverse_lex_compositions)
-    try:
-        with pytest.raises(RuntimeError, match="triangularity broken"):
-            jack_nonsym((0, 2))
-    finally:
-        jack_nonsym.cache_clear()
+def test_nonsym_eigen_N3():
+    for eta in [(2, 1, 0), (0, 1, 2), (1, 1, 2), (3, 0, 1), (0, 2, 2)]:
+        pol = _nonsym_poly(eta)
+        bars = eta_bar(eta, a)
+        for i in range(3):
+            assert cherednik(pol, i + 1, a) == pol.scale(bars[i]), eta
+
+
+def _symmetrized_from_nonsym(L, N):
+    """Oracle: sign/f * sum_w K_w theta_1..theta_m E_(tilde L), with E the
+    dense non-symmetric Jack polynomial."""
+    m = L.m
+    lead = _nonsym_poly(tilde_composition(L, N))
+    for i in range(m, 0, -1):
+        lead = lead.mul_theta(i)
+    total = SuperPolynomial(N)
+    for sigma in itertools.permutations(range(1, N + 1)):
+        total += lead.act_Ksigma(list(sigma))
+    sign = -1 if (m * (m - 1) // 2) % 2 else 1
+    return total.scale(AlphaRational(Fraction(sign, f_stat(L.sym))))
+
+
+def test_cross_oracle_symmetrization():
+    # the triangular solve agrees with symmetrizing a non-symmetric Jack
+    for s, N in [("0;", 2), (";2", 2), ("2,0;", 3), ("1,0;1", 3)]:
+        L = parse_spart(s)
+        assert _symmetrized_from_nonsym(L, N) == jack_poly(L, N), s
 
 
 def test_restriction_stability():
@@ -650,6 +644,18 @@ def test_gcd_free_build_matches_rational_oracle():
             assert _not_in_lowest_terms(found) == [], (str(L), N)
 
 
+def test_rows_are_ints_and_affine_elements_of_Z_a():
+    # D and Delta applied with the Z[a] generator to integral monomials
+    for n, m, N in _FAMILIES:
+        labels, d_rows, delta_rows = jack._mbasis_matrices(n, m, N)
+        for rows in (d_rows, delta_rows):
+            for om in labels:
+                for gm, v in rows[om].items():
+                    assert type(v) is int or (
+                        isinstance(v, AlphaPolynomial) and v.degree() <= 1), \
+                        (n, m, N, str(om), str(gm), v)
+
+
 def test_peel_without_cancellation_is_caught(monkeypatch):
     # a mutant whose synthetic division never divides keeps every factor
     monkeypatch.setattr(jack, "poly_divide_linear", lambda p, f: None)
@@ -693,9 +699,8 @@ def test_equal_eigenvalue_pairs_raise(monkeypatch):
 def test_clear_caches_then_rebuild():
     labels = [parse_spart(s) for s in (";3", "1;2", "2,0;1")]
     before = {L: jack_symbolic(L, 3).coeffs for L in labels}
-    jack_nonsym((0, 1))
     sizes = jack.clear_caches()
-    assert set(sizes) == {"_JACK_CACHE", "_mbasis_matrices", "jack_nonsym",
+    assert set(sizes) == {"_JACK_CACHE", "_mbasis_matrices",
                           "enumerate_sparts"}
     assert all(size > 0 for size in sizes.values()), sizes
     assert set(jack.clear_caches().values()) == {0}
@@ -769,22 +774,14 @@ def test_eigen_check_rejects_zeros_and_labels_outside_the_family():
         == "zero coefficient at m_[0;2,1]"
 
 
-def test_eigen_check_scales_rows_with_denominators(monkeypatch):
-    # Conjugating both operators by diag(s) and scaling each coefficient by
-    # s_O keeps the eigen-equations; with s_O = 1/(k+1) for the k-th label
-    # the rows get integer denominators, as the build allows
+def test_eigen_check_catches_doubled_lowest_coefficient():
+    # on the family's own Z[a] rows, a doubled lowest coefficient breaks the
+    # D eigen-equation at that label
     N = 3
-    labels, d_rows, delta_rows = jack._mbasis_matrices(3, 1, N)
+    labels = jack._mbasis_matrices(3, 1, N)[0]
     L = labels[0]
-    s = {om: Fraction(1, k + 1) for k, om in enumerate(labels)}
-    conj = [{om: {gm: v * (s[gm] / s[om]) for gm, v in rows[om].items()}
-             for om in labels} for rows in (d_rows, delta_rows)]
-    assert any(v.den != 1 for rows in conj for row in rows.values()
-               for v in row.values())
-    P = {om: c * s[om] for om, c in jack_symbolic(L, N).coeffs.items()}
-    monkeypatch.setattr(jack, "_mbasis_matrices",
-                        lambda n, m, N: (labels, *conj))
-    assert P[L] == 1 and eigen_check(JackExpansion(L, N, P)) is None
+    P = dict(jack_symbolic(L, N).coeffs)
+    assert eigen_check(JackExpansion(L, N, P)) is None
     lowest = [om for om in labels if om in P][-1]
     P[lowest] = P[lowest] * 2
     assert eigen_check(JackExpansion(L, N, P)) == \

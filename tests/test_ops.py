@@ -104,9 +104,8 @@ alpha_rationals = st.builds(
     AlphaRational, alpha_polys,
     alpha_polys.filter(bool) | st.just(AlphaPolynomial((1,))))
 fractions = st.builds(Fraction, small_ints, st.integers(1, 4))
-# Fraction and AlphaPolynomial do not multiply, so a case draws from Q(a)
-# (int, Fraction, AlphaRational) or from Z[a] (int, AlphaPolynomial,
-# AlphaRational), with an alpha that lives in the same ring
+# a case draws from Q(a) (int, Fraction, AlphaRational) or from Z[a] (int,
+# AlphaPolynomial, AlphaRational), with an alpha that lives in the same ring
 RINGS = {
     "Q(a)": (small_ints | fractions | alpha_rationals,
              small_ints | fractions | st.just(ALPHA)),
@@ -625,14 +624,16 @@ def test_divide_xdiff_matches_oracle(case):
 
 @pytest.mark.parametrize("name", ["Q", "E", "nabla_perp", "D", "Delta"])
 def test_integral_parameter_matches_rational(name):
-    # the Z[a] generator is taken in Q(a), so it meets Fraction coefficients
-    # and gives n / a; the exchange terms of D and Delta keep the Z[a]
-    # coefficients of an integral input
+    # the Z[a] generator gives n / a in Q(a); D and Delta keep an integral
+    # input's image in Z[a], and a Fraction coefficient, also beside int
+    # ones, gives the Q(a) product
     gen = AlphaPolynomial.gen()
     ring = (int, Fraction, AlphaRational) + (
         (AlphaPolynomial,) if name in ("D", "Delta") else ())
     polys = [monomial_msym(parse_spart("1;1"), 2),
              monomial_msym(parse_spart("1,0;2"), 3).scale(Fraction(1, 2)),
+             monomial_msym(parse_spart("1;1"), 3)
+             + monomial_msym(parse_spart("0;2"), 3).scale(Fraction(1, 2)),
              integral_multiple(jack_poly(parse_spart("0;2,1"), 3)),
              jack_at(parse_spart("1;2"), 3, Fraction(-3, 2))]
     if name not in ("D", "Delta"):  # both need symmetric input
