@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import os
 import sys
@@ -125,12 +126,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2)
 
 
-def _positive_N(text: str) -> int:
-    """The --N value: a positive number of variables."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(
-            f"N must be a positive integer, got {text!r}")
-    return int(text)
+def _int_at_least(least: int, what: str):
+    """An argparse type: a decimal integer no smaller than `least`."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < least:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be a {'positive' if least else 'non-negative'} "
+                f"integer, got {text!r}")
+        return int(text)
+    return parse
+
+
+_positive_N = _int_at_least(1, "N")  # a positive number of variables
 
 
 def _parse_alpha_flag(text: str):
@@ -346,15 +353,16 @@ def cmd_verify(args, conf) -> int:
     if args.suite not in SUITES:
         known = ", ".join(sorted(SUITES))
         raise UsageError(f"unknown suite {args.suite!r}; choose from {known}")
-    fn, params = SUITES[args.suite]
+    fn = SUITES[args.suite]
     kwargs = {}
-    for p in params:
-        v = getattr(args, p, None)
-        if p == "allow_noncoprime":
-            if v:
-                kwargs[p] = True
-        elif v is not None:
-            kwargs[p] = v
+    for name, param in inspect.signature(fn).parameters.items():
+        # an unset flag is None (False for --allow-noncoprime): the suite's
+        # default applies, and a parameter without one is a usage error
+        v = getattr(args, name, None)
+        if v is not None and v is not False:
+            kwargs[name] = v
+        elif param.default is param.empty:
+            raise UsageError(f"suite {args.suite!r} needs --{name}")
     ok, report = fn(**kwargs)
     if args.out == "json":
         print(json.dumps({"suite": args.suite, "ok": ok,
@@ -436,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--N", type=_positive_N, required=True)
-    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--nmax", type=_int_at_least(0, "nmax"), required=True)
     p.add_argument("--out", choices=("json", "pretty"), default="pretty")
     p.set_defaults(fn=cmd_characters)
 
@@ -455,8 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--r", type=int)
     p.add_argument("--N", type=_positive_N)
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--mmax", type=int)
+    p.add_argument("--nmax", type=_int_at_least(0, "nmax"))
+    p.add_argument("--mmax", type=_int_at_least(0, "mmax"))
     p.add_argument("--d", choices=("q", "q_tilde"))
     p.add_argument("--allow-noncoprime", action="store_true",
                    dest="allow_noncoprime",

@@ -672,9 +672,6 @@ class FieldMatrix:
         self.cols = cols
         self.entries = list(entries)
 
-    def at(self, i: int, j: int):
-        return self.entries[i * self.cols + j]
-
 
 def _pivot_weight(x) -> int:
     # lowest total polynomial degree first, to curb coefficient blow-up

@@ -38,11 +38,6 @@ def alpha_kr(k: int, r: int) -> Fraction:
 
 @dataclass
 class GradedBasis:
-    k: int
-    r: int
-    N: int
-    nmax: int
-    alpha: Fraction
     by_degree: dict[tuple[int, int], "DegreeBasis"]
 
     def at(self, n: int, m: int):
@@ -84,7 +79,7 @@ def ideal_basis(k: int, r: int, N: int, nmax: int,
                                  allow_noncoprime=allow_noncoprime)
             if entry:
                 by_degree[(n, m)] = entry
-    return GradedBasis(k, r, N, nmax, alpha_kr(k, r), by_degree)
+    return GradedBasis(by_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -113,19 +108,17 @@ def _span_solve(columns: Sequence[dict], rhs: Optional[dict] = None):
     return solve_exact(FieldMatrix(len(row), width, entries), b)
 
 
-def membership(f: SuperPolynomial, basis: Sequence[tuple[SuperPartition, SuperPolynomial]]):
-    """Coefficients of f over the given elements; NotInSpan on failure.
+def membership(f: SuperPolynomial, basis: DegreeBasis):
+    """Coefficients of f over the basis elements; NotInSpan on failure.
 
     The solve runs in monomial-superbasis coordinates, read once per
-    `DegreeBasis` (any other sequence is read on each call).  The elements
-    are symmetric, so a non-symmetric f lies outside their span.
+    `DegreeBasis`.  The elements are symmetric, so a non-symmetric f lies
+    outside their span.
     """
     if f.is_zero():
         return {}
     if not f.is_symmetric():
         raise NotInSpan("not symmetric, so outside the span", residual=f)
-    if not isinstance(basis, DegreeBasis):
-        basis = DegreeBasis(basis)
     res = _span_solve(basis.mcoords(), to_mbasis(f, verify=False))
     if isinstance(res, NoSolution):
         raise NotInSpan(f"outside the span ({len(basis)} elements)", residual=f)
@@ -358,7 +351,7 @@ def cochain_check(k: int, r: int, N: int, nmax: int, d: str = "q",
     act = operator(d)
     dn, dm = OPERATORS[d].shift
     basis = ideal_basis(k, r, N, nmax, allow_noncoprime=allow_noncoprime)
-    a0 = basis.alpha
+    a0 = alpha_kr(k, r)
     failures = []
     ranks = {}
     for (n, m), entries in sorted(basis.by_degree.items()):

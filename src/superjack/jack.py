@@ -275,7 +275,7 @@ def jack_at(L: SuperPartition, N: int, a0) -> SuperPolynomial:
 # norms, evaluation, duality
 # ---------------------------------------------------------------------------
 
-def norm_hook(L: SuperPartition, alpha=None) -> AlphaRational:
+def norm_hook(L: SuperPartition) -> AlphaRational:
     """Squared norm from the two hook families.
 
     The bosonic-cell product alone misses the purely fermionic contribution:
@@ -288,10 +288,7 @@ def norm_hook(L: SuperPartition, alpha=None) -> AlphaRational:
     for s in bosonic_cells(L):
         num = num * AlphaRational(upper_hook(L, s))
         den = den * AlphaRational(lower_hook(L, s))
-    val = (ALPHA ** L.m) * num / den
-    if alpha is None or alpha == ALPHA:
-        return val
-    return alpha_eval(val, alpha)
+    return (ALPHA ** L.m) * num / den
 
 
 def norm_gram(L: SuperPartition, N: int) -> AlphaRational:
@@ -343,7 +340,20 @@ def duality_check(L: SuperPartition, N: int) -> bool:
 # Pieri expansions: closed hook products versus the operator's action
 # ---------------------------------------------------------------------------
 
-PIERI_KINDS = ("p0", "Q", "Qperp", "q", "qperp")
+# kind: (moves, hook, walk up the column (else along the row), L's hook on
+# top, content scale or None); the coefficient of each move is the sign of
+# the circles above it times the hook ratios over the cells it passes.
+_PIERI_TABLE = {
+    "p0": (add_circle_moves, upper_hook, True, True, None),
+    "Q": (add_circle_moves, upper_hook, True, True, ONE / ALPHA),
+    "Qperp": (lambda L, N: remove_circle_moves(L), lower_hook, False, False,
+              ONE),
+    "q": (lambda L, N: square_to_circle_moves(L), upper_hook, False, True,
+          None),
+    "qperp": (lambda L, N: circle_to_square_moves(L), lower_hook, True, False,
+              None),
+}
+PIERI_KINDS = tuple(_PIERI_TABLE)
 
 
 def _circles_above(S: SuperPartition, row: int) -> int:
@@ -353,47 +363,25 @@ def _circles_above(S: SuperPartition, row: int) -> int:
 
 def pieri_closed(kind: str, L: SuperPartition, N: int) -> dict[SuperPartition, AlphaRational]:
     """Hook-ratio coefficient map of one lowering/raising operator."""
-    if kind in ("p0", "Q"):
-        moves = add_circle_moves(L, N)
-    elif kind == "Qperp":
-        moves = remove_circle_moves(L)
-    elif kind == "q":
-        moves = square_to_circle_moves(L)
-    elif kind == "qperp":
-        moves = circle_to_square_moves(L)
-    else:
+    if kind not in _PIERI_TABLE:
         raise ValueError(f"unknown Pieri kind {kind!r}")
+    moves, hook, column, l_on_top, scale = _PIERI_TABLE[kind]
     out = {}
-    for mv in moves:
+    for mv in moves(L, N):
         om = mv.result
         if om.length > N:
             continue
         i, j = mv.cell
         sign = -1 if _circles_above(om, i) % 2 else 1
         coeff = ONE * sign
-        if kind in ("p0", "Q"):
-            for i2 in range(1, i):
-                s = (i2, j)
-                coeff = coeff * AlphaRational(upper_hook(L, s)) \
-                    / AlphaRational(upper_hook(om, s))
-            if kind == "Q":
-                coeff = coeff * ((N + 1 - i) + ALPHA * (j - 1)) / ALPHA
-        elif kind == "q":
-            for j2 in range(1, j):
-                s = (i, j2)
-                coeff = coeff * AlphaRational(upper_hook(L, s)) \
-                    / AlphaRational(upper_hook(om, s))
-        elif kind == "Qperp":
-            for j2 in range(1, j):
-                s = (i, j2)
-                coeff = coeff * AlphaRational(lower_hook(om, s)) \
-                    / AlphaRational(lower_hook(L, s))
-            coeff = coeff * ((N + 1 - i) + ALPHA * (j - 1))
-        elif kind == "qperp":
-            for i2 in range(1, i):
-                s = (i2, j)
-                coeff = coeff * AlphaRational(lower_hook(om, s)) \
-                    / AlphaRational(lower_hook(L, s))
+        top, bottom = (L, om) if l_on_top else (om, L)
+        passed = ([(i2, j) for i2 in range(1, i)] if column
+                  else [(i, j2) for j2 in range(1, j)])
+        for s in passed:
+            coeff = coeff * AlphaRational(hook(top, s)) \
+                / AlphaRational(hook(bottom, s))
+        if scale is not None:
+            coeff = coeff * ((N + 1 - i) + ALPHA * (j - 1)) * scale
         out[om] = coeff
     return out
 

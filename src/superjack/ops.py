@@ -431,19 +431,8 @@ def operator(name: str) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# bracket machinery and the relation table
+# the relation table
 # ---------------------------------------------------------------------------
-
-Op = Callable[[SuperPolynomial], SuperPolynomial]
-
-
-def commutator(A: Op, B: Op) -> Op:
-    return lambda f: A(B(f)) - B(A(f))
-
-
-def anticommutator(A: Op, B: Op) -> Op:
-    return lambda f: A(B(f)) + B(A(f))
-
 
 # [row, col} brackets of the eight-dimensional algebra; entries are linear
 # combinations of named generators, written as coefficient maps.
@@ -472,15 +461,16 @@ def check_algebra_table(alpha, test_polys: Sequence[SuperPolynomial]) -> list[st
 
     Returns the list of failing relation names (empty when all pass).
     """
-    def op(name: str) -> Op:
+    def op(name: str) -> Callable[[SuperPolynomial], SuperPolynomial]:
         return lambda f: operator(name)(f, alpha)
 
     failures = []
     for (an, bn), combo in ALGEBRA_TABLE.items():
+        A, B = op(an), op(bn)
         odd = OPERATORS[an].parity and OPERATORS[bn].parity
-        bracket = (anticommutator if odd else commutator)(op(an), op(bn))
         for f in test_polys:
-            got = bracket(f)
+            # anticommutator of two odd operators, else commutator
+            got = A(B(f)) + B(A(f)) if odd else A(B(f)) - B(A(f))
             want = SuperPolynomial(f.N)
             for name, coeff in combo.items():
                 want += op(name)(f).scale(coeff)

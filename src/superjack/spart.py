@@ -82,14 +82,6 @@ def z_stat(parts: Sequence[int]) -> int:
     return z
 
 
-def f_stat(parts: Sequence[int]) -> int:
-    """Product of the factorials of the part multiplicities."""
-    f = 1
-    for i in set(parts):
-        f *= math.factorial(n_mult(parts, i))
-    return f
-
-
 def partitions_bounded(total: int, max_len: int, max_part: Optional[int] = None):
     """All partitions of `total` with at most max_len positive parts."""
     if total == 0:
@@ -476,51 +468,3 @@ def epsilon_u(lam: Sequence[int], N: int, alpha) -> list:
                                     for j in range(1, len(coeffs))] + [one]
     return coeffs
 
-
-def tilde_composition(L: SuperPartition, N: int) -> tuple[int, ...]:
-    """Reversed fermionic parts, then reversed zero-padded bosonic parts."""
-    if N < L.length:
-        raise ValueError("N too small")
-    sym_padded = L.sym + (0,) * (N - L.m - len(L.sym))
-    return tuple(reversed(L.antisym)) + tuple(reversed(sym_padded))
-
-
-def eta_bar(eta: Sequence[int], alpha) -> list:
-    """Cherednik eigenvalues of the monomial labelled by the composition."""
-    out = []
-    for i, e in enumerate(eta):
-        before = sum(1 for k in range(i) if eta[k] >= e)
-        after = sum(1 for k in range(i + 1, len(eta)) if eta[k] > e)
-        out.append(alpha * e - before - after)
-    return out
-
-
-def d_eta(eta: Sequence[int], s: Cell) -> AlphaPolynomial:
-    """Knop-style hook of the cell in a composition diagram, linear in alpha."""
-    i, j = s
-    ei = eta[i - 1]
-    if not (1 <= j <= ei):
-        raise ValueError(f"cell {s} outside the composition {eta}")
-    up = sum(1 for k in range(i - 1) if j <= eta[k] + 1 <= ei)
-    down = sum(1 for k in range(i, len(eta)) if j <= eta[k] <= ei)
-    return AlphaPolynomial.linear(up + down + 1, ei - j + 1)
-
-
-def d_eta_product(eta: Sequence[int]) -> AlphaPolynomial:
-    prod = AlphaPolynomial.const(1)
-    for i, e in enumerate(eta, start=1):
-        for j in range(1, e + 1):
-            prod = prod * d_eta(eta, (i, j))
-    return prod
-
-
-def eigen_data(L: SuperPartition, N: int, alpha) -> dict:
-    """Bundle of the eigenvalue data attached to a label in N variables."""
-    circ, star = star_pair(L, N)
-    return {
-        "e_star": e_star_poly(L)(alpha),
-        "e_tilde": e_tilde_poly(L)(alpha),
-        "epsilon_star": epsilon_u(star, N, alpha),
-        "epsilon_circledast": epsilon_u(circ, N, alpha),
-        "eta_bar": eta_bar(tilde_composition(L, N), alpha),
-    }

@@ -162,17 +162,17 @@ def suite_algebra(N: int = 2) -> tuple[bool, dict]:
     return not fails, {"failures": fails}
 
 
+# The command line reads each suite's parameters from its signature.
 SUITES = {
-    "sekiguchi": (suite_sekiguchi, ("nmax", "N", "mmax")),
-    "norm": (suite_norm, ("nmax",)),
-    "duality": (suite_duality, ("nmax",)),
-    "pieri": (suite_pieri, ("nmax", "N", "mmax")),
-    "stability": (suite_stability, ("k", "r", "N", "nmax", "allow_noncoprime")),
-    "vanishing": (suite_vanishing, ("k", "r", "N", "nmax")),
-    "regularity": (suite_regularity,
-                   ("k", "r", "N", "nmax", "allow_noncoprime")),
-    "cochain": (suite_cochain, ("k", "r", "N", "nmax", "d")),
-    "conjecture-IF": (suite_conjecture_IF, ("k", "N", "nmax")),
-    "conjecture-rma": (suite_conjecture_rma, ("k", "r", "N", "nmax")),
-    "algebra": (suite_algebra, ("N",)),
+    "sekiguchi": suite_sekiguchi,
+    "norm": suite_norm,
+    "duality": suite_duality,
+    "pieri": suite_pieri,
+    "stability": suite_stability,
+    "vanishing": suite_vanishing,
+    "regularity": suite_regularity,
+    "cochain": suite_cochain,
+    "conjecture-IF": suite_conjecture_IF,
+    "conjecture-rma": suite_conjecture_rma,
+    "algebra": suite_algebra,
 }

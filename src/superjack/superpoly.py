@@ -632,15 +632,6 @@ def omega_alpha(mcoeffs: dict[SuperPartition, object], N: int,
     return {om: c for om, c in out.items() if c}
 
 
-def vandermonde(m: int, N: int) -> SuperPolynomial:
-    """Product of (x_i - x_j) over 1 <= i < j <= m."""
-    out = SuperPolynomial.one(N)
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            out = out * (SuperPolynomial.x(i, N) - SuperPolynomial.x(j, N))
-    return out
-
-
 def prescribed_part(P: SuperPolynomial, m: int) -> SuperPolynomial:
     """Coefficient of theta_1...theta_m divided exactly by the Vandermonde."""
     g = P.theta_coefficient(tuple(range(1, m + 1)))

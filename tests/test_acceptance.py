@@ -21,7 +21,9 @@ from superjack.spart import enumerate_all_m, parse_spart
 from superjack.suites import (suite_algebra, suite_cochain, suite_duality,
                               suite_pieri, suite_regularity, suite_sekiguchi,
                               suite_stability, suite_vanishing)
-from superjack.superpoly import SuperPolynomial, vandermonde
+from superjack.superpoly import SuperPolynomial
+
+from oracles import vandermonde
 
 COPRIME_PAIRS = [(1, 2), (2, 2), (2, 3)]
 NONCOPRIME_PAIR = (1, 3)  # listed in the criterion grid; gcd(k+1, r-1) = 2

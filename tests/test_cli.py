@@ -192,6 +192,37 @@ def test_bad_flags_are_json_usage_errors(capsys):
                                    "--N", "2", "--out", "xml")
 
 
+# every suite with a required parameter, that parameter left out; algebra
+# has none (N defaults to 2)
+@pytest.mark.parametrize("suite, given, missing", [
+    ("sekiguchi", ("--nmax", "2"), "N"),
+    ("norm", (), "nmax"),
+    ("duality", (), "nmax"),
+    ("pieri", ("--N", "3"), "nmax"),
+    ("stability", ("--k", "1", "--r", "2", "--N", "2"), "nmax"),
+    ("vanishing", ("--k", "1", "--r", "2", "--nmax", "3"), "N"),
+    ("regularity", ("--r", "2", "--N", "3", "--nmax", "3"), "k"),
+    ("cochain", ("--k", "1", "--N", "3", "--nmax", "3"), "r"),
+    ("conjecture-IF", ("--k", "1", "--N", "2"), "nmax"),
+    ("conjecture-rma", ("--k", "1", "--r", "2", "--nmax", "3"), "N"),
+])
+def test_verify_names_a_missing_suite_parameter(capsys, suite, given, missing):
+    # a missing parameter used to end in a TypeError traceback with exit 1
+    assert _usage_error(capsys, "verify", "--suite", suite, *given) == \
+        f"suite {suite!r} needs --{missing}"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "stability", "--k", "1", "--r", "2", "--N", "2",
+     "--nmax", "-1"),
+    ("verify", "--suite", "pieri", "--N", "2", "--nmax", "2", "--mmax", "-1"),
+    ("characters", "--space", "I", "--k", "1", "--N", "2", "--nmax", "-1")])
+def test_degree_bounds_must_be_non_negative(capsys, argv):
+    # --nmax -1 used to pass vacuously with exit 0
+    flag = argv[-2].lstrip("-")
+    assert f"{flag} must be a non-negative integer" in _usage_error(capsys, *argv)
+
+
 @pytest.mark.parametrize("argv", [
     ("characters", "--space", "F", "--k", "1", "--N", "1", "--nmax", "3"),
     ("verify", "--suite", "conjecture-IF", "--k", "2", "--N", "2",

@@ -1,4 +1,5 @@
-"""Import hygiene: every name a module imports is used in that module."""
+"""Import hygiene: every name a module imports is used in that module, and
+every top-level definition in the package is reached from its entry points."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,68 @@ def test_unused_import_is_caught():
     tree = ast.parse("from fractions import Fraction\nimport math\n"
                      "def f(x: Fraction):\n    return x\n")
     assert _unused_imports(tree) == {"math"}
+
+
+# documented in README but called by no module in the package
+ENTRY_POINTS = {"main", "integral_form", "clear_caches"}
+
+
+def _references(node: ast.AST) -> set[str]:
+    """Names, attribute names and string constants under the node."""
+    refs = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            refs.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            refs.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            refs.add(sub.value)
+        elif isinstance(sub, ast.alias):
+            refs.add(sub.name)
+    return refs
+
+
+def _unreached(modules: dict[str, ast.Module]) -> set[str]:
+    """Top-level defs and classes that no walk from the roots reaches.
+
+    The roots are every module-level statement other than a definition (and,
+    outside ``__init__``, other than an import), plus ENTRY_POINTS.  A reached
+    name reaches everything its definitions refer to; definitions are matched
+    by name across modules.
+    """
+    defs: dict[str, list[ast.AST]] = {}
+    todo = set(ENTRY_POINTS)
+    for stem, tree in modules.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(stmt.name, []).append(stmt)
+            elif stem == "__init__" or not isinstance(
+                    stmt, (ast.Import, ast.ImportFrom)):
+                todo |= _references(stmt)
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in defs.get(name, ()):
+            todo |= _references(node)
+    return set(defs) - reached
+
+
+def test_every_definition_has_a_caller():
+    modules = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    unreached = _unreached(modules)
+    assert not unreached, f"defined in src but never reached: {sorted(unreached)}"
+
+
+def test_unreached_definition_is_caught():
+    modules = {
+        "__init__": ast.parse("from .a import main\n"),
+        "a": ast.parse("TABLE = {'x': 'f'}\n"
+                       "def main():\n    return g()\n"
+                       "def f():\n    pass\n"
+                       "def g():\n    pass\n"
+                       "def h():\n    return f()\n"),
+    }
+    assert _unreached(modules) == {"h"}

@@ -18,13 +18,13 @@ from superjack.ops import (apply_D, apply_Delta, cherednik, operator,
                            sekiguchi_S)
 from superjack.spart import (SuperPartition, conjugate, e_star_poly, e_tilde_poly,
                              enumerate_all_m, enumerate_sparts, epsilon_u,
-                             eta_bar, dominance_leq, f_stat, fermionic_range,
-                             parse_spart, partition_dominates, star_pair,
-                             tilde_composition, v_poly)
+                             dominance_leq, fermionic_range, parse_spart,
+                             partition_dominates, star_pair, v_poly)
 from superjack.suites import _labels
 from superjack.superpoly import (SuperPolynomial, ferm_power,
                                  integral_multiple, monomial_msym, p_label,
-                                 to_mbasis, to_pbasis, vandermonde)
+                                 to_mbasis, to_pbasis)
+from oracles import eta_bar, f_stat, tilde_composition, vandermonde
 from test_coeffring import _dense_solve_exact
 
 a = ALPHA

@@ -4,16 +4,15 @@ import pytest
 
 from superjack.coeffring import ALPHA, AlphaPolynomial, AlphaRational
 from superjack.spart import (SuperPartition, add_circle_moves,
-                             almost_admissible_variants, arm, bosonic_cells,
-                             cells, circle_to_square_moves, conjugate,
-                             d_eta, d_eta_product, dominance_leq,
+                             almost_admissible_variants, arm, cells,
+                             circle_to_square_moves, conjugate, dominance_leq,
                              enumerate_admissible, enumerate_all_m,
-                             enumerate_sparts, epsilon_u, eta_bar, f_stat,
-                             fermionic_range, is_admissible, leg, lower_hook,
-                             parse_spart,
+                             enumerate_sparts, epsilon_u, fermionic_range,
+                             is_admissible, leg, lower_hook, parse_spart,
                              remove_circle_moves, square_to_circle_moves,
-                             star_pair, tilde_composition, to_overpartition,
-                             upper_hook)
+                             star_pair, to_overpartition, upper_hook)
+
+from oracles import eta_bar, tilde_composition
 
 
 def test_star_pair_display_example():
@@ -237,38 +236,3 @@ def test_tilde_composition():
 
 def test_eta_bar_zero_composition():
     assert eta_bar((0, 0), ALPHA) == [AlphaRational(0), AlphaRational(-1)]
-
-
-def test_d_eta_product_factorization():
-    # frozen oracle: the hook product over a staircase-ish composition equals
-    # the bosonic lower hooks times first-column and fermionic-block factors
-    for s, N in [("3,1,0;5,3,3", 8), ("1,0;2", 4), ("2;4,1", 5), (";3,2", 3)]:
-        L = parse_spart(s)
-        eta = tilde_composition(L, N)
-        m = L.m
-        lhs = AlphaRational(d_eta_product(eta))
-        pb = AlphaPolynomial.const(1)
-        for c in bosonic_cells(L):
-            pb = pb * lower_hook(L, c)
-        pc = AlphaPolynomial.const(1)
-        for i in range(N - len(L.sym) + 1, N + 1):
-            pc = pc * d_eta(eta, (i, 1))
-        pf = AlphaPolynomial.const(1)
-        for j in range(1, m + 1):
-            for i in range(j + 1, m + 1):
-                pf = pf * d_eta(eta, (i, eta[j - 1] + 1))
-        rhs = (AlphaRational(pb) * AlphaRational(pc) * AlphaRational(pf)
-               / f_stat(L.sym))
-        assert lhs == rhs, s
-
-
-def test_eigen_data_bundle():
-    from superjack.spart import eigen_data
-    data = eigen_data(parse_spart("1,0;"), 3, ALPHA)
-    assert not data["e_star"]  # b-statistics of (1,0) and its conjugate vanish
-    assert data["e_tilde"] == AlphaRational(AlphaPolynomial((-1, 1)))
-    assert len(data["epsilon_star"]) == 4
-    assert len(data["eta_bar"]) == 3
-    # degree-(0|1) label: both eigenvalues vanish
-    data0 = eigen_data(parse_spart("0;"), 2, ALPHA)
-    assert not data0["e_star"] and not data0["e_tilde"]
