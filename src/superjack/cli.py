@@ -349,21 +349,25 @@ def cmd_cluster(args, conf) -> int:
     return 0
 
 
+_SUITE_FLAGS = ("k", "r", "N", "nmax", "mmax", "d", "allow_noncoprime")
+
+
 def cmd_verify(args, conf) -> int:
     if args.suite not in SUITES:
         known = ", ".join(sorted(SUITES))
         raise UsageError(f"unknown suite {args.suite!r}; choose from {known}")
-    fn = SUITES[args.suite]
-    kwargs = {}
-    for name, param in inspect.signature(fn).parameters.items():
-        # an unset flag is None (False for --allow-noncoprime): the suite's
-        # default applies, and a parameter without one is a usage error
-        v = getattr(args, name, None)
-        if v is not None and v is not False:
-            kwargs[name] = v
-        elif param.default is param.empty:
+    params = inspect.signature(SUITES[args.suite]).parameters
+    # an unset flag is None (False for --allow-noncoprime): the default applies
+    kwargs = {name: v for name in _SUITE_FLAGS
+              if (v := getattr(args, name)) is not None and v is not False}
+    for name in kwargs:
+        if name not in params:
+            raise UsageError(f"suite {args.suite!r} does not take "
+                             f"--{name.replace('_', '-')}")
+    for name, param in params.items():
+        if name not in kwargs and param.default is param.empty:
             raise UsageError(f"suite {args.suite!r} needs --{name}")
-    ok, report = fn(**kwargs)
+    ok, report = SUITES[args.suite](**kwargs)
     if args.out == "json":
         print(json.dumps({"suite": args.suite, "ok": ok,
                           "report": _jsonable(report)}))
@@ -412,8 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_compute)
 
     p = sub.add_parser("enumerate", help="list superpartitions")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(0, "n"), required=True)
+    p.add_argument("--m", type=_int_at_least(0, "m"), required=True)
     p.add_argument("--N", type=_positive_N, required=True)
     p.add_argument("--admissible", help="'k,r' to filter admissible labels")
     p.add_argument("--out", choices=("json", "pretty"), default="pretty")

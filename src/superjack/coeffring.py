@@ -13,7 +13,9 @@ Invariant: the coefficients of every AlphaPolynomial are a trimmed tuple of
 Python ints.  The public constructor validates its input (``operator.index``
 on each element, so a float or a Fraction raises TypeError); ring results,
 built from operands that already hold the invariant, go through ``_poly``,
-which only trims.
+which only trims.  The Z[a] kernels stay in plain ints: ``poly_gcd`` is the
+primitive remainder sequence, ``poly_divexact`` integer long division, and
+``alpha_eval`` Horner on q^d-scaled halves with one Fraction at the end.
 """
 
 from __future__ import annotations
@@ -193,13 +195,6 @@ class AlphaPolynomial:
             return self
         return _poly((0,) * k + self.coeffs)
 
-    def __call__(self, a0):
-        """Evaluate by Horner at any ring element (Fraction, AlphaRational...)."""
-        acc = a0 * 0
-        for c in reversed(self.coeffs):
-            acc = acc * a0 + c
-        return acc
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -227,69 +222,58 @@ _POLY_ZERO = AlphaPolynomial()
 _POLY_ONE = AlphaPolynomial((1,))
 
 
-def _poly_divmod_q(a: Sequence[Fraction], b: Sequence[Fraction]):
-    """Division with remainder over Q on fraction coefficient lists."""
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lead = b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        c = a[k + len(b) - 1]
-        if c == 0:
-            continue
-        f = c / lead
-        q[k] = f
-        for i, bc in enumerate(b):
-            a[k + i] -= f * bc
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
+def _primitive(c: Sequence[int]) -> Sequence[int]:
+    """A nonzero integer polynomial over its content, leading coefficient > 0."""
+    g = math.gcd(*c) if c[-1] > 0 else -math.gcd(*c)
+    return c if g == 1 else [x // g for x in c]
 
 
 def poly_gcd(p: AlphaPolynomial, q: AlphaPolynomial) -> AlphaPolynomial:
-    """Gcd over Q, returned as a primitive integer polynomial, leading > 0."""
-    a = [Fraction(c) for c in p.coeffs]
-    b = [Fraction(c) for c in q.coeffs]
-    while b:
-        _, r = _poly_divmod_q(a, b)
-        a, b = b, r
-    if not a:
-        return _POLY_ZERO
-    den_lcm = math.lcm(*(c.denominator for c in a))
-    ints = [int(c * den_lcm) for c in a]
-    g = math.gcd(*ints)
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return _poly(ints)
+    """Gcd over Q, returned as a primitive integer polynomial, leading > 0.
+
+    The primitive remainder sequence over Z (Brown, J. ACM 18 (1971); Knuth,
+    TAOCP vol. 2, 4.6.1): primitive inputs, then pseudo-remainders with their
+    content divided out; by Gauss's lemma the last one is the gcd over Q.
+    """
+    a, b = sorted((p.coeffs, q.coeffs), key=len, reverse=True)
+    if len(b) < 2:
+        return _POLY_ONE if b else _poly(_primitive(a)) if a else _POLY_ZERO
+    a, b = _primitive(a), _primitive(b)
+    while len(b) > 1:
+        r, n, lb = list(a), len(b) - 1, b[-1]
+        for k in range(len(r) - 1, n - 1, -1):
+            c = r.pop()
+            if c:  # r*lb/g - x^(k-n)*b*c/g with g = gcd(c, lb) clears the top
+                g = math.gcd(c, lb)
+                c //= g
+                if g != lb:
+                    r = [x * (lb // g) for x in r]
+                for i in range(n):
+                    r[k - n + i] -= c * b[i]
+        r = _trim(r)
+        if not r:
+            return _poly(b)
+        a, b = b, _primitive(r)
+    return _POLY_ONE
 
 
 def poly_divexact(p: AlphaPolynomial, q: AlphaPolynomial) -> AlphaPolynomial:
-    """Exact quotient p/q over Q; must land back in Z[a]."""
-    quo, rem = _poly_divmod_q([Fraction(c) for c in p.coeffs],
-                              [Fraction(c) for c in q.coeffs])
-    if rem:
-        raise ArithmeticError("inexact polynomial division")
-    if any(c.denominator != 1 for c in quo):
-        raise ArithmeticError("quotient not integral")
-    return _poly([c.numerator for c in quo])
-
-
-def poly_divide_linear(p: AlphaPolynomial, f: AlphaPolynomial):
-    """p / f for a primitive linear f, or None when f does not divide p.
-
-    By Gauss's lemma an exact quotient by a primitive polynomial lies in
-    Z[a], so synthetic division over the integers decides divisibility.
-    """
-    t, s = f.coeffs
-    c = p.coeffs
-    q = [0] * max(len(c) - 1, 0)
-    r = c[-1] if c else 0
-    for k in range(len(c) - 2, -1, -1):
-        q[k], rem = divmod(r, s)
+    """Exact quotient p/q in Z[a] by integer long division; ArithmeticError
+    when a top coefficient or the remainder shows that q does not divide p."""
+    r, b = list(p.coeffs), q.coeffs
+    n, lb = len(b) - 1, b[-1]
+    quo = [0] * max(len(r) - n, 0)
+    for k in range(len(r) - 1, n - 1, -1):
+        c, rem = divmod(r.pop(), lb)
         if rem:
-            return None
-        r = c[k] - q[k] * t
-    return None if r else _poly(q)
+            raise ArithmeticError("inexact division in Z[a]")
+        if c:
+            quo[k - n] = c
+            for i in range(n):
+                r[k - n + i] -= c * b[i]
+    if any(r):
+        raise ArithmeticError("inexact division in Z[a]")
+    return _poly(quo)
 
 
 # ---------------------------------------------------------------------------
@@ -539,19 +523,31 @@ def clear_denominators(values: Mapping) -> dict:
 
 
 def alpha_eval(f: AlphaRational, a0: Union[int, Fraction]) -> Fraction:
-    """Evaluate f in Q(a) at the rational point a0.
+    """Evaluate f in Q(a) at the rational point a0 = p/q: num and den both
+    scaled by q^d, d the larger degree, by Horner on ints, then one Fraction.
 
     Raises PoleError when the (reduced) denominator vanishes there, and
     IndeterminateError in the 0/0 case, which cannot occur on canonical
     elements but is kept distinct for callers holding raw pairs.
     """
     a0 = Fraction(a0)
-    dv = f.den(a0)
-    if dv != 0:
-        return f.num(a0) / dv
-    if f.num(a0) != 0:
+    p, q = a0.numerator, a0.denominator
+    n = max(len(f.num.coeffs), len(f.den.coeffs))
+    nv = _scaled_eval(f.num.coeffs, p, q, n)
+    dv = _scaled_eval(f.den.coeffs, p, q, n)
+    if dv:
+        return Fraction(nv, dv)
+    if nv:
         raise PoleError(f"pole of {f} at a = {a0}")
     raise IndeterminateError(f"0/0 for {f} at a = {a0}; cancel first")
+
+
+def _scaled_eval(c: Sequence[int], p: int, q: int, n: int) -> int:
+    """q^(n-1) * P(p/q) for the polynomial P with coefficients c, len(c) <= n."""
+    acc, qk = 0, 1
+    for x in reversed(c):
+        acc, qk = acc * p + x * qk, qk * q
+    return acc * q ** (n - len(c))
 
 
 # ---------------------------------------------------------------------------

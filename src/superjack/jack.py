@@ -18,7 +18,7 @@ from typing import Optional
 
 from .coeffring import (ALPHA, ONE, AlphaPolynomial, AlphaRational,
                         PoleError, _poly, alpha_eval, clear_denominators,
-                        poly_divide_linear)
+                        poly_divexact)
 # unused here: perfbench's test_tracer_wraps_every_binding reads jack.solve_exact
 from .coeffring import solve_exact  # noqa: F401
 from .ops import apply_D, apply_Delta, operator
@@ -145,7 +145,7 @@ def _triangular_peel(L, below, pairs):
     eigenvalue there differs from L's: a row sum over those already found
     divided by that difference, which is linear in a.  So every denominator
     is an integer times a product of linear factors, and exact cancellation
-    needs synthetic divisions only, never a gcd.
+    needs exact divisions by those factors only, never a gcd.
     """
     targets = [(rows, eigenvalue, eigenvalue(L)) for rows, eigenvalue in pairs]
     found = {L: (AlphaPolynomial.const(1), {}, 1)}
@@ -197,10 +197,10 @@ def _divide_row_sum(terms, diff):
         factors[f] = factors.get(f, 0) + 1
     for f in list(factors):
         while factors[f]:
-            q = poly_divide_linear(num, f)
-            if q is None:
+            try:
+                num = poly_divexact(num, f)
+            except ArithmeticError:
                 break
-            num = q
             factors[f] -= 1
         if not factors[f]:
             del factors[f]

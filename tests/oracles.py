@@ -1,9 +1,12 @@
 """Helpers that only the test oracles use: the composition side of the
-non-symmetric construction, and the Vandermonde product."""
+non-symmetric construction, the Vandermonde product, and the Euclid gcd and
+exact division of Z[a] run over Q with Fraction coefficients."""
 
 import math
+from fractions import Fraction
 from typing import Sequence
 
+from superjack.coeffring import AlphaPolynomial
 from superjack.spart import SuperPartition, n_mult
 from superjack.superpoly import SuperPolynomial
 
@@ -41,3 +44,50 @@ def vandermonde(m: int, N: int) -> SuperPolynomial:
         for j in range(i + 1, m + 1):
             out = out * (SuperPolynomial.x(i, N) - SuperPolynomial.x(j, N))
     return out
+
+
+def _poly_divmod_q(a: Sequence[Fraction], b: Sequence[Fraction]):
+    """Division with remainder over Q on fraction coefficient lists."""
+    a = list(a)
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    lead = b[-1]
+    for k in range(len(a) - len(b), -1, -1):
+        c = a[k + len(b) - 1]
+        if c == 0:
+            continue
+        f = c / lead
+        q[k] = f
+        for i, bc in enumerate(b):
+            a[k + i] -= f * bc
+    while a and a[-1] == 0:
+        a.pop()
+    return q, a
+
+
+def poly_gcd_q(p: AlphaPolynomial, q: AlphaPolynomial) -> AlphaPolynomial:
+    """Gcd by Euclid over Q, as a primitive integer polynomial, leading > 0."""
+    a = [Fraction(c) for c in p.coeffs]
+    b = [Fraction(c) for c in q.coeffs]
+    while b:
+        _, r = _poly_divmod_q(a, b)
+        a, b = b, r
+    if not a:
+        return AlphaPolynomial()
+    den_lcm = math.lcm(*(c.denominator for c in a))
+    ints = [int(c * den_lcm) for c in a]
+    g = math.gcd(*ints)
+    ints = [c // g for c in ints]
+    if ints[-1] < 0:
+        ints = [-c for c in ints]
+    return AlphaPolynomial(ints)
+
+
+def poly_divexact_q(p: AlphaPolynomial, q: AlphaPolynomial) -> AlphaPolynomial:
+    """Exact quotient p/q over Q; must land back in Z[a]."""
+    quo, rem = _poly_divmod_q([Fraction(c) for c in p.coeffs],
+                              [Fraction(c) for c in q.coeffs])
+    if rem:
+        raise ArithmeticError("inexact polynomial division")
+    if any(c.denominator != 1 for c in quo):
+        raise ArithmeticError("quotient not integral")
+    return AlphaPolynomial(c.numerator for c in quo)

@@ -657,8 +657,11 @@ def test_rows_are_ints_and_affine_elements_of_Z_a():
 
 
 def test_peel_without_cancellation_is_caught(monkeypatch):
-    # a mutant whose synthetic division never divides keeps every factor
-    monkeypatch.setattr(jack, "poly_divide_linear", lambda p, f: None)
+    # a mutant whose exact division never divides keeps every factor
+    def never_divides(p, f):
+        raise ArithmeticError("inexact division in Z[a]")
+
+    monkeypatch.setattr(jack, "poly_divexact", never_divides)
     caught = []
     for n, m, N in _FAMILIES:
         labels, d_rows, delta_rows = jack._mbasis_matrices(n, m, N)
