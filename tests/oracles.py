@@ -91,3 +91,11 @@ def poly_divexact_q(p: AlphaPolynomial, q: AlphaPolynomial) -> AlphaPolynomial:
     if any(c.denominator != 1 for c in quo):
         raise ArithmeticError("quotient not integral")
     return AlphaPolynomial(c.numerator for c in quo)
+
+
+def poly_at(p: AlphaPolynomial, a0: Fraction) -> Fraction:
+    """p(a0) by Horner over Fraction."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * a0 + c
+    return acc

@@ -212,13 +212,27 @@ def test_verify_names_a_missing_suite_parameter(capsys, suite, given, missing):
         f"suite {suite!r} needs --{missing}"
 
 
+@pytest.mark.parametrize("suite, given, flag", [
+    ("norm", ("--nmax", "2", "--k", "5"), "k"),
+    ("sekiguchi", ("--nmax", "2", "--N", "2", "--allow-noncoprime"),
+     "allow-noncoprime")])
+def test_verify_rejects_a_flag_its_suite_does_not_take(capsys, suite, given,
+                                                       flag):
+    # both calls used to print PASS with exit 0, the extra flag ignored
+    assert _usage_error(capsys, "verify", "--suite", suite, *given) == \
+        f"suite {suite!r} does not take --{flag}"
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--suite", "stability", "--k", "1", "--r", "2", "--N", "2",
      "--nmax", "-1"),
     ("verify", "--suite", "pieri", "--N", "2", "--nmax", "2", "--mmax", "-1"),
-    ("characters", "--space", "I", "--k", "1", "--N", "2", "--nmax", "-1")])
+    ("characters", "--space", "I", "--k", "1", "--N", "2", "--nmax", "-1"),
+    ("enumerate", "--m", "0", "--N", "2", "--n", "-1"),
+    ("enumerate", "--n", "2", "--N", "2", "--m", "-1")])
 def test_degree_bounds_must_be_non_negative(capsys, argv):
-    # --nmax -1 used to pass vacuously with exit 0
+    # --nmax -1 used to pass vacuously with exit 0, and so did enumerate's
+    # --n -1 and --m -1, printing nothing
     flag = argv[-2].lstrip("-")
     assert f"{flag} must be a non-negative integer" in _usage_error(capsys, *argv)
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from superjack.coeffring import (ALPHA, ONE, AlphaPolynomial, AlphaRational,
                                  _normalize, _pivot_weight, alpha_eval,
                                  common_denominator, parse_alpha, poly_gcd,
                                  poly_divexact, solve_exact)
+from oracles import poly_at, poly_divexact_q, poly_gcd_q
 
 a = ALPHA
 
@@ -130,6 +132,110 @@ def test_poly_divexact_by_a_primitive_linear_factor(coeffs, t, s):
     assert (q is not None) == divides
     if q is not None:
         assert q * f == p
+
+
+# The Z[a] kernels run on ints: poly_gcd by the primitive remainder sequence,
+# poly_divexact by integer long division, alpha_eval by Horner on q^d-scaled
+# halves.  The Fraction routes they replaced are the oracles.
+
+def _planted_cases(count, seed):
+    """(p, q, g): p and q share the planted factor g, which may be zero or a
+    constant; the cofactors may be zero, constant, negative or non-primitive."""
+    rng = random.Random(seed)
+
+    def poly(deg):
+        return AlphaPolynomial(rng.randint(-9, 9) for _ in range(deg + 1))
+
+    edges = [AlphaPolynomial(), AlphaPolynomial((5,)), AlphaPolynomial((-3,)),
+             AlphaPolynomial((4, -6, 2)), AlphaPolynomial((0, 0, -1))]
+    for x in edges:
+        for y in edges:
+            yield x, y, AlphaPolynomial((1,))
+    for _ in range(count):
+        g = poly(rng.randint(0, 3)) * rng.choice((1, 2, -3, 6))
+        yield (poly(rng.randint(-1, 4)) * g * rng.choice((1, -1, 4)),
+               poly(rng.randint(-1, 4)) * g, g)
+
+
+def _outcome(divide, p, q):
+    try:
+        return divide(p, q)
+    except ArithmeticError:
+        return ArithmeticError
+
+
+def test_poly_gcd_and_divexact_match_the_fraction_routes():
+    divisions = 0
+    for p, q, g in _planted_cases(3000, seed=17):
+        assert poly_gcd(p, q) == poly_gcd_q(p, q), (p, q)
+        for x, y in ((p, g), (q, g), (p * q, q), (p, q), (q, p)):
+            if y:
+                assert _outcome(poly_divexact, x, y) == \
+                    _outcome(poly_divexact_q, x, y), (x, y)
+                divisions += 1
+    assert divisions > 12000
+
+
+@pytest.mark.parametrize("p, q", [
+    ((1, 0, 1), (1, 1)),   # a^2+1 by a+1: remainder 2
+    ((1,), (0, 1)),        # 1 by a: lower degree, nonzero
+    ((3, 1), (0, 2)),      # 3+a by 2a: remainder 3
+    ((2, 2), (4,)),        # (a+1)/2: exact over Q, not integral
+    ((1, 1), (2, 2)),      # 1/2
+    ((0, 3, 3), (0, 2)),   # 3(a+1)/2
+])
+def test_poly_divexact_rejects_a_quotient_outside_z_a(p, q):
+    p, q = AlphaPolynomial(p), AlphaPolynomial(q)
+    for divide in (poly_divexact, poly_divexact_q):
+        with pytest.raises(ArithmeticError):
+            divide(p, q)
+
+
+def _check_alpha_eval():
+    """alpha_eval against num(a0)/den(a0) by Horner over Fraction, on raw
+    pairs whose halves differ in degree, at integer and non-integer points."""
+    rng = random.Random(23)
+    points = [Fraction(-3), Fraction(2), Fraction(-3, 2), Fraction(2, 5),
+              Fraction(-4, 3)]
+    checked = 0
+    for _ in range(400):
+        num = AlphaPolynomial(rng.randint(-5, 5)
+                              for _ in range(rng.randint(0, 4)))
+        den = AlphaPolynomial(rng.randint(-5, 5)
+                              for _ in range(rng.randint(1, 4)))
+        if not den or num.degree() == den.degree():
+            continue
+        f = AlphaRational(num, den, _normalized=True)
+        for a0 in points:
+            dv = poly_at(den, a0)
+            if dv:
+                assert alpha_eval(f, a0) == poly_at(num, a0) / dv, (f, a0)
+                checked += 1
+    assert checked > 1000
+    # a pole, and a raw 0/0 pair that canonical elements never are
+    pole = AlphaRational(AlphaPolynomial((1, 1)),
+                         AlphaPolynomial((3, 2)) * AlphaPolynomial((0, 1)),
+                         _normalized=True)
+    with pytest.raises(PoleError):
+        alpha_eval(pole, Fraction(-3, 2))
+    raw = AlphaRational(AlphaPolynomial((3, 2)) * AlphaPolynomial((1, 1)),
+                        AlphaPolynomial((3, 2)), _normalized=True)
+    with pytest.raises(IndeterminateError):
+        alpha_eval(raw, Fraction(-3, 2))
+
+
+def test_alpha_eval_matches_fraction_horner():
+    _check_alpha_eval()
+
+
+def test_alpha_eval_scaled_by_own_degrees_is_caught(monkeypatch):
+    # mutant: num scaled by q^(deg num) and den by q^(deg den), not both by
+    # q^d; the quotient is then off by a power of q
+    scaled_eval = coeffring._scaled_eval
+    monkeypatch.setattr(coeffring, "_scaled_eval",
+                        lambda c, p, q, n: scaled_eval(c, p, q, len(c)))
+    with pytest.raises(AssertionError):
+        _check_alpha_eval()
 
 
 @pytest.mark.parametrize("bad", [1.7, 2.0, Fraction(5, 2), Fraction(4, 2)])
