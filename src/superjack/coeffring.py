@@ -530,8 +530,7 @@ def alpha_eval(f: AlphaRational, a0: Union[int, Fraction]) -> Fraction:
     IndeterminateError in the 0/0 case, which cannot occur on canonical
     elements but is kept distinct for callers holding raw pairs.
     """
-    a0 = Fraction(a0)
-    p, q = a0.numerator, a0.denominator
+    p, q = a0.numerator, a0.denominator  # an int a0 is a0/1
     n = max(len(f.num.coeffs), len(f.den.coeffs))
     nv = _scaled_eval(f.num.coeffs, p, q, n)
     dv = _scaled_eval(f.den.coeffs, p, q, n)
