@@ -5,6 +5,16 @@ specialized to -(k+1)/(r-1) before any linear algebra happens.  Bases are
 graded by (total degree | fermionic degree); membership, stability, character
 and clustering questions all reduce to exact linear algebra over Q in the
 monomial superbasis.
+
+Membership is a monic triangular peel, not a solve.  P_L is monic at L and
+supported on labels that L dominates, so in the order of `enumerate_sparts`
+(``sort_key``, which extends dominance) each basis element has coefficient 1
+at its own label and nothing above it; `DegreeBasis.columns` checks exactly
+that.  Any nonzero combination of such columns then has a basis label as its
+top label, so the peel decides membership: a peel that empties the residual
+has found coefficients that are their own certificate, and a peel stuck on a
+label outside the basis is confirmed by one dense `solve_exact` call before
+`NotInSpan` is raised.
 """
 
 from __future__ import annotations
@@ -23,9 +33,17 @@ from .superpoly import (SuperPolynomial, ferm_power, monomial_msym,
 
 
 class NotInSpan(ValueError):
-    def __init__(self, message: str, residual=None):
+    """``label`` is the residual's top label, which no basis element has."""
+
+    def __init__(self, message: str, residual=None, label=None):
         super().__init__(message)
         self.residual = residual
+        self.label = label
+
+
+class NotUnitriangular(ArithmeticError):
+    """A basis that is not monic triangular, or a peel the dense solve
+    contradicts."""
 
 
 def alpha_kr(k: int, r: int) -> Fraction:
@@ -41,7 +59,7 @@ class GradedBasis:
     by_degree: dict[tuple[int, int], "DegreeBasis"]
 
     def at(self, n: int, m: int):
-        return self.by_degree.get((n, m), [])
+        return self.by_degree.get((n, m), DegreeBasis())
 
 
 class DegreeBasis(tuple):
@@ -49,15 +67,42 @@ class DegreeBasis(tuple):
 
     ``mcoords`` reads the elements in the monomial superbasis on first use,
     checking each for symmetry once, and keeps the coordinates for every
-    later membership test against the same basis.
+    later membership test against the same basis; ``columns`` keys them by
+    label for the peel.
     """
 
     _mcoords = None
+    _columns = None
 
     def mcoords(self) -> list[dict]:
         if self._mcoords is None:
             self._mcoords = [to_mbasis(poly) for _, poly in self]
         return self._mcoords
+
+    def columns(self) -> tuple[dict, dict]:
+        """``{label: mcoords}`` and the rank of every label of the degree.
+
+        Rank is the index in `enumerate_sparts`, top label first.  Each
+        column must be 1 at its own label and 0 at every label above it,
+        which makes the peel in `membership` exact and finite; any other
+        basis raises `NotUnitriangular`.
+        """
+        if self._columns is None:
+            rank = {}
+            if self:
+                L, poly = self[0]
+                rank = {G: i for i, G in
+                        enumerate(enumerate_sparts(L.n, L.m, poly.N))}
+            columns = dict(zip((L for L, _ in self), self.mcoords()))
+            for L, col in columns.items():
+                top = rank.get(L, -1)
+                if col.get(L) != 1 or any(rank.get(G, -1) <= top
+                                          for G in col if G != L):
+                    raise NotUnitriangular(
+                        f"basis element {L} is not monic at its label or "
+                        "reaches a label above it")
+            self._columns = columns, rank
+        return self._columns
 
 
 def degree_basis(k: int, r: int, N: int, n: int, m: int,
@@ -111,19 +156,45 @@ def _span_solve(columns: Sequence[dict], rhs: Optional[dict] = None):
 def membership(f: SuperPolynomial, basis: DegreeBasis):
     """Coefficients of f over the basis elements; NotInSpan on failure.
 
-    The solve runs in monomial-superbasis coordinates, read once per
-    `DegreeBasis`.  The elements are symmetric, so a non-symmetric f lies
-    outside their span.
+    The elements are symmetric, so a non-symmetric f lies outside their
+    span.  Otherwise the peel takes the top label of f's monomial
+    coordinates, subtracts that coefficient times the basis element of the
+    label, and repeats.  When the residual empties, the coefficients found
+    sum to f, so a positive answer certifies itself.  When the top label
+    has no basis element, the columns being monic triangular (checked by
+    `DegreeBasis.columns`) put f outside the span; one dense solve confirms
+    that before NotInSpan, with ``label`` the stuck label, is raised.
     """
     if f.is_zero():
         return {}
     if not f.is_symmetric():
         raise NotInSpan("not symmetric, so outside the span", residual=f)
-    res = _span_solve(basis.mcoords(), to_mbasis(f, verify=False))
-    if isinstance(res, NoSolution):
-        raise NotInSpan(f"outside the span ({len(basis)} elements)", residual=f)
-    vector = res.vector if isinstance(res, UniqueSolution) else res.particular
-    return {basis[i][0]: c for i, c in enumerate(vector) if c}
+    rhs = to_mbasis(f, verify=False)
+    columns, rank = basis.columns()
+    residual = dict(rhs)
+    found = {}
+    stray = residual.keys() - rank.keys()
+    top = max(stray, key=SuperPartition.sort_key) if stray else None
+    while residual and top is None:
+        L = min(residual, key=rank.__getitem__)
+        col = columns.get(L)
+        if col is None:
+            top = L
+            break
+        c = found[L] = residual[L]
+        for G, v in col.items():
+            x = residual.get(G, 0) - c * v
+            if x:
+                residual[G] = x
+            else:
+                residual.pop(G, None)
+    if top is None:
+        return found
+    if not isinstance(_span_solve(basis.mcoords(), rhs), NoSolution):
+        raise NotUnitriangular(
+            f"peel stuck at {top}, yet the dense solve finds f in the span")
+    raise NotInSpan(f"outside the span ({len(basis)} elements), "
+                    f"stuck at {top}", residual=f, label=top)
 
 
 def rank_of(polys: Sequence[SuperPolynomial]) -> int:

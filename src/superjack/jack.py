@@ -178,12 +178,15 @@ def _divide_row_sum(terms, diff):
                 factors[f] = k
         d = lcm(d, dc)
     num = AlphaPolynomial()
+    powers = {}  # (f, extra) -> f ** extra, shared by the terms of this sum
     for (cn, fac, dc), v in terms:
         part = cn * v * (d // dc)
         for f, k in factors.items():
             extra = k - fac.get(f, 0)
             if extra:
-                part = part * f ** extra
+                if (f, extra) not in powers:
+                    powers[f, extra] = f ** extra
+                part = part * powers[f, extra]
         num = num + part
     if not num:
         return None

@@ -3,17 +3,21 @@ from fractions import Fraction
 import pytest
 
 from superjack import ideals
+from superjack.cli import dispatch
 from superjack.coeffring import (FieldMatrix, NoSolution, PoleError,
                                  UniqueSolution)
-from superjack.ideals import (CharacterSeries, NotInSpan, alpha_kr,
+from superjack.ideals import (CharacterSeries, DegreeBasis, NotInSpan,
+                              NotUnitriangular, alpha_kr,
                               cluster_multiplicity, cochain_check,
                               degree_basis, dim_F, harness_clustering,
                               harness_I_eq_F, ideal_basis, membership,
                               prescribed_vanish_check, rank_of,
                               stability_suite, vanish_check)
 from superjack.jack import jack_at
-from superjack.spart import enumerate_all_m, is_admissible, parse_spart
-from superjack.superpoly import SuperPolynomial, power_sum
+from superjack.spart import (enumerate_all_m, enumerate_sparts, is_admissible,
+                             parse_spart)
+from superjack.superpoly import (SuperPolynomial, monomial_msym, power_sum,
+                                 to_mbasis)
 from test_coeffring import _dense_solve_exact
 
 
@@ -44,6 +48,14 @@ def test_membership_basics():
         membership(power_sum(1, 3), basis)
 
 
+def test_membership_in_an_empty_degree():
+    empty = ideal_basis(1, 2, 3, 3).at(1, 0)
+    assert isinstance(empty, DegreeBasis) and not empty
+    with pytest.raises(NotInSpan) as exc:
+        membership(power_sum(1, 3), empty)
+    assert str(exc.value.label) == ";1"
+
+
 def _dense_membership(f, basis):
     """Oracle: one dense solve over every expanded (theta, exponent) term.
 
@@ -61,20 +73,39 @@ def _dense_membership(f, basis):
     return {basis[i][0]: c for i, c in enumerate(vector) if c}
 
 
+def _mcoord_membership(f, basis):
+    """Oracle: one `_span_solve` over the basis's monomial coordinates."""
+    if f.is_zero():
+        return {}
+    if not f.is_symmetric():
+        return None
+    res = ideals._span_solve(basis.mcoords(), to_mbasis(f, verify=False))
+    if isinstance(res, NoSolution):
+        return None
+    vector = res.vector if isinstance(res, UniqueSolution) else res.particular
+    return {basis[i][0]: c for i, c in enumerate(vector) if c}
+
+
 @pytest.mark.parametrize("k, r, N, nmax, noncoprime",
-                         [(1, 2, 3, 5, False), (1, 3, 2, 6, True)])
+                         [(1, 2, 3, 5, False), (1, 3, 2, 6, True),
+                          (2, 3, 3, 5, False)])
 def test_membership_matches_dense_oracle(monkeypatch, k, r, N, nmax,
                                          noncoprime):
-    # every operator image and restriction piece of the stability suite
+    # every operator image and restriction piece of the stability suite:
+    # the peel against the m-coordinate solve and the expanded-term solve
     real = ideals.membership
     seen = {"in": 0, "out": 0}
 
     def differential(f, basis):
-        want = _dense_membership(f, basis)
+        want = _mcoord_membership(f, basis)
+        assert _dense_membership(f, basis) == want
         try:
             got = real(f, basis)
-        except NotInSpan:
+        except NotInSpan as exc:
             got = None
+            labels = {L for L, _ in basis}
+            assert f.is_symmetric() == (exc.label is not None)
+            assert exc.label is None or exc.label not in labels
         assert got == want, (f, [str(L) for L, _ in basis])
         seen["out" if got is None else "in"] += 1
         if got is None:
@@ -86,6 +117,58 @@ def test_membership_matches_dense_oracle(monkeypatch, k, r, N, nmax,
     assert seen["in"] > 50
     assert seen["out"] == len(rep["violations"])
     assert bool(seen["out"]) == noncoprime
+
+
+def test_dropped_basis_element_is_missed():
+    # (2|1) N=3 at (k,r) = (1,2): drop each element in turn; the element
+    # itself and every image that uses it fall outside the rest
+    k, r, N = 1, 2, 3
+    source = degree_basis(k, r, N, 4, 1)
+    target = degree_basis(k, r, N, 5, 1)
+    assert len(target) > 1
+    images = [power_sum(1, N) * poly for _, poly in source]
+    used = 0
+    for j, (label, poly) in enumerate(target):
+        rest = DegreeBasis(e for i, e in enumerate(target) if i != j)
+        with pytest.raises(NotInSpan) as exc:
+            membership(poly, rest)
+        assert exc.value.label == label
+        assert _mcoord_membership(poly, rest) is None
+        for img in images:
+            if label in membership(img, target):
+                used += 1
+                with pytest.raises(NotInSpan):
+                    membership(img, rest)
+                assert _mcoord_membership(img, rest) is None
+                assert _dense_membership(img, rest) is None
+    assert used
+
+
+def test_stuck_peel_contradicted_by_the_solve_exits_3(monkeypatch, capsys):
+    argv = ["verify", "--suite", "stability", "--k", "1", "--r", "3",
+            "--N", "2", "--nmax", "4", "--allow-noncoprime"]
+    assert dispatch(argv) == 1
+    monkeypatch.setattr(ideals, "solve_exact",
+                        lambda M, b: UniqueSolution([Fraction(0)] * M.cols))
+    assert dispatch(argv) == 3
+    assert "NotUnitriangular" in capsys.readouterr().err
+
+
+def _mutant_columns():
+    basis = degree_basis(1, 2, 3, 5, 1)
+    assert len(basis) > 1
+    (top, _), (low, poly) = basis[0], basis[-1]
+    above = monomial_msym(enumerate_sparts(5, 1, 3)[0], 3)
+    yield DegreeBasis([(top, basis[0][1].scale(2)), *basis[1:]])
+    yield DegreeBasis([*basis[:-1], (low, poly + above)])
+
+
+@pytest.mark.parametrize("mutant", list(_mutant_columns()),
+                         ids=["scaled by 2", "term above its label"])
+def test_non_unitriangular_columns_are_rejected(mutant):
+    f = mutant[0][1]
+    with pytest.raises(NotUnitriangular):
+        membership(f, mutant)
 
 
 def test_stability_reads_each_basis_element_once(monkeypatch):
