@@ -505,14 +505,11 @@ def dispatch(argv) -> int:
     if not getattr(args, "command", None):
         parser.print_help()
         return 2
-    conf = {}
     try:
-        conf = _load_config(args.config)
-    except OSError as exc:
-        _emit_error("ConfigError", str(exc))
+        return args.fn(args, _load_config(args.config))
+    except OSError as exc:  # a --config, --input or cache path
+        _emit_error(type(exc).__name__, str(exc), path=exc.filename)
         return 2
-    try:
-        return args.fn(args, conf)
     except UsageError as exc:
         _emit_error("UsageError", str(exc))
         return 2

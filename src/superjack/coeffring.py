@@ -1,4 +1,4 @@
-"""Exact coefficient arithmetic: Q, Z[a], the field Q(a), and exact linear solving.
+"""Exact coefficient arithmetic over Q, Z[a] and Q(a); linear solving over Q.
 
 Rationals are ``fractions.Fraction``.  Univariate integer polynomials in the
 deformation parameter (printed ``a``) are ``AlphaPolynomial``; their reduced
@@ -554,9 +554,16 @@ def _scaled_eval(c: Sequence[int], p: int, q: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 def parse_alpha(text: str) -> AlphaRational:
-    """Parse an element of Q(a): integers, ``a``, + - * / ^ and parentheses."""
+    """Parse an element of Q(a): integers, ``a``, + - * / ^ and parentheses.
+
+    The parser recurses once per parenthesis and unary minus, so a literal
+    nested past the interpreter's recursion limit raises ValueError.
+    """
     tokens = _tokenize(text)
-    value, pos = _parse_sum(tokens, 0)
+    try:
+        value, pos = _parse_sum(tokens, 0)
+    except RecursionError:
+        raise ValueError(f"Q(a) literal nested too deeply: {text!r}") from None
     if pos != len(tokens):
         raise ValueError(f"trailing input in {text!r}")
     return value
@@ -658,7 +665,7 @@ class NoSolution:
 
 
 class FieldMatrix:
-    """Dense matrix over one exact field (Fraction or AlphaRational)."""
+    """Dense matrix: its shape and its entries in row-major order."""
 
     def __init__(self, rows: int, cols: int, entries: Sequence):
         if len(entries) != rows * cols:
@@ -668,19 +675,13 @@ class FieldMatrix:
         self.entries = list(entries)
 
 
-def _pivot_weight(x) -> int:
-    # lowest total polynomial degree first, to curb coefficient blow-up
-    if isinstance(x, AlphaRational):
-        return x.num.degree() + x.den.degree()
-    return 0
-
-
 def solve_exact(M: FieldMatrix, b: Sequence):
-    """Solve M x = b exactly by Gauss-Jordan elimination on sparse rows.
+    """Solve M x = b over Q exactly by Gauss-Jordan elimination on sparse rows.
 
     Returns UniqueSolution, SolutionSpace (particular + reduced-echelon
-    nullspace basis) or NoSolution.  Entries may be Fraction or
-    AlphaRational; they are never mixed.
+    nullspace basis) or NoSolution.  Entries and right-hand side are
+    Fractions; each pivot is the first row below the echelon with a nonzero
+    entry in its column.
 
     Each row is a dict from column to nonzero entry, the right-hand side
     at column ``M.cols``; a row operation touches only the pivot row's
@@ -698,18 +699,9 @@ def solve_exact(M: FieldMatrix, b: Sequence):
     pivots = []
     r = 0
     for col in range(m):
-        best = None
-        for i in range(r, n):
-            e = rows[i].get(col)
-            if e is not None:
-                w = _pivot_weight(e)
-                if best is None or w < best[0]:
-                    best = (w, i)
-                    if w == 0:  # no weight is lower
-                        break
-        if best is None:
+        i = next((i for i in range(r, n) if col in rows[i]), None)
+        if i is None:
             continue
-        i = best[1]
         rows[r], rows[i] = rows[i], rows[r]
         prow = rows[r]
         pv = prow[col]
@@ -736,13 +728,7 @@ def solve_exact(M: FieldMatrix, b: Sequence):
     for i in range(r, n):
         if m in rows[i]:
             return NoSolution(witness_row=i)
-    if M.entries:
-        zero = M.entries[0] * 0
-    elif b:
-        zero = b[0] * 0
-    else:
-        zero = Fraction(0)
-    one = zero + 1
+    zero, one = Fraction(0), Fraction(1)
     particular = [zero] * m
     for i, col in enumerate(pivots):
         particular[col] = rows[i].get(m, zero)

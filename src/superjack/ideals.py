@@ -11,7 +11,8 @@ supported on labels that L dominates, so in the order of `enumerate_sparts`
 (``sort_key``, which extends dominance) each basis element has coefficient 1
 at its own label and nothing above it; `DegreeBasis.columns` checks exactly
 that.  Any nonzero combination of such columns then has a basis label as its
-top label, so the peel decides membership: a peel that empties the residual
+top label, so the peel (`superpoly.peel`, which the power-sum expansion
+shares) decides membership: a peel that empties the residual
 has found coefficients that are their own certificate, and a peel stuck on a
 label outside the basis is confirmed by one dense `solve_exact` call before
 `NotInSpan` is raised.
@@ -28,7 +29,7 @@ from .jack import jack_at
 from .ops import OPERATORS, L_op, operator
 from .spart import (SuperPartition, admissible_at_degree, check_kr,
                     enumerate_admissible, enumerate_sparts, fermionic_range)
-from .superpoly import (SuperPolynomial, ferm_power, monomial_msym,
+from .superpoly import (SuperPolynomial, ferm_power, monomial_msym, peel,
                         power_sum, prescribed_part, to_mbasis)
 
 
@@ -47,20 +48,14 @@ class NotUnitriangular(ArithmeticError):
 
 
 def alpha_kr(k: int, r: int) -> Fraction:
+    """The parameter -(k+1)/(r-1); ValueError outside k >= 1, r >= 2."""
+    check_kr(k, r, allow_noncoprime=True)
     return Fraction(-(k + 1), r - 1)
 
 
 # ---------------------------------------------------------------------------
 # graded bases
 # ---------------------------------------------------------------------------
-
-@dataclass
-class GradedBasis:
-    by_degree: dict[tuple[int, int], "DegreeBasis"]
-
-    def at(self, n: int, m: int):
-        return self.by_degree.get((n, m), DegreeBasis())
-
 
 class DegreeBasis(tuple):
     """(label, polynomial) pairs spanning one degree.
@@ -116,7 +111,9 @@ def degree_basis(k: int, r: int, N: int, n: int, m: int,
 
 
 def ideal_basis(k: int, r: int, N: int, nmax: int,
-                allow_noncoprime: bool = False) -> GradedBasis:
+                allow_noncoprime: bool = False
+                ) -> dict[tuple[int, int], DegreeBasis]:
+    """The nonempty degree bases up to total degree nmax, keyed by (n, m)."""
     by_degree = {}
     for n in range(nmax + 1):
         for m in fermionic_range(n, N):
@@ -124,7 +121,7 @@ def ideal_basis(k: int, r: int, N: int, nmax: int,
                                  allow_noncoprime=allow_noncoprime)
             if entry:
                 by_degree[(n, m)] = entry
-    return GradedBasis(by_degree)
+    return by_degree
 
 
 # ---------------------------------------------------------------------------
@@ -171,25 +168,13 @@ def membership(f: SuperPolynomial, basis: DegreeBasis):
         raise NotInSpan("not symmetric, so outside the span", residual=f)
     rhs = to_mbasis(f, verify=False)
     columns, rank = basis.columns()
-    residual = dict(rhs)
-    found = {}
-    stray = residual.keys() - rank.keys()
-    top = max(stray, key=SuperPartition.sort_key) if stray else None
-    while residual and top is None:
-        L = min(residual, key=rank.__getitem__)
-        col = columns.get(L)
-        if col is None:
-            top = L
-            break
-        c = found[L] = residual[L]
-        for G, v in col.items():
-            x = residual.get(G, 0) - c * v
-            if x:
-                residual[G] = x
-            else:
-                residual.pop(G, None)
-    if top is None:
-        return found
+    stray = rhs.keys() - rank.keys()
+    if stray:
+        top = max(stray, key=SuperPartition.sort_key)
+    else:
+        found, top = peel(rhs, columns, rank)
+        if top is None:
+            return found
     if not isinstance(_span_solve(basis.mcoords(), rhs), NoSolution):
         raise NotUnitriangular(
             f"peel stuck at {top}, yet the dense solve finds f in the span")
@@ -215,7 +200,7 @@ def stability_suite(k: int, r: int, N: int, nmax: int,
     a0 = alpha_kr(k, r)
     basis = ideal_basis(k, r, N, nmax, allow_noncoprime=allow_noncoprime)
     spans: dict[tuple[int, int, int], DegreeBasis] = {
-        (N, n, m): b for (n, m), b in basis.by_degree.items()}
+        (N, n, m): b for (n, m), b in basis.items()}
 
     def span(Nv, n, m):
         """Admissible basis of degree (n|m) in Nv variables, built once."""
@@ -242,7 +227,7 @@ def stability_suite(k: int, r: int, N: int, nmax: int,
     ]
     violations = []
     checked = 0
-    for (n, m), entries in sorted(basis.by_degree.items()):
+    for (n, m), entries in sorted(basis.items()):
         for label, poly in entries:
             for name, act, (dn, dm) in actions:
                 img = act(poly)
@@ -254,7 +239,7 @@ def stability_suite(k: int, r: int, N: int, nmax: int,
                 except NotInSpan:
                     violations.append((name, str(label), (n, m)))
     # restriction to one variable fewer
-    for (n, m), entries in sorted(basis.by_degree.items()):
+    for (n, m), entries in sorted(basis.items()):
         for label, poly in entries:
             work = poly
             for j in range(_max_exp(poly, N) + 1):
@@ -333,6 +318,8 @@ def char_I(k: int, r: int, N: int, nmax: int,
 
 def dim_F(k: int, N: int, n: int, m: int) -> int:
     """Dimension of the coincidence-vanishing subspace at one bidegree."""
+    if k < 1:
+        raise ValueError("coincidence vanishing needs k >= 1")
     if N < k + 1:
         raise ValueError("coincidence vanishing needs N >= k+1")
     labels = enumerate_sparts(n, m, N)
@@ -425,10 +412,10 @@ def cochain_check(k: int, r: int, N: int, nmax: int, d: str = "q",
     a0 = alpha_kr(k, r)
     failures = []
     ranks = {}
-    for (n, m), entries in sorted(basis.by_degree.items()):
+    for (n, m), entries in sorted(basis.items()):
         polys = [p for _, p in entries]
         images = [act(p, a0) for p in polys]
-        target = basis.by_degree.get((n + dn, m + dm))
+        target = basis.get((n + dn, m + dm))
         if target is None and any(images):
             target = degree_basis(k, r, N, n + dn, m + dm,
                                   allow_noncoprime=allow_noncoprime)

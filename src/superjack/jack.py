@@ -27,7 +27,7 @@ from .spart import (SuperPartition, add_circle_moves, bosonic_cells,
                     e_star_poly, e_tilde_poly, enumerate_sparts, lower_hook,
                     remove_circle_moves, skew_circled_cells,
                     square_to_circle_moves, upper_hook, v_poly, z_stat)
-from .superpoly import (SuperPolynomial, ferm_power, from_mbasis,
+from .superpoly import (SuperPolynomial, combine, ferm_power, from_mbasis,
                         monomial_msym, omega_alpha, prescribed_part,
                         to_mbasis, to_pbasis)
 
@@ -255,10 +255,7 @@ def eigen_check(expansion: JackExpansion) -> Optional[str]:
     cleared = clear_denominators(coeffs)
     for name, rows, ev in (("D", d_rows, e_star_poly(L)),
                            ("Delta", delta_rows, e_tilde_poly(L))):
-        image: dict[SuperPartition, AlphaPolynomial] = {}
-        for om, c in cleared.items():
-            for gm, v in rows[om].items():
-                image[gm] = image[gm] + c * v if gm in image else c * v
+        image = combine(cleared, rows)
         for gm in labels:  # biggest first: the leading residual term
             if image.get(gm, 0) != ev * cleared.get(gm, 0):
                 return f"{name} eigen-equation fails at m_[{gm}]"
@@ -403,11 +400,8 @@ def pieri_check(kind: str, L: SuperPartition, N: int) -> bool:
         g = ferm_power(0, N) * P
     else:
         g = operator(kind.replace("perp", "_perp"))(P, ALPHA)
-    want: dict[SuperPartition, AlphaRational] = {}
-    for om, c in closed.items():
-        for gm, v in jack_symbolic(om, N).coeffs.items():
-            want[gm] = want[gm] + c * v if gm in want else c * v
-    return to_mbasis(g, verify=False) == {gm: c for gm, c in want.items() if c}
+    columns = {om: jack_symbolic(om, N).coeffs for om in closed}
+    return to_mbasis(g, verify=False) == combine(closed, columns)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
-from .coeffring import (FieldMatrix, UniqueSolution, clear_denominators,
-                        solve_exact)
+from .coeffring import clear_denominators
 from .spart import SuperPartition, enumerate_sparts
 
 Term = tuple[tuple[int, ...], tuple[int, ...]]
@@ -186,15 +185,6 @@ class SuperPolynomial:
         permute_into(out, self.terms, sigma)
         return SuperPolynomial(self.N, out)
 
-    def swap_K(self, i: int, j: int) -> "SuperPolynomial":
-        """Exchange the commuting variables x_i and x_j only."""
-        out = {}
-        for (T, e), c in self.terms.items():
-            e2 = list(e)
-            e2[i - 1], e2[j - 1] = e[j - 1], e[i - 1]
-            out[(T, tuple(e2))] = c
-        return SuperPolynomial(self.N, out)
-
     def is_symmetric(self) -> bool:
         """Invariance under each adjacent diagonal transposition (i i+1).
 
@@ -303,16 +293,6 @@ class SuperPolynomial:
         for _, c in self.terms.items():
             acc = c + acc
         return acc
-
-    def coefficient_xpower(self, i: int, k: int) -> "SuperPolynomial":
-        """Coefficient of x_i^k (a polynomial in the remaining variables)."""
-        out = SuperPolynomial(self.N)
-        for (T, e), c in self.terms.items():
-            if e[i - 1] == k:
-                e2 = list(e)
-                e2[i - 1] = 0
-                out.terms[(T, tuple(e2))] = c
-        return out
 
     def x_valuation(self, i: int) -> int:
         """Order of vanishing in x_i; -1 for the zero polynomial."""
@@ -583,7 +563,11 @@ def _power_sum_solve(mcoeffs: dict, N: int) -> tuple[dict, dict]:
     """Power-sum coordinates of an m-expansion, with the p_Lambda columns.
 
     The columns are the m-coordinates of every p_Lambda of the input's
-    (n|m) family; they are faithful, so the solve is unique, when N >= n + m.
+    (n|m) family, faithful when N >= n + m.  p_Lambda is supported on labels
+    that dominate Lambda, with a nonzero integer at Lambda (Macdonald, ch. I
+    section 6, in super form), so the columns are triangular in the order of
+    `enumerate_sparts` and the coordinates come from a peel that starts at
+    the bottom label.
     """
     if not mcoeffs:
         return {}, {}
@@ -593,19 +577,16 @@ def _power_sum_solve(mcoeffs: dict, N: int) -> tuple[dict, dict]:
     (n, m), = degrees
     if N < n + m:
         raise ValueError(f"need N >= {n + m} variables for a faithful expansion")
-    columns = {P: to_mbasis(p_label(P, N), verify=False)
-               for P in enumerate_sparts(n, m, N)}
-    one = next(iter(mcoeffs.values())) ** 0
-    if isinstance(one, int):
-        one = Fraction(1)
-    rows = sorted({L for col in columns.values() for L in col} | set(mcoeffs),
-                  key=lambda S: S.sort_key())
-    entries = [col.get(L, 0) * one for L in rows for col in columns.values()]
-    b = [mcoeffs.get(L, 0) * one for L in rows]
-    res = solve_exact(FieldMatrix(len(rows), len(columns), entries), b)
-    if not isinstance(res, UniqueSolution):
-        raise ValueError("power-sum basis failed to resolve the input")
-    return {P: c for P, c in zip(columns, res.vector) if c}, columns
+    labels = enumerate_sparts(n, m, N)
+    rank = {P: -i for i, P in enumerate(labels)}  # bottom label first
+    columns = {}
+    for P in labels:
+        col = columns[P] = to_mbasis(p_label(P, N), verify=False)
+        if not col.get(P) or any(rank[G] < rank[P] for G in col):
+            raise ArithmeticError(
+                f"p_[{P}] is zero at its label or reaches a label below it")
+    # every label of the family has a column, so the peel never sticks
+    return peel(mcoeffs, columns, rank)[0], columns
 
 
 def to_pbasis(mcoeffs: dict[SuperPartition, object],
@@ -620,16 +601,57 @@ def omega_alpha(mcoeffs: dict[SuperPartition, object], N: int,
     """Duality endomorphism on m-coordinates: p_n -> (-1)^(n-1) alpha p_n,
     ptilde_n -> (-1)^n alpha ptilde_n, recombined on the p_Lambda columns."""
     pcoeffs, columns = _power_sum_solve(mcoeffs, N)
-    out: dict[SuperPartition, object] = {}
+    scaled = {}
     for P, c in pcoeffs.items():
         scalar = alpha ** P.length
         flips = sum(a for a in P.antisym) + sum(s - 1 for s in P.sym)
-        if flips % 2:
-            scalar = -scalar
-        c = c * scalar
-        for om, v in columns[P].items():
-            out[om] = out[om] + c * v if om in out else c * v
-    return {om: c for om, c in out.items() if c}
+        scaled[P] = c * (-scalar if flips % 2 else scalar)
+    return combine(scaled, columns)
+
+
+# ---------------------------------------------------------------------------
+# linear algebra in monomial-superbasis coordinates
+# ---------------------------------------------------------------------------
+
+def peel(residual: dict, columns: dict,
+         rank: dict) -> tuple[dict, Optional[SuperPartition]]:
+    """Coefficients c with sum c[L] * columns[L] = residual, found greedily.
+
+    Each step takes the residual's least-ranked label L and subtracts
+    residual[L] / columns[L][L] times columns[L].  Returns the coefficients
+    and None, or, when L has no column, those found so far and L.  The
+    answer is exact when every column is nonzero at its own label and has
+    no label ranked below it; callers check that of their columns and rank
+    every label the residual can reach.
+    """
+    residual = dict(residual)
+    found = {}
+    while residual:
+        L = min(residual, key=rank.__getitem__)
+        col = columns.get(L)
+        if col is None:
+            return found, L
+        c = residual[L]
+        pivot = col[L]
+        if pivot != 1:  # int and Fraction pivots: a rational scale, no Q(a) gcd
+            c = c * Fraction(1, pivot)
+        found[L] = c
+        for G, v in col.items():
+            x = residual.get(G, 0) - c * v
+            if x:
+                residual[G] = x
+            else:
+                residual.pop(G, None)
+    return found, None
+
+
+def combine(coeffs: dict, columns: dict) -> dict:
+    """sum c * columns[L] over the items (L, c) of coeffs, zeros dropped."""
+    out = {}
+    for L, c in coeffs.items():
+        for G, v in columns[L].items():
+            out[G] = out[G] + c * v if G in out else c * v
+    return {G: x for G, x in out.items() if x}
 
 
 def prescribed_part(P: SuperPolynomial, m: int) -> SuperPolynomial:

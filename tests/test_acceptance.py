@@ -23,7 +23,7 @@ from superjack.suites import (suite_algebra, suite_cochain, suite_duality,
                               suite_stability, suite_vanishing)
 from superjack.superpoly import SuperPolynomial
 
-from oracles import vandermonde
+from oracles import swap_K, vandermonde
 
 COPRIME_PAIRS = [(1, 2), (2, 2), (2, 3)]
 NONCOPRIME_PAIR = (1, 3)  # listed in the criterion grid; gcd(k+1, r-1) = 2
@@ -229,8 +229,8 @@ def test_criterion_14_property_suites():
         == cherednik(cherednik(f, i, ALPHA), j, ALPHA)
         for i in range(1, 4) for j in range(i + 1, 4))
     hecke_ok = all(
-        cherednik(f.swap_K(i, i + 1), i, ALPHA)
-        - cherednik(f, i + 1, ALPHA).swap_K(i, i + 1) == f
+        cherednik(swap_K(f, i, i + 1), i, ALPHA)
+        - swap_K(cherednik(f, i + 1, ALPHA), i, i + 1) == f
         for i in range(1, 3))
     dom_ok = True
     labels = enumerate_all_m(4, 4)

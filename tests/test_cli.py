@@ -246,6 +246,21 @@ def test_coincidence_needs_k_plus_one_variables(capsys, argv):
         "coincidence vanishing needs N >= k+1"
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "stability", "--k", "1", "--r", "1", "--N", "2",
+     "--nmax", "2"),
+    ("verify", "--suite", "regularity", "--k", "1", "--r", "1", "--N", "2",
+     "--nmax", "2"),
+    ("verify", "--suite", "cochain", "--k", "1", "--r", "1", "--N", "2",
+     "--nmax", "2"),
+    ("characters", "--space", "F", "--k", "0", "--N", "2", "--nmax", "2"),
+    ("characters", "--space", "F", "--k", "-1", "--N", "2", "--nmax", "2")])
+def test_invalid_k_or_r_is_a_usage_error(capsys, argv):
+    # r = 1 used to exit 3 with a ZeroDivisionError from alpha_kr, and
+    # characters --space F with k < 1 printed 0 and exited 0
+    assert "k >= 1" in _usage_error(capsys, *argv)
+
+
 @pytest.mark.parametrize("cluster,primed", [("9", "1"), ("1,2", "0"),
                                             ("1,2", "-1")])
 def test_cluster_indices_must_lie_in_range(capsys, cluster, primed):
@@ -332,6 +347,35 @@ def test_op_apply_malformed_term_exit_code(capsys, tmp_path, N, term):
                          "--index", "1", "--alpha", "sym", "--input", str(path))
     assert code == 2 and out == ""
     assert json.loads(err.strip())["error"] == "UsageError"
+
+
+def test_op_apply_deeply_nested_coeff_exit_code(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"N": 2, "terms": [
+        {"thetas": [], "exps": [1, 1], "coeff": "(" * 3000 + "1" + ")" * 3000}]}))
+    assert "nested too deeply" in _usage_error(
+        capsys, "op", "apply", "--name", "q", "--input", str(path))
+
+
+@pytest.mark.parametrize("kind", ["input", "cache", "config"])
+def test_os_error_is_one_json_object_naming_the_path(capsys, tmp_path, kind):
+    # a missing --input and a cache directory under a regular file used to
+    # end in a traceback with exit 1
+    (tmp_path / "afile").write_text("")
+    where = str(tmp_path / ("afile/cache" if kind == "cache" else "no/such"))
+    argv = {"input": ("op", "apply", "--name", "q", "--input", where),
+            "cache": ("--cache-dir", where, "compute", "--spart", "1;1",
+                      "--N", "2"),
+            "config": ("--config", where, "compute", "--spart", "1;1",
+                       "--N", "2")}[kind]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    lines = err.strip().splitlines()
+    assert len(lines) == 1, err
+    payload = json.loads(lines[0])
+    assert payload["path"] == where
+    assert payload["error"] == ("NotADirectoryError" if kind == "cache"
+                                else "FileNotFoundError")
 
 
 def test_internal_arithmetic_error_exit_code(capsys, monkeypatch):

@@ -24,8 +24,8 @@ from superjack.suites import _labels
 from superjack.superpoly import (SuperPolynomial, ferm_power,
                                  integral_multiple, monomial_msym, p_label,
                                  to_mbasis, to_pbasis)
-from oracles import eta_bar, f_stat, tilde_composition, vandermonde
-from test_coeffring import _dense_solve_exact
+from oracles import (coefficient_xpower, dense_solve_exact, eta_bar, f_stat,
+                     tilde_composition, vandermonde)
 
 a = ALPHA
 
@@ -384,7 +384,7 @@ def removal_identities(L: SuperPartition, N: Optional[int] = None) -> dict[str, 
     if L.sym and (L.m == 0 or L.sym[0] > L.antisym[0]):
         k0 = L.sym[0]
         P = jack_poly(L, N)
-        got = P.coefficient_xpower(1, k0)
+        got = coefficient_xpower(P, 1, k0)
         reduced = SuperPartition(L.antisym, L.sym[1:])
         want = jack_poly(reduced, N - 1)
         report["row_extraction"] = _shift_vars_down(got) == want
@@ -392,7 +392,7 @@ def removal_identities(L: SuperPartition, N: Optional[int] = None) -> dict[str, 
     if L.antisym and (not L.sym or L.antisym[0] >= L.sym[0]):
         k0 = L.antisym[0]
         P = jack_poly(L, N)
-        got = P.diff_theta(1).coefficient_xpower(1, k0)
+        got = coefficient_xpower(P.diff_theta(1), 1, k0)
         reduced = SuperPartition(L.antisym[1:], L.sym)
         want = jack_poly(reduced, N - 1)
         report["fermionic_row_extraction"] = _shift_vars_down(got) == want
@@ -466,7 +466,7 @@ def _dense_nonsym(eta):
                 entries.append(v - bars[i] if nu == mu else v)
             b = images[eta][i].terms.get(((), mu), zero)
             rhs.append(bars[i] - b if mu == eta else -b)
-    res = _dense_solve_exact(
+    res = dense_solve_exact(
         FieldMatrix(N * len(basis), len(unknowns), entries), rhs)
     assert isinstance(res, UniqueSolution), eta
     terms = {eta: ONE}

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -6,8 +7,10 @@ import pytest
 
 from superjack.coeffring import (ALPHA, ONE, AlphaPolynomial, AlphaRational,
                                  common_denominator)
+from superjack import superpoly
 from superjack.jack import jack_poly
-from superjack.spart import enumerate_all_m, parse_spart, z_stat
+from superjack.spart import (enumerate_all_m, enumerate_sparts,
+                             fermionic_range, parse_spart, z_stat)
 from superjack.superpoly import (DivisionFailure, NotSymmetric,
                                  SuperPolynomial, divide_xdiff, ferm_power,
                                  from_mbasis, integral_multiple,
@@ -15,6 +18,9 @@ from superjack.superpoly import (DivisionFailure, NotSymmetric,
                                  pair_decompose, power_sum, prescribed_part,
                                  terms_to_json, to_mbasis, to_pbasis,
                                  unique_arrangements)
+
+import oracles
+from oracles import swap_K
 
 
 def x(i, N, p=1):
@@ -279,7 +285,7 @@ def _divided_difference(f, i, j, super_swap=False):
     """(f - K_ij f) / (x_i - x_j); with super_swap the diagonal swap is used."""
     sigma = list(range(1, f.N + 1))
     sigma[i - 1], sigma[j - 1] = sigma[j - 1], sigma[i - 1]
-    swapped = f.act_Ksigma(sigma) if super_swap else f.swap_K(i, j)
+    swapped = f.act_Ksigma(sigma) if super_swap else swap_K(f, i, j)
     return divide_xdiff(f - swapped, i, j)
 
 
@@ -288,7 +294,7 @@ def test_divided_difference():
     assert _divided_difference(x(1, 2, 2), 1, 2) == x(1, 2) + x(2, 2)
     f = x(1, 3, 3) * x(2, 3)
     g = _divided_difference(f, 1, 2)
-    assert (x(1, 3) - x(2, 3)) * g == f - f.swap_K(1, 2)
+    assert (x(1, 3) - x(2, 3)) * g == f - swap_K(f, 1, 2)
     # the diagonal-swap variant keeps theta terms polynomial
     h = t(1, 2) * x(1, 2, 2) + t(2, 2) * x(2, 2, 2)
     dd = _divided_difference(h, 1, 2, super_swap=True)
@@ -362,6 +368,70 @@ def test_to_pbasis_faithful():
     assert rebuilt == f
     with pytest.raises(ValueError):  # N too small
         to_pbasis(to_mbasis(monomial_msym(parse_spart("1;1"), 2)), 2)
+
+
+@functools.cache
+def _p_label_reps(P, N):
+    """p_P cut down to the one term per orbit that to_mbasis reads, so each
+    column is expanded once for both routes."""
+    out = {}
+    for L, c in to_mbasis(p_label(P, N), verify=False).items():
+        out[(tuple(range(1, L.m + 1)),
+             L.antisym + L.sym + (0,) * (N - L.length))] = c
+    return SuperPolynomial(N, out)
+
+
+def _omega_oracle(pcoeffs, columns, alpha):
+    """omega_alpha recombined by hand from the dense power-sum solve."""
+    out = {}
+    for P, c in pcoeffs.items():
+        scalar = alpha ** P.length
+        flips = sum(a for a in P.antisym) + sum(s - 1 for s in P.sym)
+        if flips % 2:
+            scalar = -scalar
+        for om, v in columns[P].items():
+            out[om] = out.get(om, 0) + c * scalar * v
+    return {om: c for om, c in out.items() if c}
+
+
+def test_power_sum_peel_matches_dense_oracle(monkeypatch):
+    # m_L for every label with n <= 6, at N = n + m and N = n + m + 1
+    monkeypatch.setattr(superpoly, "p_label", _p_label_reps)
+    monkeypatch.setattr(oracles, "p_label", _p_label_reps)
+    count = 0
+    for n in range(7):
+        for m in fermionic_range(n, n + 1):
+            for N in sorted({max(n + m, 1), n + m + 1}):
+                for L in enumerate_sparts(n, m, N):
+                    count += 1
+                    mL = {L: 1}
+                    want, columns = oracles.power_sum_solve(mL, N)
+                    assert to_pbasis(mL, N) == want, (str(L), N)
+                    assert omega_alpha(mL, N, ALPHA) == \
+                        _omega_oracle(want, columns, ALPHA), (str(L), N)
+    assert count == 371
+
+
+@pytest.mark.parametrize("label, scale", [(";1,1", 1), (";2", -1)],
+                         ids=["entry below its label", "zero at its label"])
+def test_non_triangular_power_sum_column_is_rejected(monkeypatch, label,
+                                                     scale):
+    # p_[;2] = m_[;2] in (2|0); the mutant adds m_[;1,1], which lies below
+    # ;2, or subtracts m_[;2]
+    N = 2
+    top = parse_spart(";2")
+    extra = monomial_msym(parse_spart(label), N).scale(scale)
+    real = superpoly.p_label
+
+    def unreachable(*args):
+        raise AssertionError("peeled columns that are not triangular")
+
+    # the check comes before the peel, which could cycle on such columns
+    monkeypatch.setattr(superpoly, "p_label", lambda P, N: (
+        real(P, N) + extra if P == top else real(P, N)))
+    monkeypatch.setattr(superpoly, "peel", unreachable)
+    with pytest.raises(ArithmeticError):
+        to_pbasis({parse_spart(";1,1"): 1}, N)
 
 
 def test_json_terms_deterministic():
