@@ -619,7 +619,7 @@ def _parse_product(tokens, pos):
 def _parse_power(tokens, pos):
     base, pos = _parse_atom(tokens, pos)
     if pos < len(tokens) and tokens[pos][0] == "^":
-        if tokens[pos + 1][0] != "int":
+        if pos + 1 == len(tokens) or tokens[pos + 1][0] != "int":
             raise ValueError("exponent must be an integer")
         return base ** tokens[pos + 1][1], pos + 2
     return base, pos

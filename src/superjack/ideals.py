@@ -6,6 +6,16 @@ graded by (total degree | fermionic degree); membership, stability, character
 and clustering questions all reduce to exact linear algebra over Q in the
 monomial superbasis.
 
+No Jack superpolynomial is expanded for stability or cochains.  A basis
+element is its m-coordinates, and every action checked on the span (p0*, q,
+q_perp, Q, Q_perp, p1*, p2*, L_-2, d = q or q_tilde, and each restriction
+piece) is linear.  So the image of sum c_O m_O is sum c_O col(O), where the
+column col(O) is the m-coordinates of the action on the one monomial m_O,
+built on first use and kept for the rest of the suite call.  Each column's
+polynomial is checked for symmetry once; an asymmetric one raises
+ArithmeticError.  A sum of symmetric images is symmetric, so that one check
+per column certifies every image, and its m-coordinates determine it.
+
 Membership is a monic triangular peel, not a solve.  P_L is monic at L and
 supported on labels that L dominates, so in the order of `enumerate_sparts`
 (``sort_key``, which extends dominance) each basis element has coefficient 1
@@ -29,8 +39,8 @@ from .jack import jack_at
 from .ops import OPERATORS, L_op, operator
 from .spart import (SuperPartition, admissible_at_degree, check_kr,
                     enumerate_admissible, enumerate_sparts, fermionic_range)
-from .superpoly import (SuperPolynomial, ferm_power, monomial_msym, peel,
-                        power_sum, prescribed_part, to_mbasis)
+from .superpoly import (SuperPolynomial, combine, ferm_power, monomial_msym,
+                        peel, power_sum, prescribed_part, to_mbasis)
 
 
 class NotInSpan(ValueError):
@@ -58,21 +68,14 @@ def alpha_kr(k: int, r: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 class DegreeBasis(tuple):
-    """(label, polynomial) pairs spanning one degree.
+    """(label, m-coordinates) pairs spanning one degree in N variables;
+    ``columns`` keys the coordinates by label for the peel."""
 
-    ``mcoords`` reads the elements in the monomial superbasis on first use,
-    checking each for symmetry once, and keeps the coordinates for every
-    later membership test against the same basis; ``columns`` keys them by
-    label for the peel.
-    """
-
-    _mcoords = None
-    _columns = None
-
-    def mcoords(self) -> list[dict]:
-        if self._mcoords is None:
-            self._mcoords = [to_mbasis(poly) for _, poly in self]
-        return self._mcoords
+    def __new__(cls, entries, N: int):
+        self = super().__new__(cls, entries)
+        self.N = N
+        self._columns = None
+        return self
 
     def columns(self) -> tuple[dict, dict]:
         """``{label: mcoords}`` and the rank of every label of the degree.
@@ -85,10 +88,10 @@ class DegreeBasis(tuple):
         if self._columns is None:
             rank = {}
             if self:
-                L, poly = self[0]
+                L = self[0][0]
                 rank = {G: i for i, G in
-                        enumerate(enumerate_sparts(L.n, L.m, poly.N))}
-            columns = dict(zip((L for L, _ in self), self.mcoords()))
+                        enumerate(enumerate_sparts(L.n, L.m, self.N))}
+            columns = dict(self)
             for L, col in columns.items():
                 top = rank.get(L, -1)
                 if col.get(L) != 1 or any(rank.get(G, -1) <= top
@@ -105,9 +108,10 @@ def degree_basis(k: int, r: int, N: int, n: int, m: int,
     """Specialized Jack polynomials for the admissible labels of one degree."""
     a0 = alpha_kr(k, r)
     return DegreeBasis(
-        (L, jack_at(L, N, a0))
-        for L in admissible_at_degree(k, r, N, n, m,
-                                      allow_noncoprime=allow_noncoprime))
+        ((L, jack_at(L, N, a0).coeffs)
+         for L in admissible_at_degree(k, r, N, n, m,
+                                       allow_noncoprime=allow_noncoprime)),
+        N)
 
 
 def ideal_basis(k: int, r: int, N: int, nmax: int,
@@ -150,43 +154,72 @@ def _span_solve(columns: Sequence[dict], rhs: Optional[dict] = None):
     return solve_exact(FieldMatrix(len(row), width, entries), b)
 
 
-def membership(f: SuperPolynomial, basis: DegreeBasis):
-    """Coefficients of f over the basis elements; NotInSpan on failure.
+def membership(coords: dict, basis: DegreeBasis):
+    """Coefficients over the basis elements of the symmetric polynomial with
+    these m-coordinates; NotInSpan on failure.
 
-    The elements are symmetric, so a non-symmetric f lies outside their
-    span.  Otherwise the peel takes the top label of f's monomial
-    coordinates, subtracts that coefficient times the basis element of the
-    label, and repeats.  When the residual empties, the coefficients found
-    sum to f, so a positive answer certifies itself.  When the top label
-    has no basis element, the columns being monic triangular (checked by
-    `DegreeBasis.columns`) put f outside the span; one dense solve confirms
-    that before NotInSpan, with ``label`` the stuck label, is raised.
+    The peel takes the top label of the coordinates, subtracts that
+    coefficient times the basis element of the label, and repeats.  When
+    the residual empties, the coefficients found sum to the input, so a
+    positive answer certifies itself.  When the top label has no basis
+    element, the columns being monic triangular (checked by
+    `DegreeBasis.columns`) put the input outside the span; one dense solve
+    confirms that before NotInSpan, with ``label`` the stuck label, is
+    raised.  The caller vouches for symmetry: the column route checks each
+    operator column once, and m-coordinates of a symmetric polynomial
+    determine it.
     """
-    if f.is_zero():
+    if not coords:
         return {}
-    if not f.is_symmetric():
-        raise NotInSpan("not symmetric, so outside the span", residual=f)
-    rhs = to_mbasis(f, verify=False)
     columns, rank = basis.columns()
-    stray = rhs.keys() - rank.keys()
+    stray = coords.keys() - rank.keys()
     if stray:
         top = max(stray, key=SuperPartition.sort_key)
     else:
-        found, top = peel(rhs, columns, rank)
+        found, top = peel(coords, columns, rank)
         if top is None:
             return found
-    if not isinstance(_span_solve(basis.mcoords(), rhs), NoSolution):
+    if not isinstance(_span_solve(list(columns.values()), coords),
+                      NoSolution):
         raise NotUnitriangular(
-            f"peel stuck at {top}, yet the dense solve finds f in the span")
+            f"peel stuck at {top}, yet the dense solve finds it in the span")
     raise NotInSpan(f"outside the span ({len(basis)} elements), "
-                    f"stuck at {top}", residual=f, label=top)
+                    f"stuck at {top}", residual=coords, label=top)
 
 
-def rank_of(polys: Sequence[SuperPolynomial]) -> int:
-    """Rank of the polynomials, in expanded-term coordinates."""
-    res = _span_solve([f.terms for f in polys])
-    return len(polys) - (0 if isinstance(res, UniqueSolution)
-                         else len(res.nullspace))
+def rank_of(vectors: Sequence[dict]) -> int:
+    """Rank of coordinate dicts (m-coordinates or expanded terms)."""
+    res = _span_solve(vectors)
+    return len(vectors) - (0 if isinstance(res, UniqueSolution)
+                           else len(res.nullspace))
+
+
+def _column_images(N: int) -> Callable[[str, Callable, dict], dict]:
+    """``image(name, act, coords)``: the m-coordinates of act applied to
+    sum c m_O over the items (O, c) of coords, N variables.
+
+    act must be linear.  Its column at O, the m-coordinates of act(m_O), is
+    built on first use and kept per name; m_O itself is built once for all
+    names.  Each column's polynomial is checked for symmetry once, and an
+    asymmetric one raises ArithmeticError naming the action and O.
+    """
+    monomials: dict[SuperPartition, SuperPolynomial] = {}
+    columns: dict[str, dict] = {}
+
+    def image(name: str, act: Callable, coords: dict) -> dict:
+        cols = columns.setdefault(name, {})
+        for om in coords.keys() - cols.keys():
+            mono = monomials.get(om)
+            if mono is None:
+                mono = monomials[om] = monomial_msym(om, N)
+            img = act(mono)
+            if not img.is_symmetric():
+                raise ArithmeticError(
+                    f"{name} maps m_[{om}] to a non-symmetric polynomial")
+            cols[om] = to_mbasis(img, verify=False)
+        return combine(coords, cols)
+
+    return image
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +238,7 @@ def stability_suite(k: int, r: int, N: int, nmax: int,
     def span(Nv, n, m):
         """Admissible basis of degree (n|m) in Nv variables, built once."""
         if n < 0 or m < 0 or m > Nv:
-            return DegreeBasis()
+            return DegreeBasis((), Nv)
         key = (Nv, n, m)
         if key not in spans:
             spans[key] = degree_basis(k, r, Nv, n, m,
@@ -216,49 +249,57 @@ def stability_suite(k: int, r: int, N: int, nmax: int,
         op = operator(name)
         return name, lambda f: op(f, a0), OPERATORS[name].shift
 
+    def restricted(j: int, piece: str):
+        """d^j/dx_N^j, then x_N = theta_N = 0: the body or the
+        theta_N-slope."""
+        def act(f):
+            for _ in range(j):
+                f = f.diff_x(N)
+            body, slope = f.restrict_last()
+            return slope if piece == "slope" else body
+        return act
+
+    p0, p1, p2 = ferm_power(0, N), power_sum(1, N), power_sum(2, N)
     # (name, action, bidegree shift)
     actions: list[tuple[str, Callable[[SuperPolynomial], SuperPolynomial],
                         tuple[int, int]]] = [
-        ("p0*", lambda f: ferm_power(0, N) * f, (0, 1)),
+        ("p0*", lambda f: p0 * f, (0, 1)),
         *map(generator, ("q", "q_perp", "Q", "Q_perp")),
-        ("p1*", lambda f: power_sum(1, N) * f, (1, 0)),
-        ("p2*", lambda f: power_sum(2, N) * f, (2, 0)),
+        ("p1*", lambda f: p1 * f, (1, 0)),
+        ("p2*", lambda f: p2 * f, (2, 0)),
         ("L_-2", lambda f: L_op(-2, f), (2, 0)),
     ]
+    image = _column_images(N)
     violations = []
     checked = 0
     for (n, m), entries in sorted(basis.items()):
-        for label, poly in entries:
+        for label, coords in entries:
             for name, act, (dn, dm) in actions:
-                img = act(poly)
+                img = image(name, act, coords)
                 checked += 1
-                if img.is_zero():
+                if not img:
                     continue
                 try:
                     membership(img, span(N, n + dn, m + dm))
                 except NotInSpan:
                     violations.append((name, str(label), (n, m)))
-    # restriction to one variable fewer
+    # restriction to one variable fewer, up to the largest exponent of x_N
     for (n, m), entries in sorted(basis.items()):
-        for label, poly in entries:
-            work = poly
-            for j in range(_max_exp(poly, N) + 1):
-                body, slope = work.restrict_last()
-                for piece, pm in ((body, m), (slope, m - 1)):
+        for label, coords in entries:
+            top = max(max(om.star, default=0) for om in coords)
+            for j in range(top + 1):
+                for piece, pm in (("body", m), ("slope", m - 1)):
+                    img = image(f"restrict d^{j} {piece}",
+                                restricted(j, piece), coords)
                     checked += 1
-                    if piece.is_zero():
+                    if not img:
                         continue
                     try:
-                        membership(piece, span(N - 1, n - j, pm))
+                        membership(img, span(N - 1, n - j, pm))
                     except NotInSpan:
                         violations.append((f"restrict d^{j}", str(label), (n, m)))
-                work = work.diff_x(N)
     return {"k": k, "r": r, "N": N, "nmax": nmax,
             "checked": checked, "violations": violations}
-
-
-def _max_exp(f: SuperPolynomial, i: int) -> int:
-    return max((e[i - 1] for _, e in f.terms), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +365,7 @@ def dim_F(k: int, N: int, n: int, m: int) -> int:
         raise ValueError("coincidence vanishing needs N >= k+1")
     labels = enumerate_sparts(n, m, N)
     images = [monomial_msym(L, N).merge_x(range(1, k + 2), 1) for L in labels]
-    return len(labels) - rank_of(images)
+    return len(labels) - rank_of([f.terms for f in images])
 
 
 def char_F(k: int, N: int, nmax: int) -> CharacterSeries:
@@ -346,7 +387,7 @@ def vanish_check(L: SuperPartition, k: int, r: int, N: int,
     """Does the specialized polynomial die when k+1 variables coincide?"""
     if N < k + 1:
         raise ValueError("coincidence vanishing needs N >= k+1")
-    P = jack_at(L, N, alpha_kr(k, r))
+    P = jack_at(L, N, alpha_kr(k, r)).polynomial()
     return P.merge_x(range(1, k + 2), 1).is_zero()
 
 
@@ -355,7 +396,7 @@ def prescribed_vanish_check(L: SuperPartition, k: int, r: int, N: int) -> bool:
     from itertools import combinations
     if N < k + 1:
         raise ValueError("coincidence vanishing needs N >= k+1")
-    P = jack_at(L, N, alpha_kr(k, r))
+    P = jack_at(L, N, alpha_kr(k, r)).polynomial()
     g = prescribed_part(P, L.m)
     for combo in combinations(range(1, N + 1), k + 1):
         if not g.merge_x(combo[1:], combo[0]).is_zero():
@@ -385,7 +426,7 @@ def cluster_multiplicity(L: SuperPartition, k: int, r: int, N: int,
     if not all(1 <= i <= N for i in cluster + (primed,)):
         raise ValueError(f"cluster and primed indices must lie in 1..{N}")
     m = L.m
-    P = jack_at(L, N, alpha_kr(k, r))
+    P = jack_at(L, N, alpha_kr(k, r)).polynomial()
     g = prescribed_part(P, m).extend(N + 2)
     xprime = SuperPolynomial.x(N + 1, N + 2)
     shifted = xprime + SuperPolynomial.x(N + 2, N + 2)
@@ -403,32 +444,38 @@ def cluster_multiplicity(L: SuperPartition, k: int, r: int, N: int,
 
 def cochain_check(k: int, r: int, N: int, nmax: int, d: str = "q",
                   allow_noncoprime: bool = False) -> dict:
-    """d-stability, d*d = 0 and kernel/image rank bookkeeping on the span."""
+    """d-stability, d*d = 0 and kernel/image rank bookkeeping on the span,
+    all read in m-coordinates through the columns of d."""
     if d not in ("q", "q_tilde"):
         raise ValueError("d must be 'q' or 'q_tilde'")
-    act = operator(d)
+    op = operator(d)
     dn, dm = OPERATORS[d].shift
     basis = ideal_basis(k, r, N, nmax, allow_noncoprime=allow_noncoprime)
     a0 = alpha_kr(k, r)
+    image = _column_images(N)
+
+    def act(f):
+        return op(f, a0)
+
     failures = []
     ranks = {}
     for (n, m), entries in sorted(basis.items()):
-        polys = [p for _, p in entries]
-        images = [act(p, a0) for p in polys]
+        images = [image(d, act, coords) for _, coords in entries]
         target = basis.get((n + dn, m + dm))
         if target is None and any(images):
             target = degree_basis(k, r, N, n + dn, m + dm,
                                   allow_noncoprime=allow_noncoprime)
         for (label, _), img in zip(entries, images):
-            if act(img, a0):
+            if image(d, act, img):
                 failures.append(("d.d != 0", str(label), (n, m)))
-            if img.is_zero():
+            if not img:
                 continue
             try:
                 membership(img, target)
             except NotInSpan:
                 failures.append(("image outside span", str(label), (n, m)))
-        dim_here = len(polys)
+        dim_here = len(entries)
+        # the m_O are linearly independent, so m-coordinates give the rank
         rk = rank_of(images)
         ranks[(n, m)] = {"dim": dim_here, "rank_d": rk,
                          "ker_d": dim_here - rk}

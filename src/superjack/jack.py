@@ -28,8 +28,8 @@ from .spart import (SuperPartition, add_circle_moves, bosonic_cells,
                     remove_circle_moves, skew_circled_cells,
                     square_to_circle_moves, upper_hook, v_poly, z_stat)
 from .superpoly import (SuperPolynomial, combine, ferm_power, from_mbasis,
-                        monomial_msym, omega_alpha, prescribed_part,
-                        to_mbasis, to_pbasis)
+                        monomial_msym, omega_alpha, power_sum_columns,
+                        prescribed_part, to_mbasis, to_pbasis)
 
 
 class DegenerateSystem(ArithmeticError):
@@ -38,9 +38,11 @@ class DegenerateSystem(ArithmeticError):
 
 @dataclass
 class JackExpansion:
+    """P_label in N variables by its monomial-superbasis coefficients: in
+    Q(a), or in Q once `jack_at` has specialized the parameter."""
     label: SuperPartition
     N: int
-    coeffs: dict[SuperPartition, AlphaRational]
+    coeffs: dict[SuperPartition, AlphaRational | Fraction]
 
     def polynomial(self) -> SuperPolynomial:
         return from_mbasis(self.coeffs, self.N)
@@ -107,10 +109,12 @@ def clear_caches() -> dict[str, int]:
     """Empty the in-process caches of the Jack layer; return their sizes."""
     sizes = {"_JACK_CACHE": len(_JACK_CACHE),
              "_mbasis_matrices": _mbasis_matrices.cache_info().currsize,
-             "enumerate_sparts": enumerate_sparts.cache_info().currsize}
+             "enumerate_sparts": enumerate_sparts.cache_info().currsize,
+             "power_sum_columns": power_sum_columns.cache_info().currsize}
     _JACK_CACHE.clear()
     _mbasis_matrices.cache_clear()
     enumerate_sparts.cache_clear()
+    power_sum_columns.cache_clear()
     return sizes
 
 
@@ -266,9 +270,10 @@ def jack_poly(L: SuperPartition, N: int) -> SuperPolynomial:
     return jack_symbolic(L, N).polynomial()
 
 
-def jack_at(L: SuperPartition, N: int, a0) -> SuperPolynomial:
-    """The Jack superpolynomial with the parameter specialized to a rational."""
-    return jack_symbolic(L, N).at(a0)
+def jack_at(L: SuperPartition, N: int, a0) -> JackExpansion:
+    """P_L with the parameter specialized to a rational: its m-coordinates
+    over Q, zeros left out, with `coeffs_at`'s PoleError on a pole."""
+    return JackExpansion(L, N, jack_symbolic(L, N).coeffs_at(a0))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -559,15 +560,34 @@ def p_label(L: SuperPartition, N: int) -> SuperPolynomial:
     return out
 
 
+@lru_cache(maxsize=None)
+def power_sum_columns(n: int, m: int, N: int) -> tuple[dict, dict]:
+    """The m-coordinates of every p_Lambda of the (n|m) family in N
+    variables, and each label's rank, bottom label first; built and checked
+    once per family.  Callers must not mutate them.
+
+    p_Lambda is supported on labels that dominate Lambda, with a nonzero
+    integer at Lambda (Macdonald, ch. I section 6, in super form), so the
+    columns are triangular in the order of `enumerate_sparts`; any other
+    column raises ArithmeticError.
+    """
+    labels = enumerate_sparts(n, m, N)
+    rank = {P: -i for i, P in enumerate(labels)}  # bottom label first
+    columns = {}
+    for P in labels:
+        col = columns[P] = to_mbasis(p_label(P, N), verify=False)
+        if not col.get(P) or any(rank[G] < rank[P] for G in col):
+            raise ArithmeticError(
+                f"p_[{P}] is zero at its label or reaches a label below it")
+    return columns, rank
+
+
 def _power_sum_solve(mcoeffs: dict, N: int) -> tuple[dict, dict]:
     """Power-sum coordinates of an m-expansion, with the p_Lambda columns.
 
-    The columns are the m-coordinates of every p_Lambda of the input's
-    (n|m) family, faithful when N >= n + m.  p_Lambda is supported on labels
-    that dominate Lambda, with a nonzero integer at Lambda (Macdonald, ch. I
-    section 6, in super form), so the columns are triangular in the order of
-    `enumerate_sparts` and the coordinates come from a peel that starts at
-    the bottom label.
+    The columns (`power_sum_columns`) are faithful when N >= n + m and
+    triangular, so the coordinates come from a peel that starts at the
+    bottom label.
     """
     if not mcoeffs:
         return {}, {}
@@ -577,14 +597,7 @@ def _power_sum_solve(mcoeffs: dict, N: int) -> tuple[dict, dict]:
     (n, m), = degrees
     if N < n + m:
         raise ValueError(f"need N >= {n + m} variables for a faithful expansion")
-    labels = enumerate_sparts(n, m, N)
-    rank = {P: -i for i, P in enumerate(labels)}  # bottom label first
-    columns = {}
-    for P in labels:
-        col = columns[P] = to_mbasis(p_label(P, N), verify=False)
-        if not col.get(P) or any(rank[G] < rank[P] for G in col):
-            raise ArithmeticError(
-                f"p_[{P}] is zero at its label or reaches a label below it")
+    columns, rank = power_sum_columns(n, m, N)
     # every label of the family has a column, so the peel never sticks
     return peel(mcoeffs, columns, rank)[0], columns
 

@@ -1,18 +1,21 @@
 """Helpers that only the tests use: the composition side of the
 non-symmetric construction, the Vandermonde product, the swap of two
 commuting variables, the coefficient of a power of one of them, the Euclid
-gcd and exact division of Z[a] run over Q with Fraction coefficients, and
+gcd and exact division of Z[a] run over Q with Fraction coefficients,
 dense Gauss-Jordan solves over Q or Q(a), the power-sum expansion among
-them."""
+them, and the stability and cochain checks on expanded polynomials."""
 
 import math
 from fractions import Fraction
 from typing import Sequence
 
+from superjack import ideals
 from superjack.coeffring import (AlphaPolynomial, AlphaRational, FieldMatrix,
                                  NoSolution, SolutionSpace, UniqueSolution)
+from superjack.ops import OPERATORS, L_op, operator
 from superjack.spart import SuperPartition, enumerate_sparts, n_mult
-from superjack.superpoly import SuperPolynomial, p_label, to_mbasis
+from superjack.superpoly import (SuperPolynomial, ferm_power, from_mbasis,
+                                 p_label, power_sum, to_mbasis)
 
 
 def f_stat(parts: Sequence[int]) -> int:
@@ -211,3 +214,106 @@ def power_sum_solve(mcoeffs: dict, N: int) -> tuple[dict, dict]:
     if not isinstance(res, UniqueSolution):
         raise ValueError("power-sum basis failed to resolve the input")
     return {P: c for P, c in zip(columns, res.vector) if c}, columns
+
+
+def _in_span(f: SuperPolynomial, basis) -> bool:
+    """The expanded route into `ideals.membership`: a non-symmetric f is
+    outside the span, a symmetric one is read in m-coordinates."""
+    if not f.is_symmetric():
+        return False
+    try:
+        ideals.membership(to_mbasis(f, verify=False), basis)
+    except ideals.NotInSpan:
+        return False
+    return True
+
+
+def stability_suite_expanded(k: int, r: int, N: int, nmax: int,
+                             allow_noncoprime: bool = False) -> dict:
+    """`ideals.stability_suite` on expanded polynomials: each P_L is expanded
+    into orbit terms, each action is applied to the whole polynomial, and
+    every image is symmetry-checked and read back with `to_mbasis`."""
+    a0 = ideals.alpha_kr(k, r)
+    basis = ideals.ideal_basis(k, r, N, nmax,
+                               allow_noncoprime=allow_noncoprime)
+    spans = {(N, n, m): b for (n, m), b in basis.items()}
+
+    def span(Nv, n, m):
+        if n < 0 or m < 0 or m > Nv:
+            return ideals.DegreeBasis((), Nv)
+        if (Nv, n, m) not in spans:
+            spans[Nv, n, m] = ideals.degree_basis(
+                k, r, Nv, n, m, allow_noncoprime=allow_noncoprime)
+        return spans[Nv, n, m]
+
+    def generator(name):
+        op = operator(name)
+        return name, lambda f: op(f, a0), OPERATORS[name].shift
+
+    actions = [
+        ("p0*", lambda f: ferm_power(0, N) * f, (0, 1)),
+        *map(generator, ("q", "q_perp", "Q", "Q_perp")),
+        ("p1*", lambda f: power_sum(1, N) * f, (1, 0)),
+        ("p2*", lambda f: power_sum(2, N) * f, (2, 0)),
+        ("L_-2", lambda f: L_op(-2, f), (2, 0)),
+    ]
+    polys = {degree: [(label, from_mbasis(coords, N))
+                      for label, coords in entries]
+             for degree, entries in basis.items()}
+    violations = []
+    checked = 0
+    for (n, m), entries in sorted(polys.items()):
+        for label, poly in entries:
+            for name, act, (dn, dm) in actions:
+                img = act(poly)
+                checked += 1
+                if img and not _in_span(img, span(N, n + dn, m + dm)):
+                    violations.append((name, str(label), (n, m)))
+    for (n, m), entries in sorted(polys.items()):
+        for label, poly in entries:
+            work = poly
+            top = max((e[N - 1] for _, e in poly.terms), default=0)
+            for j in range(top + 1):
+                body, slope = work.restrict_last()
+                for piece, pm in ((body, m), (slope, m - 1)):
+                    checked += 1
+                    if piece and not _in_span(piece, span(N - 1, n - j, pm)):
+                        violations.append((f"restrict d^{j}", str(label),
+                                           (n, m)))
+                work = work.diff_x(N)
+    return {"k": k, "r": r, "N": N, "nmax": nmax,
+            "checked": checked, "violations": violations}
+
+
+def cochain_check_expanded(k: int, r: int, N: int, nmax: int,
+                           d: str = "q") -> dict:
+    """`ideals.cochain_check` on expanded polynomials, ranks in expanded-term
+    coordinates."""
+    act = operator(d)
+    dn, dm = OPERATORS[d].shift
+    basis = ideals.ideal_basis(k, r, N, nmax)
+    a0 = ideals.alpha_kr(k, r)
+    failures = []
+    ranks = {}
+    for (n, m), entries in sorted(basis.items()):
+        images = [act(from_mbasis(coords, N), a0) for _, coords in entries]
+        target = basis.get((n + dn, m + dm))
+        if target is None and any(images):
+            target = ideals.degree_basis(k, r, N, n + dn, m + dm)
+        for (label, _), img in zip(entries, images):
+            if act(img, a0):
+                failures.append(("d.d != 0", str(label), (n, m)))
+            if img and not _in_span(img, target):
+                failures.append(("image outside span", str(label), (n, m)))
+        rk = ideals.rank_of([f.terms for f in images])
+        ranks[(n, m)] = {"dim": len(entries), "rank_d": rk,
+                         "ker_d": len(entries) - rk}
+    exactness = []
+    for (n, m), data in sorted(ranks.items()):
+        src = (n - dn, m - dm)
+        if m == 0 or src[0] > nmax:
+            continue
+        im_prev = ranks.get(src, {}).get("rank_d", 0)
+        exactness.append({"degree": (n, m), "ker": data["ker_d"],
+                          "im": im_prev, "exact": data["ker_d"] == im_prev})
+    return {"failures": failures, "ranks": ranks, "exactness": exactness}

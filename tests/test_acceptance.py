@@ -49,13 +49,13 @@ def test_criterion_01_lowest_expansion():
 
 
 def test_criterion_02_squared_vandermonde():
-    P = jack_at(parse_spart(";4,2"), 3, Fraction(-2))
+    P = jack_at(parse_spart(";4,2"), 3, Fraction(-2)).polynomial()
     V = vandermonde(3, 3)
     _report(2, P == V * V)
 
 
 def test_criterion_03_two_cluster_identification():
-    P = jack_at(parse_spart(";4,3,1"), 4, Fraction(-3, 2))
+    P = jack_at(parse_spart(";4,3,1"), 4, Fraction(-3, 2)).polynomial()
     merged = P.merge_x((2,), 1)
     x = lambda i: SuperPolynomial.x(i, 4)
     g, h = x(4) - x(1), x(3) - x(1)

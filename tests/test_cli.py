@@ -357,6 +357,14 @@ def test_op_apply_deeply_nested_coeff_exit_code(capsys, tmp_path):
         capsys, "op", "apply", "--name", "q", "--input", str(path))
 
 
+def test_op_apply_coeff_ending_in_caret_exit_code(capsys, tmp_path):
+    path = tmp_path / "caret.json"
+    path.write_text(json.dumps({"N": 2, "terms": [
+        {"thetas": [], "exps": [1, 1], "coeff": "a^"}]}))
+    assert "exponent must be an integer" in _usage_error(
+        capsys, "op", "apply", "--name", "q", "--input", str(path))
+
+
 @pytest.mark.parametrize("kind", ["input", "cache", "config"])
 def test_os_error_is_one_json_object_naming_the_path(capsys, tmp_path, kind):
     # a missing --input and a cache directory under a regular file used to

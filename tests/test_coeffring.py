@@ -115,6 +115,13 @@ def test_parse_rejects_deep_nesting(text):
         parse_alpha(text)
 
 
+@pytest.mark.parametrize("text", ["a^", "(a+1)^", "2^"])
+def test_parse_rejects_a_missing_exponent(text):
+    # reading past the last token used to raise IndexError
+    with pytest.raises(ValueError, match="exponent must be an integer"):
+        parse_alpha(text)
+
+
 def test_poly_gcd_primitive():
     p = AlphaPolynomial((2, 4, 2))   # 2(a+1)^2
     q = AlphaPolynomial((-3, -3))    # -3(a+1)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from superjack import ideals
+from superjack import ideals, ops
 from superjack.cli import dispatch
 from superjack.coeffring import (FieldMatrix, NoSolution, PoleError,
                                  UniqueSolution)
@@ -16,9 +16,10 @@ from superjack.ideals import (CharacterSeries, DegreeBasis, NotInSpan,
 from superjack.jack import jack_at
 from superjack.spart import (enumerate_all_m, enumerate_sparts, is_admissible,
                              parse_spart)
-from superjack.superpoly import (SuperPolynomial, monomial_msym, power_sum,
+from superjack.superpoly import (SuperPolynomial, from_mbasis, power_sum,
                                  to_mbasis)
-from oracles import dense_solve_exact
+from oracles import (cochain_check_expanded, dense_solve_exact,
+                     stability_suite_expanded)
 
 
 def test_alpha_kr():
@@ -40,12 +41,11 @@ def test_ideal_basis_lowest_degrees():
 
 def test_membership_basics():
     basis = degree_basis(1, 2, 3, 3, 2)
-    b1 = basis[0][1]
-    coeffs = membership(b1, basis)
-    assert coeffs == {basis[0][0]: Fraction(1)}
-    assert membership(SuperPolynomial.zero(3), basis) == {}
+    label, coords = basis[0]
+    assert membership(coords, basis) == {label: Fraction(1)}
+    assert membership({}, basis) == {}
     with pytest.raises(NotInSpan):
-        membership(power_sum(1, 3), basis)
+        membership(to_mbasis(power_sum(1, 3)), basis)
 
 
 def test_membership_in_an_empty_degree():
@@ -53,17 +53,19 @@ def test_membership_in_an_empty_degree():
     empty = degree_basis(1, 2, 3, 1, 0)
     assert isinstance(empty, DegreeBasis) and not empty
     with pytest.raises(NotInSpan) as exc:
-        membership(power_sum(1, 3), empty)
+        membership(to_mbasis(power_sum(1, 3)), empty)
     assert str(exc.value.label) == ";1"
 
 
-def _dense_membership(f, basis):
-    """Oracle: one dense solve over every expanded (theta, exponent) term.
+def _dense_membership(coords, basis):
+    """Oracle: one dense solve over every expanded (theta, exponent) term of
+    the polynomials the m-coordinates stand for.
 
     Returns the coefficient dict, or None when f is outside the span."""
-    if f.is_zero():
+    if not coords:
         return {}
-    polys = [poly for _, poly in basis]
+    f = from_mbasis(coords, basis.N)
+    polys = [from_mbasis(c, basis.N) for _, c in basis]
     keys = sorted({key for g in polys + [f] for key in g.terms})
     entries = [Fraction(g.terms.get(key, 0)) for key in keys for g in polys]
     rhs = [Fraction(f.terms.get(key, 0)) for key in keys]
@@ -74,13 +76,11 @@ def _dense_membership(f, basis):
     return {basis[i][0]: c for i, c in enumerate(vector) if c}
 
 
-def _mcoord_membership(f, basis):
+def _mcoord_membership(coords, basis):
     """Oracle: one `_span_solve` over the basis's monomial coordinates."""
-    if f.is_zero():
+    if not coords:
         return {}
-    if not f.is_symmetric():
-        return None
-    res = ideals._span_solve(basis.mcoords(), to_mbasis(f, verify=False))
+    res = ideals._span_solve([c for _, c in basis], coords)
     if isinstance(res, NoSolution):
         return None
     vector = res.vector if isinstance(res, UniqueSolution) else res.particular
@@ -97,20 +97,19 @@ def test_membership_matches_dense_oracle(monkeypatch, k, r, N, nmax,
     real = ideals.membership
     seen = {"in": 0, "out": 0}
 
-    def differential(f, basis):
-        want = _mcoord_membership(f, basis)
-        assert _dense_membership(f, basis) == want
+    def differential(coords, basis):
+        want = _mcoord_membership(coords, basis)
+        assert _dense_membership(coords, basis) == want
         try:
-            got = real(f, basis)
+            got = real(coords, basis)
         except NotInSpan as exc:
             got = None
-            labels = {L for L, _ in basis}
-            assert f.is_symmetric() == (exc.label is not None)
-            assert exc.label is None or exc.label not in labels
-        assert got == want, (f, [str(L) for L, _ in basis])
+            assert exc.label is not None
+            assert exc.label not in {L for L, _ in basis}
+        assert got == want, (coords, [str(L) for L, _ in basis])
         seen["out" if got is None else "in"] += 1
         if got is None:
-            raise NotInSpan("outside the span", residual=f)
+            raise NotInSpan("outside the span", residual=coords)
         return got
 
     monkeypatch.setattr(ideals, "membership", differential)
@@ -120,6 +119,78 @@ def test_membership_matches_dense_oracle(monkeypatch, k, r, N, nmax,
     assert bool(seen["out"]) == noncoprime
 
 
+def _membership_calls(monkeypatch, run):
+    """run()'s result and every (m-coordinates, N, basis labels) it sends to
+    `ideals.membership`, in order."""
+    real = ideals.membership
+    calls = []
+
+    def recording(coords, basis):
+        calls.append((coords, basis.N, [L for L, _ in basis]))
+        return real(coords, basis)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ideals, "membership", recording)
+        return run(), calls
+
+
+def _assert_routes_agree(monkeypatch, new, old):
+    """Same report and the same membership inputs from both routes."""
+    got, got_calls = _membership_calls(monkeypatch, new)
+    want, want_calls = _membership_calls(monkeypatch, old)
+    assert got == want
+    assert got_calls == want_calls
+
+
+# the membership-oracle grids, then criterion 9: (1,2), (2,2) and (2,3) at
+# N = 2, 3, 4 and nmax = 6 (its non-coprime (1,3) N=2 entry is listed above)
+STABILITY_GRIDS = [(1, 2, 3, 5, False), (1, 3, 2, 6, True),
+                   (2, 3, 3, 5, False)] + [
+    (k, r, N, 6, False) for k, r in ((1, 2), (2, 2), (2, 3))
+    for N in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("k, r, N, nmax, noncoprime", STABILITY_GRIDS)
+def test_column_route_matches_expanded_route(monkeypatch, k, r, N, nmax,
+                                             noncoprime):
+    # operator columns on m-coordinates against the operator applied to the
+    # expanded P_L: same checked count, ordered violations and images
+    _assert_routes_agree(
+        monkeypatch,
+        lambda: stability_suite(k, r, N, nmax, allow_noncoprime=noncoprime),
+        lambda: stability_suite_expanded(k, r, N, nmax,
+                                         allow_noncoprime=noncoprime))
+
+
+@pytest.mark.parametrize("nmax", [5, 6])
+@pytest.mark.parametrize("d", ["q", "q_tilde"])
+def test_cochain_column_route_matches_expanded_route(monkeypatch, d, nmax):
+    _assert_routes_agree(monkeypatch,
+                         lambda: cochain_check(1, 2, 3, nmax, d),
+                         lambda: cochain_check_expanded(1, 2, 3, nmax, d))
+
+
+def test_scaled_column_entry_fails_the_differential(monkeypatch):
+    # mutant: one entry of the first column the suite builds, doubled
+    real = ideals.to_mbasis
+    scaled = []
+
+    def mutant(f, verify=True):
+        col = real(f, verify=verify)
+        if col and not scaled:
+            G = next(iter(col))
+            col[G] *= 2
+            scaled.append(G)
+        return col
+
+    monkeypatch.setattr(ideals, "to_mbasis", mutant)
+    with pytest.raises(AssertionError):
+        _assert_routes_agree(
+            monkeypatch, lambda: stability_suite(1, 2, 3, 5),
+            lambda: stability_suite_expanded(1, 2, 3, 5))
+    assert scaled
+
+
 def test_dropped_basis_element_is_missed():
     # (2|1) N=3 at (k,r) = (1,2): drop each element in turn; the element
     # itself and every image that uses it fall outside the rest
@@ -127,14 +198,15 @@ def test_dropped_basis_element_is_missed():
     source = degree_basis(k, r, N, 4, 1)
     target = degree_basis(k, r, N, 5, 1)
     assert len(target) > 1
-    images = [power_sum(1, N) * poly for _, poly in source]
+    images = [to_mbasis(power_sum(1, N) * from_mbasis(coords, N))
+              for _, coords in source]
     used = 0
-    for j, (label, poly) in enumerate(target):
-        rest = DegreeBasis(e for i, e in enumerate(target) if i != j)
+    for j, (label, coords) in enumerate(target):
+        rest = DegreeBasis((e for i, e in enumerate(target) if i != j), N)
         with pytest.raises(NotInSpan) as exc:
-            membership(poly, rest)
+            membership(coords, rest)
         assert exc.value.label == label
-        assert _mcoord_membership(poly, rest) is None
+        assert _mcoord_membership(coords, rest) is None
         for img in images:
             if label in membership(img, target):
                 used += 1
@@ -158,48 +230,73 @@ def test_stuck_peel_contradicted_by_the_solve_exits_3(monkeypatch, capsys):
 def _mutant_columns():
     basis = degree_basis(1, 2, 3, 5, 1)
     assert len(basis) > 1
-    (top, _), (low, poly) = basis[0], basis[-1]
-    above = monomial_msym(enumerate_sparts(5, 1, 3)[0], 3)
-    yield DegreeBasis([(top, basis[0][1].scale(2)), *basis[1:]])
-    yield DegreeBasis([*basis[:-1], (low, poly + above)])
+    (top, coords), (low, low_coords) = basis[0], basis[-1]
+    above = enumerate_sparts(5, 1, 3)[0]
+    assert above not in low_coords
+    yield DegreeBasis([(top, {G: 2 * c for G, c in coords.items()}),
+                       *basis[1:]], 3)
+    yield DegreeBasis([*basis[:-1], (low, {**low_coords, above: 1})], 3)
 
 
 @pytest.mark.parametrize("mutant", list(_mutant_columns()),
                          ids=["scaled by 2", "term above its label"])
 def test_non_unitriangular_columns_are_rejected(mutant):
-    f = mutant[0][1]
     with pytest.raises(NotUnitriangular):
-        membership(f, mutant)
+        membership(mutant[0][1], mutant)
 
 
-def test_stability_reads_each_basis_element_once(monkeypatch):
-    # target and restriction bases are read in m-coordinates (and
-    # symmetry-checked) once per element, not once per membership call
-    real = ideals.to_mbasis
-    reads = []
+def test_stability_checks_each_column_once(monkeypatch):
+    # one suite call: each (action, O) column is symmetry-checked and read
+    # once, m_O is built once per O, and no whole image is symmetry-checked
+    checked, read, monomials, used = [], [], [], {}
+    is_symmetric = SuperPolynomial.is_symmetric
+    to_mbasis_real, combine_real = ideals.to_mbasis, ideals.combine
+    monomial_real = ideals.monomial_msym
 
-    def counting(f, verify=True):
-        if verify:
-            reads.append(id(f))
-        return real(f, verify=verify)
+    def check(f):
+        checked.append(f)
+        return is_symmetric(f)
 
-    monkeypatch.setattr(ideals, "to_mbasis", counting)
+    def reading(f, verify=True):
+        assert not verify
+        read.append(f)
+        return to_mbasis_real(f, verify=verify)
+
+    def building(om, N):
+        monomials.append((om, N))
+        return monomial_real(om, N)
+
+    def combining(coords, columns):
+        used.setdefault(id(columns), set()).update(coords)
+        return combine_real(coords, columns)
+
+    monkeypatch.setattr(SuperPolynomial, "is_symmetric", check)
+    monkeypatch.setattr(ideals, "to_mbasis", reading)
+    monkeypatch.setattr(ideals, "monomial_msym", building)
+    monkeypatch.setattr(ideals, "combine", combining)
     rep = stability_suite(1, 3, 2, 6, allow_noncoprime=True)
     assert len(rep["violations"]) == 51
-    assert reads and len(reads) == len(set(reads))
+    # the polynomials checked are exactly the columns read, in order
+    assert len(checked) == len(read) == sum(map(len, used.values()))
+    assert all(f is g for f, g in zip(checked, read))
+    assert len(monomials) == len(set(monomials))
+    assert {om for om, _ in monomials} == set().union(*used.values())
 
 
-def test_membership_rejects_nonsymmetric():
-    basis = degree_basis(1, 2, 3, 3, 2)
-    b1 = basis[0][1]
-    # a non-symmetric term that the monomial-superbasis read-off skips
-    stray = (SuperPolynomial.theta(1, 3) * SuperPolynomial.theta(2, 3)
-             * SuperPolynomial.x(2, 3, 3))
-    for f in (SuperPolynomial.x(1, 3), b1 + stray):
-        assert not f.is_symmetric()
-        assert _dense_membership(f, basis) is None
-        with pytest.raises(NotInSpan):
-            membership(f, basis)
+def test_nonsymmetric_operator_image_exits_3(monkeypatch, capsys):
+    # mutant: q leaves symmetric input; the column check is an internal
+    # inconsistency (exit 3), not a counterexample (exit 1)
+    real = ops.q_op
+
+    def mutant(f, alpha=None):
+        return real(f, alpha) + SuperPolynomial.x(1, f.N)
+
+    monkeypatch.setattr(ops, "q_op", mutant)
+    code = dispatch(["verify", "--suite", "stability", "--k", "1", "--r", "2",
+                     "--N", "3", "--nmax", "4"])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert "ArithmeticError" in err and "q maps m_[" in err
 
 
 def test_ideal_closed_under_p1():
@@ -209,9 +306,9 @@ def test_ideal_closed_under_p1():
         for L in enumerate_all_m(n, N):
             if not is_admissible(L, k, r, N):
                 continue
-            f = power_sum(1, N) * jack_at(L, N, a0)
+            f = power_sum(1, N) * jack_at(L, N, a0).polynomial()
             target = degree_basis(k, r, N, n + 1, L.m)
-            membership(f, target)  # raises on failure
+            membership(to_mbasis(f), target)  # raises on failure
 
 
 def test_stability_suite_clean():
@@ -253,7 +350,7 @@ def test_vanishing_squared_vandermonde():
 def test_vanishing_eq4310_identification():
     # two coinciding variables kill nothing less than the full product form
     L = parse_spart(";4,3,1")
-    P = jack_at(L, 4, Fraction(-3, 2))
+    P = jack_at(L, 4, Fraction(-3, 2)).polynomial()
     merged = P.merge_x((2,), 1)
     x = lambda i: SuperPolynomial.x(i, 4)
     g, h = x(4) - x(1), x(3) - x(1)
@@ -268,7 +365,7 @@ def test_prescribed_vanishing_and_nonvanishing():
     # r = m = 2: it does not vanish (two circles, k = 1)
     L = parse_spart("4,2;")
     assert is_admissible(L, 1, 2, 2)
-    P = jack_at(L, 2, alpha_kr(1, 2))
+    P = jack_at(L, 2, alpha_kr(1, 2)).polynomial()
     from superjack.superpoly import prescribed_part
     g = prescribed_part(P, 2)
     assert not g.merge_x((2,), 1).is_zero()
@@ -361,5 +458,5 @@ def test_clustering_harness_small():
 def test_rank_of():
     x1 = SuperPolynomial.x(1, 2)
     x2 = SuperPolynomial.x(2, 2)
-    assert rank_of([x1, x2, x1 + x2]) == 2
+    assert rank_of([x1.terms, x2.terms, (x1 + x2).terms]) == 2
     assert rank_of([]) == 0

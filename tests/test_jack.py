@@ -80,7 +80,7 @@ def test_eigen_relations():
 
 
 def test_jack_at_squared_vandermonde():
-    P = jack_at(parse_spart(";4,2"), 3, Fraction(-2))
+    P = jack_at(parse_spart(";4,2"), 3, Fraction(-2)).polynomial()
     V = vandermonde(3, 3)
     assert P == V * V
 
@@ -702,13 +702,15 @@ def test_equal_eigenvalue_pairs_raise(monkeypatch):
 def test_clear_caches_then_rebuild():
     labels = [parse_spart(s) for s in (";3", "1;2", "2,0;1")]
     before = {L: jack_symbolic(L, 3).coeffs for L in labels}
+    pbefore = to_pbasis(before[labels[0]], 3)
     sizes = jack.clear_caches()
     assert set(sizes) == {"_JACK_CACHE", "_mbasis_matrices",
-                          "enumerate_sparts"}
+                          "enumerate_sparts", "power_sum_columns"}
     assert all(size > 0 for size in sizes.values()), sizes
     assert set(jack.clear_caches().values()) == {0}
     for L in labels:
         assert jack_symbolic(L, 3).coeffs == before[L]
+    assert to_pbasis(before[labels[0]], 3) == pbefore
 
 
 def _expanded_eigen_check(expansion):

@@ -19,6 +19,8 @@ from superjack.superpoly import (DivisionFailure, NotSymmetric,
                                  terms_to_json, to_mbasis, to_pbasis,
                                  unique_arrangements)
 
+from superjack.suites import suite_duality, suite_norm
+
 import oracles
 from oracles import swap_K
 
@@ -394,8 +396,16 @@ def _omega_oracle(pcoeffs, columns, alpha):
     return {om: c for om, c in out.items() if c}
 
 
+def _fresh_power_sum_columns(monkeypatch):
+    """An empty column cache for this test, so a patched p_label is read
+    and no patched column outlives the test."""
+    monkeypatch.setattr(superpoly, "power_sum_columns", functools.lru_cache(
+        maxsize=None)(superpoly.power_sum_columns.__wrapped__))
+
+
 def test_power_sum_peel_matches_dense_oracle(monkeypatch):
     # m_L for every label with n <= 6, at N = n + m and N = n + m + 1
+    _fresh_power_sum_columns(monkeypatch)
     monkeypatch.setattr(superpoly, "p_label", _p_label_reps)
     monkeypatch.setattr(oracles, "p_label", _p_label_reps)
     count = 0
@@ -427,11 +437,28 @@ def test_non_triangular_power_sum_column_is_rejected(monkeypatch, label,
         raise AssertionError("peeled columns that are not triangular")
 
     # the check comes before the peel, which could cycle on such columns
+    _fresh_power_sum_columns(monkeypatch)
     monkeypatch.setattr(superpoly, "p_label", lambda P, N: (
         real(P, N) + extra if P == top else real(P, N)))
     monkeypatch.setattr(superpoly, "peel", unreachable)
     with pytest.raises(ArithmeticError):
         to_pbasis({parse_spart(";1,1"): 1}, N)
+
+
+def test_power_sum_columns_built_once_per_family(monkeypatch):
+    # duality and norms read the p_Lambda columns of 58 distinct
+    # (label, N) pairs; each is expanded once, not once per label read
+    superpoly.power_sum_columns.cache_clear()
+    real = superpoly.p_label
+    calls = []
+
+    def counting(P, N):
+        calls.append((P, N))
+        return real(P, N)
+
+    monkeypatch.setattr(superpoly, "p_label", counting)
+    assert suite_duality(4)[0] and suite_norm(4)[0]
+    assert len(calls) == len(set(calls)) == 58
 
 
 def test_json_terms_deterministic():
