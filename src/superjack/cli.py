@@ -396,7 +396,7 @@ def _jsonable(obj):
 # argument parser
 # ---------------------------------------------------------------------------
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process; each parse returns a fresh
     Namespace and no default reads the environment."""

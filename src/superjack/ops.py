@@ -233,7 +233,8 @@ def sekiguchi_S(f: SuperPolynomial, alpha) -> UList:
     return ul
 
 
-def _theta_support_projector(f: SuperPolynomial, m: int) -> SuperPolynomial:
+def theta_part(f: SuperPolynomial, m: int) -> SuperPolynomial:
+    """The terms of f whose theta factor is exactly theta_1...theta_m."""
     keep = tuple(range(1, m + 1))
     out = SuperPolynomial(f.N)
     for (T, e), c in f.terms.items():
@@ -256,26 +257,28 @@ def sekiguchi_S_tilde(f: SuperPolynomial, alpha) -> UList:
     """Supersymmetric Sekiguchi operator on a theta-homogeneous input.
 
     Sums over minimal coset representatives of S_N / (S_m x S_{N-m}), so it
-    works over any coefficient ring, Z[a] included.
+    works over any coefficient ring, Z[a] included.  Each u-power's sum is
+    accumulated in one term dict, and its zeros are dropped once at the end.
+    The zero polynomial gets N + 1 zero components, as from `sekiguchi_S`.
     """
     N = f.N
     degs = f.fermionic_degrees()
-    if not degs:
-        return [SuperPolynomial(N)]
-    if len(degs) != 1:
+    if len(degs) > 1:
         raise ValueError("input must be theta-homogeneous")
-    m = degs.pop()
-    pf = _theta_support_projector(f, m)
-    ul: UList = [pf]
+    m = degs.pop() if degs else 0
+    ul: UList = [theta_part(f, m)]
     for i in range(1, m + 1):
         ul = _ulist_apply_shifted(
             ul, lambda g, i=i: cherednik(g, i, alpha) + g.scale(alpha), N)
     for j in range(m + 1, N + 1):
         ul = _ulist_apply_shifted(ul, lambda g, j=j: cherednik(g, j, alpha), N)
-    out = [SuperPolynomial(N) for _ in ul]
-    for sigma in _coset_reps(N, m):
-        for k, comp in enumerate(ul):
-            out[k] += comp.act_Ksigma(sigma)
+    reps = _coset_reps(N, m)
+    out = []
+    for comp in ul:
+        acc: dict = {}
+        for sigma in reps:
+            permute_into(acc, comp.terms, sigma)
+        out.append(SuperPolynomial(N, {k: c for k, c in acc.items() if c}))
     return out
 
 

@@ -14,7 +14,7 @@ them in whichever coefficient field they work over.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
@@ -115,10 +115,12 @@ def strict_partitions(total: int, length: int, bound: Optional[int] = None):
 # superpartitions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SuperPartition:
     antisym: tuple[int, ...]
     sym: tuple[int, ...]
+    # labels key every peel, column and rank dict: hash them once
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a, s = self.antisym, self.sym
@@ -126,6 +128,10 @@ class SuperPartition:
             raise ValueError(f"fermionic parts not strictly decreasing: {a}")
         if any(s[i] < s[i + 1] for i in range(len(s) - 1)) or (s and s[-1] <= 0):
             raise ValueError(f"bosonic parts not weakly decreasing positive: {s}")
+        object.__setattr__(self, "_hash", hash((a, s)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # -- degrees and shapes
     @property

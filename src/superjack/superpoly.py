@@ -180,12 +180,6 @@ class SuperPolynomial:
         return out
 
     # -- symmetric group action ----------------------------------------------
-    def act_Ksigma(self, sigma: Sequence[int]) -> "SuperPolynomial":
-        """Diagonal action on x and theta together."""
-        out: dict = {}
-        permute_into(out, self.terms, sigma)
-        return SuperPolynomial(self.N, out)
-
     def is_symmetric(self) -> bool:
         """Invariance under each adjacent diagonal transposition (i i+1).
 

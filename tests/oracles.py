@@ -3,7 +3,9 @@ non-symmetric construction, the Vandermonde product, the swap of two
 commuting variables, the coefficient of a power of one of them, the Euclid
 gcd and exact division of Z[a] run over Q with Fraction coefficients,
 dense Gauss-Jordan solves over Q or Q(a), the power-sum expansion among
-them, and the stability and cochain checks on expanded polynomials."""
+them, the stability and cochain checks on expanded polynomials, the
+diagonal action of one permutation, and the Sekiguchi eigenrelations read
+on the whole polynomial."""
 
 import math
 from fractions import Fraction
@@ -12,10 +14,12 @@ from typing import Sequence
 from superjack import ideals
 from superjack.coeffring import (AlphaPolynomial, AlphaRational, FieldMatrix,
                                  NoSolution, SolutionSpace, UniqueSolution)
-from superjack.ops import OPERATORS, L_op, operator
-from superjack.spart import SuperPartition, enumerate_sparts, n_mult
+from superjack.ops import (OPERATORS, L_op, operator, sekiguchi_S,
+                           sekiguchi_S_tilde, ulist_equals_scalar_multiple)
+from superjack.spart import (SuperPartition, enumerate_sparts, epsilon_u,
+                             n_mult, star_pair)
 from superjack.superpoly import (SuperPolynomial, ferm_power, from_mbasis,
-                                 p_label, power_sum, to_mbasis)
+                                 p_label, permute_into, power_sum, to_mbasis)
 
 
 def f_stat(parts: Sequence[int]) -> int:
@@ -108,6 +112,13 @@ def poly_at(p: AlphaPolynomial, a0: Fraction) -> Fraction:
     return acc
 
 
+def act_Ksigma(f: SuperPolynomial, sigma: Sequence[int]) -> SuperPolynomial:
+    """Diagonal action K_sigma on x and theta together."""
+    out: dict = {}
+    permute_into(out, f.terms, sigma)
+    return SuperPolynomial(f.N, out)
+
+
 def swap_K(f: SuperPolynomial, i: int, j: int) -> SuperPolynomial:
     """Exchange the commuting variables x_i and x_j only."""
     out = {}
@@ -116,6 +127,17 @@ def swap_K(f: SuperPolynomial, i: int, j: int) -> SuperPolynomial:
         e2[i - 1], e2[j - 1] = e[j - 1], e[i - 1]
         out[(T, tuple(e2))] = c
     return SuperPolynomial(f.N, out)
+
+
+def sekiguchi_verdicts_whole(P: SuperPolynomial, L: SuperPartition, N: int,
+                             alpha) -> tuple[bool, bool]:
+    """(S, S_tilde) eigenrelation verdicts for P, each compared on the whole
+    polynomial; takes any theta-homogeneous P, symmetric or not."""
+    circ, star = star_pair(L, N)
+    return (ulist_equals_scalar_multiple(sekiguchi_S(P, alpha),
+                                         epsilon_u(star, N, alpha), P),
+            ulist_equals_scalar_multiple(sekiguchi_S_tilde(P, alpha),
+                                         epsilon_u(circ, N, alpha), P))
 
 
 def coefficient_xpower(f: SuperPolynomial, i: int, k: int) -> SuperPolynomial:

@@ -286,6 +286,18 @@ def test_op_apply(capsys, tmp_path):
     assert "u^0" in out and "u^2" in out
 
 
+@pytest.mark.parametrize("name", ["Sekiguchi", "SekiguchiTilde"])
+def test_op_apply_sekiguchi_on_zero_prints_every_u_power(capsys, tmp_path,
+                                                        name):
+    # SekiguchiTilde used to print u^0 only
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"N": 2, "terms": []}))
+    code, out, _ = run(capsys, "op", "apply", "--name", name, "--alpha",
+                       "sym", "--input", str(path))
+    assert code == 0
+    assert out.splitlines() == ["u^0: 0", "u^1: 0", "u^2: 0"]
+
+
 def test_op_apply_q_tilde(capsys, tmp_path):
     code, out, _ = run(capsys, "op", "apply", "--name", "q_tilde",
                        "--alpha", "sym", "--input", _write_x1_squared(tmp_path),

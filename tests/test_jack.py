@@ -1,9 +1,12 @@
+import importlib
 import itertools
+import pkgutil
 from fractions import Fraction
 from typing import Optional
 
 import pytest
 
+import superjack
 from superjack import jack
 from superjack.coeffring import (ALPHA, ONE, AlphaPolynomial, AlphaRational,
                                  FieldMatrix, PoleError, UniqueSolution,
@@ -24,8 +27,8 @@ from superjack.suites import _labels
 from superjack.superpoly import (SuperPolynomial, ferm_power,
                                  integral_multiple, monomial_msym, p_label,
                                  to_mbasis, to_pbasis)
-from oracles import (coefficient_xpower, dense_solve_exact, eta_bar, f_stat,
-                     tilde_composition, vandermonde)
+from oracles import (act_Ksigma, coefficient_xpower, dense_solve_exact,
+                     eta_bar, f_stat, tilde_composition, vandermonde)
 
 a = ALPHA
 
@@ -508,7 +511,7 @@ def _symmetrized_from_nonsym(L, N):
         lead = lead.mul_theta(i)
     total = SuperPolynomial(N)
     for sigma in itertools.permutations(range(1, N + 1)):
-        total += lead.act_Ksigma(list(sigma))
+        total += act_Ksigma(lead, list(sigma))
     sign = -1 if (m * (m - 1) // 2) % 2 else 1
     return total.scale(AlphaRational(Fraction(sign, f_stat(L.sym))))
 
@@ -699,14 +702,30 @@ def test_equal_eigenvalue_pairs_raise(monkeypatch):
         jack_symbolic(L, 2)
 
 
+def _unbounded_caches() -> dict:
+    """Every function cache without a size bound defined in a superjack
+    module, by name.  A bounded one (the parser's) needs no clearing."""
+    found = {}
+    for info in pkgutil.iter_modules(superjack.__path__):
+        module = importlib.import_module(f"superjack.{info.name}")
+        for name, obj in vars(module).items():
+            if (callable(getattr(obj, "cache_info", None))
+                    and getattr(obj, "__module__", None) == module.__name__
+                    and obj.cache_parameters()["maxsize"] is None):
+                found[name] = obj
+    assert found
+    return found
+
+
 def test_clear_caches_then_rebuild():
     labels = [parse_spart(s) for s in (";3", "1;2", "2,0;1")]
     before = {L: jack_symbolic(L, 3).coeffs for L in labels}
     pbefore = to_pbasis(before[labels[0]], 3)
+    caches = _unbounded_caches()
     sizes = jack.clear_caches()
-    assert set(sizes) == {"_JACK_CACHE", "_mbasis_matrices",
-                          "enumerate_sparts", "power_sum_columns"}
+    assert set(sizes) == {"_JACK_CACHE"} | set(caches)
     assert all(size > 0 for size in sizes.values()), sizes
+    assert all(c.cache_info().currsize == 0 for c in caches.values())
     assert set(jack.clear_caches().values()) == {0}
     for L in labels:
         assert jack_symbolic(L, 3).coeffs == before[L]

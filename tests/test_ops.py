@@ -17,13 +17,13 @@ from superjack.ops import (ALGEBRA_TABLE, OPERATORS, G_op, L_op,
                            ulist_equals_scalar_multiple)
 from superjack.jack import jack_at, jack_poly, jack_symbolic
 from superjack.spart import (e_star_poly, e_tilde_poly, enumerate_all_m,
-                             epsilon_u, parse_spart, star_pair)
+                             epsilon_u, parse_spart)
 from superjack.suites import _labels
 from superjack.superpoly import (DivisionFailure, SuperPolynomial,
                                  divide_xdiff, ferm_power, from_mbasis,
                                  integral_multiple, monomial_msym, power_sum)
 
-from oracles import swap_K
+from oracles import act_Ksigma, sekiguchi_verdicts_whole, swap_K
 
 a = ALPHA
 
@@ -221,7 +221,7 @@ def _sekiguchi_S_tilde_full_sum(f, alpha):
     m!(N-m)!, a Fraction, so it works over Q(a) only."""
     N = f.N
     m, = f.fermionic_degrees()
-    ul = [ops._theta_support_projector(f, m)]
+    ul = [ops.theta_part(f, m)]
     for i in range(1, m + 1):
         ul = ops._ulist_apply_shifted(
             ul, lambda g, i=i: cherednik(g, i, alpha) + g.scale(alpha), N)
@@ -231,9 +231,18 @@ def _sekiguchi_S_tilde_full_sum(f, alpha):
     out = [SuperPolynomial(N) for _ in ul]
     for sigma in permutations(range(1, N + 1)):
         for k, comp in enumerate(ul):
-            out[k] += comp.act_Ksigma(sigma)
+            out[k] += act_Ksigma(comp, sigma)
     scale = Fraction(1, factorial(m) * factorial(N - m))
     return [c.scale(scale) for c in out]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_sekiguchi_pair_on_zero_has_every_u_power(N):
+    zero = SuperPolynomial(N)
+    for S in (sekiguchi_S, sekiguchi_S_tilde):
+        ul = S(zero, a)
+        assert ul == [SuperPolynomial(N)] * (N + 1)
+        assert ulist_equals_scalar_multiple(ul, epsilon_u((), N, a), zero)
 
 
 def test_sekiguchi_tilde_coset_equals_full_sum():
@@ -241,15 +250,6 @@ def test_sekiguchi_tilde_coset_equals_full_sum():
     fast = sekiguchi_S_tilde(f, a)
     slow = _sekiguchi_S_tilde_full_sum(f, a)
     assert all(u == v for u, v in zip(fast, slow))
-
-
-def _sekiguchi_verdicts(P, L, N, alpha):
-    """(S, S_tilde) eigenrelation verdicts for P at the parameter alpha."""
-    circ, star = star_pair(L, N)
-    return (ulist_equals_scalar_multiple(sekiguchi_S(P, alpha),
-                                         epsilon_u(star, N, alpha), P),
-            ulist_equals_scalar_multiple(sekiguchi_S_tilde(P, alpha),
-                                         epsilon_u(circ, N, alpha), P))
 
 
 @pytest.mark.parametrize("nmax, N, mmax", [(3, 3, 2), (3, 4, 1)])
@@ -263,16 +263,18 @@ def test_sekiguchi_integral_route_matches_rational(nmax, N, mmax):
             if L.m > mmax:
                 continue
             P = jack_poly(L, N)
-            verdict = _sekiguchi_verdicts(P, L, N, a)
+            verdict = sekiguchi_verdicts_whole(P, L, N, a)
             assert verdict == (True, True)
-            assert _sekiguchi_verdicts(integral_multiple(P), L, N, A) == verdict
+            assert sekiguchi_verdicts_whole(integral_multiple(P), L, N,
+                                            A) == verdict
             below = [om for om in jack_symbolic(L, N).coeffs if om != L]
             if not below:
                 continue
             bad = P + monomial_msym(below[-1], N)
-            verdict = _sekiguchi_verdicts(bad, L, N, a)
+            verdict = sekiguchi_verdicts_whole(bad, L, N, a)
             assert verdict != (True, True)
-            assert _sekiguchi_verdicts(integral_multiple(bad), L, N, A) == verdict
+            assert sekiguchi_verdicts_whole(integral_multiple(bad), L, N,
+                                            A) == verdict
             mutants += 1
     assert mutants
 

@@ -45,6 +45,17 @@ def test_invalid_labels_rejected():
         SuperPartition((), (1, 0))
 
 
+def test_equal_labels_hash_equal_and_cache_the_computed_hash():
+    labels = [L for n in range(5) for m in range(3)
+              for L in enumerate_sparts(n, m, 4)]
+    for L in labels:
+        twin = parse_spart(str(L))
+        assert twin == L and twin is not L
+        assert hash(twin) == hash(L) == L._hash == hash((L.antisym, L.sym))
+    twins = {parse_spart(str(L)) for L in labels}
+    assert len(set(labels)) == len(twins | set(labels)) == len(labels)
+
+
 def test_conjugate_display_example():
     L = parse_spart("5,3,1,0;4,3")
     assert L.circled == (6, 4, 4, 3, 2, 1)
