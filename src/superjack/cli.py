@@ -150,27 +150,6 @@ def _parse_alpha_flag(text: str):
         raise UsageError(f"bad --alpha value {text!r}") from exc
 
 
-def _load_config(path: str | None) -> dict[str, str]:
-    conf: dict[str, str] = {}
-    if path:
-        for line in Path(path).read_text().splitlines():
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, val = line.split("=", 1)
-            conf[key.strip()] = val.strip()
-    return conf
-
-
-def _resolve_cache_dir(args, conf) -> str | None:
-    if getattr(args, "cache_dir", None):
-        return args.cache_dir
-    env = os.environ.get("SUPERJACK_CACHE")
-    if env:
-        return env
-    return conf.get("cache_dir")
-
-
 def _emit_error(kind: str, message: str, **extra) -> None:
     payload = {"error": kind, "message": message}
     payload.update(extra)
@@ -221,11 +200,11 @@ def _read_poly(path: str) -> SuperPolynomial:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_compute(args, conf) -> int:
+def cmd_compute(args) -> int:
     L = parse_spart(args.spart)
     N = args.N
     a0 = _parse_alpha_flag(args.alpha)
-    expansion = jack_cached(L, N, _resolve_cache_dir(args, conf))
+    expansion = jack_cached(L, N, args.cache_dir)
     if a0 is None:
         coeffs, alpha, head = expansion.coeffs, "sym", f"P[{L}] (N={N}) ="
     else:
@@ -253,7 +232,7 @@ def cmd_compute(args, conf) -> int:
     return 0
 
 
-def cmd_enumerate(args, conf) -> int:
+def cmd_enumerate(args) -> int:
     if args.admissible:
         try:
             k, r = (int(v) for v in args.admissible.split(","))
@@ -270,13 +249,21 @@ def cmd_enumerate(args, conf) -> int:
     return 0
 
 
-def cmd_pieri(args, conf) -> int:
+def cmd_pieri(args) -> int:
     L = parse_spart(args.spart)
     coeffs = pieri_closed(args.upsilon, L, args.N)
     items = sorted(coeffs.items(), key=lambda kv: kv[0].sort_key(), reverse=True)
     a0 = _parse_alpha_flag(args.alpha)
     if a0 is not None:
-        items = [(k, alpha_eval(v, a0)) for k, v in items]
+        numeric = []
+        for om, v in items:
+            try:
+                numeric.append((om, alpha_eval(v, a0)))
+            except PoleError as exc:
+                _emit_error("PoleError", str(exc), label=str(L), N=args.N,
+                            alpha=str(a0), target=str(om))
+                return 3
+        items = numeric
     if args.out == "json":
         print(json.dumps({"upsilon": args.upsilon, "label": str(L),
                           "N": args.N,
@@ -288,7 +275,7 @@ def cmd_pieri(args, conf) -> int:
     return 0
 
 
-def cmd_op(args, conf) -> int:
+def cmd_op(args) -> int:
     if args.op_command != "apply":
         raise UsageError("usage: jack op apply ...")
     f = _read_poly(args.input)
@@ -314,7 +301,7 @@ def cmd_op(args, conf) -> int:
     return 0
 
 
-def cmd_characters(args, conf) -> int:
+def cmd_characters(args) -> int:
     if args.space == "F":
         series = char_F(args.k, args.N, args.nmax)
     elif args.space == "I":
@@ -331,7 +318,7 @@ def cmd_characters(args, conf) -> int:
     return 0
 
 
-def cmd_cluster(args, conf) -> int:
+def cmd_cluster(args) -> int:
     L = parse_spart(args.spart)
     cluster = tuple(int(v) for v in args.cluster.split(","))
     res = cluster_multiplicity(L, args.k, args.r, args.N, cluster, args.primed)
@@ -352,7 +339,7 @@ def cmd_cluster(args, conf) -> int:
 _SUITE_FLAGS = ("k", "r", "N", "nmax", "mmax", "d", "allow_noncoprime")
 
 
-def cmd_verify(args, conf) -> int:
+def cmd_verify(args) -> int:
     if args.suite not in SUITES:
         known = ", ".join(sorted(SUITES))
         raise UsageError(f"unknown suite {args.suite!r}; choose from {known}")
@@ -403,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     top = _Parser(
         prog="jack",
         description="Exact Jack superpolynomials at rational parameter")
-    top.add_argument("--config", help="key=value configuration file")
     top.add_argument("--cache-dir", help="directory for the expansion cache")
     sub = top.add_subparsers(dest="command")
 
@@ -506,8 +492,8 @@ def dispatch(argv) -> int:
         parser.print_help()
         return 2
     try:
-        return args.fn(args, _load_config(args.config))
-    except OSError as exc:  # a --config, --input or cache path
+        return args.fn(args)
+    except OSError as exc:  # an --input or cache path
         _emit_error(type(exc).__name__, str(exc), path=exc.filename)
         return 2
     except UsageError as exc:

@@ -9,12 +9,7 @@ monomial superbasis.
 No Jack superpolynomial is expanded for stability or cochains.  A basis
 element is its m-coordinates, and every action checked on the span (p0*, q,
 q_perp, Q, Q_perp, p1*, p2*, L_-2, d = q or q_tilde, and each restriction
-piece) is linear.  So the image of sum c_O m_O is sum c_O col(O), where the
-column col(O) is the m-coordinates of the action on the one monomial m_O,
-built on first use and kept for the rest of the suite call.  Each column's
-polynomial is checked for symmetry once; an asymmetric one raises
-ArithmeticError.  A sum of symmetric images is symmetric, so that one check
-per column certifies every image, and its m-coordinates determine it.
+piece) is linear, so its image is read through `superpoly.column_images`.
 
 Membership is a monic triangular peel, not a solve.  P_L is monic at L and
 supported on labels that L dominates, so in the order of `enumerate_sparts`
@@ -39,8 +34,8 @@ from .jack import jack_at
 from .ops import OPERATORS, L_op, operator
 from .spart import (SuperPartition, admissible_at_degree, check_kr,
                     enumerate_admissible, enumerate_sparts, fermionic_range)
-from .superpoly import (SuperPolynomial, combine, ferm_power, monomial_msym,
-                        peel, power_sum, prescribed_part, to_mbasis)
+from .superpoly import (SuperPolynomial, column_images, ferm_power,
+                        monomial_msym, peel, power_sum, prescribed_part)
 
 
 class NotInSpan(ValueError):
@@ -194,34 +189,6 @@ def rank_of(vectors: Sequence[dict]) -> int:
                            else len(res.nullspace))
 
 
-def _column_images(N: int) -> Callable[[str, Callable, dict], dict]:
-    """``image(name, act, coords)``: the m-coordinates of act applied to
-    sum c m_O over the items (O, c) of coords, N variables.
-
-    act must be linear.  Its column at O, the m-coordinates of act(m_O), is
-    built on first use and kept per name; m_O itself is built once for all
-    names.  Each column's polynomial is checked for symmetry once, and an
-    asymmetric one raises ArithmeticError naming the action and O.
-    """
-    monomials: dict[SuperPartition, SuperPolynomial] = {}
-    columns: dict[str, dict] = {}
-
-    def image(name: str, act: Callable, coords: dict) -> dict:
-        cols = columns.setdefault(name, {})
-        for om in coords.keys() - cols.keys():
-            mono = monomials.get(om)
-            if mono is None:
-                mono = monomials[om] = monomial_msym(om, N)
-            img = act(mono)
-            if not img.is_symmetric():
-                raise ArithmeticError(
-                    f"{name} maps m_[{om}] to a non-symmetric polynomial")
-            cols[om] = to_mbasis(img, verify=False)
-        return combine(coords, cols)
-
-    return image
-
-
 # ---------------------------------------------------------------------------
 # stability of the span under the operator algebra
 # ---------------------------------------------------------------------------
@@ -269,7 +236,7 @@ def stability_suite(k: int, r: int, N: int, nmax: int,
         ("p2*", lambda f: p2 * f, (2, 0)),
         ("L_-2", lambda f: L_op(-2, f), (2, 0)),
     ]
-    image = _column_images(N)
+    image = column_images(N)
     violations = []
     checked = 0
     for (n, m), entries in sorted(basis.items()):
@@ -452,7 +419,7 @@ def cochain_check(k: int, r: int, N: int, nmax: int, d: str = "q",
     dn, dm = OPERATORS[d].shift
     basis = ideal_basis(k, r, N, nmax, allow_noncoprime=allow_noncoprime)
     a0 = alpha_kr(k, r)
-    image = _column_images(N)
+    image = column_images(N)
 
     def act(f):
         return op(f, a0)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd, lcm
-from typing import Optional
+from typing import Callable, Optional
 
 from .coeffring import (ALPHA, ONE, AlphaPolynomial, AlphaRational,
                         PoleError, _poly, alpha_eval, clear_denominators,
@@ -370,6 +370,8 @@ def pieri_closed(kind: str, L: SuperPartition, N: int) -> dict[SuperPartition, A
     """Hook-ratio coefficient map of one lowering/raising operator."""
     if kind not in _PIERI_TABLE:
         raise ValueError(f"unknown Pieri kind {kind!r}")
+    if L.length > N:
+        raise ValueError(f"{L} does not fit in {N} variables")
     moves, hook, column, l_on_top, scale = _PIERI_TABLE[kind]
     out = {}
     for mv in moves(L, N):
@@ -391,22 +393,23 @@ def pieri_closed(kind: str, L: SuperPartition, N: int) -> dict[SuperPartition, A
     return out
 
 
-def pieri_check(kind: str, L: SuperPartition, N: int) -> bool:
+def pieri_check(kind: str, L: SuperPartition, N: int,
+                image: Callable) -> bool:
     """The operator's image of P_L against the closed Pieri expansion.
 
     p0 multiplies; the other kinds name table operators, Qperp for Q_perp.
-    The image is read in monomial-superbasis coordinates and compared with
-    the closed coefficients times the m-coordinates of the Jack
-    superpolynomials they multiply.
+    `image`, a `superpoly.column_images(N)` shared across calls, reads the
+    image in monomial-superbasis coordinates; it is compared with the closed
+    coefficients times the m-coordinates of the Jacks they multiply.
     """
     closed = pieri_closed(kind, L, N)
-    P = jack_poly(L, N)
     if kind == "p0":
-        g = ferm_power(0, N) * P
+        act = ferm_power(0, N).__mul__
     else:
-        g = operator(kind.replace("perp", "_perp"))(P, ALPHA)
+        act = partial(operator(kind.replace("perp", "_perp")), alpha=ALPHA)
     columns = {om: jack_symbolic(om, N).coeffs for om in closed}
-    return to_mbasis(g, verify=False) == combine(closed, columns)
+    return (image(kind, act, jack_symbolic(L, N).coeffs)
+            == combine(closed, columns))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from .ops import (check_algebra_table, check_virasoro_relations,
 from .spart import (SuperPartition, almost_admissible_variants,
                     enumerate_admissible, enumerate_all_m, enumerate_sparts,
                     epsilon_u, fermionic_range, star_pair)
-from .superpoly import SuperPolynomial, integral_multiple, monomial_msym
+from .superpoly import (SuperPolynomial, column_images, integral_multiple,
+                        monomial_msym)
 
 
 def _labels(nmax: int, N: int, mmax: int | None = None):
@@ -105,12 +106,14 @@ def suite_duality(nmax: int) -> tuple[bool, dict]:
 
 
 def suite_pieri(nmax: int, N: int, mmax: int = 2) -> tuple[bool, dict]:
+    """Every Pieri kind on every label; one column helper serves them all."""
+    image = column_images(N)
     failures = []
     count = 0
     for L in _labels(nmax, N, mmax):
         for kind in PIERI_KINDS:
             count += 1
-            if not pieri_check(kind, L, N):
+            if not pieri_check(kind, L, N, image):
                 failures.append((kind, str(L)))
     return not failures, {"checked": count, "failures": failures}
 

@@ -661,6 +661,38 @@ def combine(coeffs: dict, columns: dict) -> dict:
     return {G: x for G, x in out.items() if x}
 
 
+def column_images(N: int) -> Callable[[str, Callable, dict], dict]:
+    """``image(name, act, coords)``: the m-coordinates of act applied to
+    sum c m_O over the items (O, c) of coords, N variables.
+
+    act must be linear, so the image is sum c_O col(O), where the column
+    col(O) is the m-coordinates of act(m_O); no polynomial is expanded.  The
+    stability, cochain and Pieri suites each share one helper per call.  A
+    column is built on first use and kept per name; m_O is built once for
+    all names.  Each column's polynomial is checked for symmetry once, and
+    an asymmetric one raises ArithmeticError naming the action and O.  A sum
+    of symmetric images is symmetric, so that check certifies every image,
+    and its m-coordinates determine it.
+    """
+    monomials: dict[SuperPartition, SuperPolynomial] = {}
+    columns: dict[str, dict] = {}
+
+    def image(name: str, act: Callable, coords: dict) -> dict:
+        cols = columns.setdefault(name, {})
+        for om in coords.keys() - cols.keys():
+            mono = monomials.get(om)
+            if mono is None:
+                mono = monomials[om] = monomial_msym(om, N)
+            img = act(mono)
+            if not img.is_symmetric():
+                raise ArithmeticError(
+                    f"{name} maps m_[{om}] to a non-symmetric polynomial")
+            cols[om] = to_mbasis(img, verify=False)
+        return combine(coords, cols)
+
+    return image
+
+
 def prescribed_part(P: SuperPolynomial, m: int) -> SuperPolynomial:
     """Coefficient of theta_1...theta_m divided exactly by the Vandermonde."""
     g = P.theta_coefficient(tuple(range(1, m + 1)))

@@ -3,7 +3,7 @@ non-symmetric construction, the Vandermonde product, the swap of two
 commuting variables, the coefficient of a power of one of them, the Euclid
 gcd and exact division of Z[a] run over Q with Fraction coefficients,
 dense Gauss-Jordan solves over Q or Q(a), the power-sum expansion among
-them, the stability and cochain checks on expanded polynomials, the
+them, the stability, cochain and Pieri checks on expanded polynomials, the
 diagonal action of one permutation, and the Sekiguchi eigenrelations read
 on the whole polynomial."""
 
@@ -11,15 +11,17 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from superjack import ideals
-from superjack.coeffring import (AlphaPolynomial, AlphaRational, FieldMatrix,
-                                 NoSolution, SolutionSpace, UniqueSolution)
+from superjack import ideals, jack
+from superjack.coeffring import (ALPHA, AlphaPolynomial, AlphaRational,
+                                 FieldMatrix, NoSolution, SolutionSpace,
+                                 UniqueSolution)
 from superjack.ops import (OPERATORS, L_op, operator, sekiguchi_S,
                            sekiguchi_S_tilde, ulist_equals_scalar_multiple)
 from superjack.spart import (SuperPartition, enumerate_sparts, epsilon_u,
                              n_mult, star_pair)
-from superjack.superpoly import (SuperPolynomial, ferm_power, from_mbasis,
-                                 p_label, permute_into, power_sum, to_mbasis)
+from superjack.superpoly import (SuperPolynomial, combine, ferm_power,
+                                 from_mbasis, p_label, permute_into, power_sum,
+                                 to_mbasis)
 
 
 def f_stat(parts: Sequence[int]) -> int:
@@ -339,3 +341,17 @@ def cochain_check_expanded(k: int, r: int, N: int, nmax: int,
         exactness.append({"degree": (n, m), "ker": data["ker_d"],
                           "im": im_prev, "exact": data["ker_d"] == im_prev})
     return {"failures": failures, "ranks": ranks, "exactness": exactness}
+
+
+def pieri_check_expanded(kind: str, L: SuperPartition, N: int) -> bool:
+    """`jack.pieri_check` on the expanded P_L: the operator is applied to
+    the whole polynomial over Q(a) and the image read back with
+    `to_mbasis`."""
+    closed = jack.pieri_closed(kind, L, N)
+    P = jack.jack_poly(L, N)
+    if kind == "p0":
+        g = ferm_power(0, N) * P
+    else:
+        g = operator(kind.replace("perp", "_perp"))(P, ALPHA)
+    columns = {om: jack.jack_symbolic(om, N).coeffs for om in closed}
+    return to_mbasis(g, verify=False) == combine(closed, columns)

@@ -377,7 +377,7 @@ def test_op_apply_coeff_ending_in_caret_exit_code(capsys, tmp_path):
         capsys, "op", "apply", "--name", "q", "--input", str(path))
 
 
-@pytest.mark.parametrize("kind", ["input", "cache", "config"])
+@pytest.mark.parametrize("kind", ["input", "cache"])
 def test_os_error_is_one_json_object_naming_the_path(capsys, tmp_path, kind):
     # a missing --input and a cache directory under a regular file used to
     # end in a traceback with exit 1
@@ -385,9 +385,7 @@ def test_os_error_is_one_json_object_naming_the_path(capsys, tmp_path, kind):
     where = str(tmp_path / ("afile/cache" if kind == "cache" else "no/such"))
     argv = {"input": ("op", "apply", "--name", "q", "--input", where),
             "cache": ("--cache-dir", where, "compute", "--spart", "1;1",
-                      "--N", "2"),
-            "config": ("--config", where, "compute", "--spart", "1;1",
-                       "--N", "2")}[kind]
+                      "--N", "2")}[kind]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     lines = err.strip().splitlines()
@@ -525,9 +523,8 @@ def test_cache_eviction_names_the_failing_equation(tmp_path, capsys, source,
                      "reason": reason}
 
 
-def test_cache_zero_coefficient_evicts(tmp_path, capsys, monkeypatch):
+def test_cache_zero_coefficient_evicts(tmp_path, capsys):
     # a genuine store never writes a zero; a cold compute never prints one
-    monkeypatch.delenv("SUPERJACK_CACHE", raising=False)
     L = parse_spart("2;1")
     path = _store_fake(tmp_path, L, 3, {**jack_symbolic(L, 3).coeffs,
                                         parse_spart("0;1,1,1"): 0})
@@ -542,9 +539,8 @@ def test_cache_zero_coefficient_evicts(tmp_path, capsys, monkeypatch):
     assert "0;1,1,1" not in json.loads(path.read_text())["coeffs"]
 
 
-def test_dispatch_calls_share_no_state(tmp_path, capsys, monkeypatch):
+def test_dispatch_calls_share_no_state(tmp_path, capsys):
     # the parser is built once per process; the parsed options are not
-    monkeypatch.delenv("SUPERJACK_CACHE", raising=False)
     assert cli.build_parser() is cli.build_parser()
     first = tmp_path / "first"
     code, _, _ = run(capsys, "--cache-dir", str(first), "compute", "--spart",
@@ -574,23 +570,35 @@ def test_cache_version_mismatch(tmp_path, capsys):
     assert cache_load(str(tmp_path), L, 2) is None
 
 
-def test_cache_env_var(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SUPERJACK_CACHE", str(tmp_path))
-    code, out, _ = run(capsys, "compute", "--spart", ";2", "--N", "2",
-                       "--alpha", "sym", "--out", "json")
-    assert code == 0
-    assert list(tmp_path.glob("*.json"))
-
-
-def test_config_file(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("SUPERJACK_CACHE", raising=False)
+def test_cache_dir_is_the_only_cache_setting(tmp_path, capsys, monkeypatch):
+    # no config file and no environment variable names a cache directory
     conf = tmp_path / "conf"
-    cachedir = tmp_path / "cache"
-    conf.write_text(f"# comment\ncache_dir = {cachedir}\n")
-    code, _, _ = run(capsys, "--config", str(conf), "compute", "--spart",
-                     ";1,1", "--N", "2", "--alpha", "sym", "--out", "json")
+    conf.write_text(f"cache_dir = {tmp_path / 'from_config'}\n")
+    _usage_error(capsys, "--config", str(conf), "compute", "--spart", ";2",
+                 "--N", "2")
+    monkeypatch.setenv("SUPERJACK_CACHE", str(tmp_path / "from_env"))
+    code, _, _ = run(capsys, "compute", "--spart", ";2", "--N", "2",
+                     "--out", "json")
     assert code == 0
-    assert list(cachedir.glob("*.json"))
+    assert [p.name for p in tmp_path.iterdir()] == ["conf"]
+
+
+@pytest.mark.parametrize("kind", cli.PIERI_KINDS)
+def test_pieri_label_too_long_for_N(capsys, kind):
+    # used to print an empty expansion and exit 0
+    assert _usage_error(capsys, "pieri", "--upsilon", kind, "--spart",
+                        "3;1,1", "--N", "2") \
+        == "3;1,1 does not fit in 2 variables"
+
+
+def test_pieri_pole_names_label_N_alpha_and_target(capsys):
+    code, out, err = run(capsys, "pieri", "--upsilon", "Q", "--spart", ";1",
+                         "--N", "2", "--alpha", "0")
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "PoleError",
+                               "message": "pole of (a+2)/(a) at a = 0",
+                               "label": ";1", "N": 2, "alpha": "0",
+                               "target": "1;"}
 
 
 def test_pieri_numeric_alpha(capsys):

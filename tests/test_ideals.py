@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from superjack import ideals, ops
+from superjack import ideals, ops, superpoly
 from superjack.cli import dispatch
 from superjack.coeffring import (FieldMatrix, NoSolution, PoleError,
                                  UniqueSolution)
@@ -172,7 +172,7 @@ def test_cochain_column_route_matches_expanded_route(monkeypatch, d, nmax):
 
 def test_scaled_column_entry_fails_the_differential(monkeypatch):
     # mutant: one entry of the first column the suite builds, doubled
-    real = ideals.to_mbasis
+    real = superpoly.to_mbasis
     scaled = []
 
     def mutant(f, verify=True):
@@ -183,7 +183,7 @@ def test_scaled_column_entry_fails_the_differential(monkeypatch):
             scaled.append(G)
         return col
 
-    monkeypatch.setattr(ideals, "to_mbasis", mutant)
+    monkeypatch.setattr(superpoly, "to_mbasis", mutant)
     with pytest.raises(AssertionError):
         _assert_routes_agree(
             monkeypatch, lambda: stability_suite(1, 2, 3, 5),
@@ -250,8 +250,8 @@ def test_stability_checks_each_column_once(monkeypatch):
     # once, m_O is built once per O, and no whole image is symmetry-checked
     checked, read, monomials, used = [], [], [], {}
     is_symmetric = SuperPolynomial.is_symmetric
-    to_mbasis_real, combine_real = ideals.to_mbasis, ideals.combine
-    monomial_real = ideals.monomial_msym
+    to_mbasis_real, combine_real = superpoly.to_mbasis, superpoly.combine
+    monomial_real = superpoly.monomial_msym
 
     def check(f):
         checked.append(f)
@@ -271,9 +271,9 @@ def test_stability_checks_each_column_once(monkeypatch):
         return combine_real(coords, columns)
 
     monkeypatch.setattr(SuperPolynomial, "is_symmetric", check)
-    monkeypatch.setattr(ideals, "to_mbasis", reading)
-    monkeypatch.setattr(ideals, "monomial_msym", building)
-    monkeypatch.setattr(ideals, "combine", combining)
+    monkeypatch.setattr(superpoly, "to_mbasis", reading)
+    monkeypatch.setattr(superpoly, "monomial_msym", building)
+    monkeypatch.setattr(superpoly, "combine", combining)
     rep = stability_suite(1, 3, 2, 6, allow_noncoprime=True)
     assert len(rep["violations"]) == 51
     # the polynomials checked are exactly the columns read, in order

@@ -7,7 +7,7 @@ from typing import Optional
 import pytest
 
 import superjack
-from superjack import jack
+from superjack import jack, superpoly
 from superjack.coeffring import (ALPHA, ONE, AlphaPolynomial, AlphaRational,
                                  FieldMatrix, PoleError, UniqueSolution,
                                  parse_alpha)
@@ -23,12 +23,13 @@ from superjack.spart import (SuperPartition, conjugate, e_star_poly, e_tilde_pol
                              enumerate_all_m, enumerate_sparts, epsilon_u,
                              dominance_leq, fermionic_range, parse_spart,
                              partition_dominates, star_pair, v_poly)
-from superjack.suites import _labels
-from superjack.superpoly import (SuperPolynomial, ferm_power,
+from superjack.suites import _labels, suite_pieri
+from superjack.superpoly import (SuperPolynomial, column_images, ferm_power,
                                  integral_multiple, monomial_msym, p_label,
                                  to_mbasis, to_pbasis)
 from oracles import (act_Ksigma, coefficient_xpower, dense_solve_exact,
-                     eta_bar, f_stat, tilde_composition, vandermonde)
+                     eta_bar, f_stat, pieri_check_expanded, tilde_composition,
+                     vandermonde)
 
 a = ALPHA
 
@@ -232,28 +233,33 @@ def test_pieri_worked_example():
     assert cl[parse_spart("2,1;2")] == ONE
     want = parse_alpha("-(2+2*a)*(1+2*a)*a/((3+2*a)*(2+2*a)*(1+a))")
     assert cl[parse_spart("1,0;2,2")] == want
-    assert pieri_check("p0", parse_spart("1;2,2"), 4)
+    assert pieri_check("p0", parse_spart("1;2,2"), 4, column_images(4))
 
 
 def test_pieri_no_circles_to_remove():
     # no removable circle: the closed map is empty and the operator kills P
     assert pieri_closed("Qperp", parse_spart(";1"), 3) == {}
-    assert pieri_check("Qperp", parse_spart(";1"), 3) is True
+    image = column_images(3)
+    assert pieri_check("Qperp", parse_spart(";1"), 3, image) is True
     assert _pieri_direct("Qperp", parse_spart(";1"), 3) == {}
     with pytest.raises(ValueError):
-        pieri_check("E", parse_spart(";1"), 3)
+        pieri_check("E", parse_spart(";1"), 3, image)
 
 
 def test_pieri_qperp_on_lone_circle():
     cl = pieri_closed("qperp", parse_spart("0;"), 2)
     assert cl == {parse_spart(";1"): ONE}
-    assert pieri_check("qperp", parse_spart("0;"), 2)
+    assert pieri_check("qperp", parse_spart("0;"), 2, column_images(2))
+
+
+_PIERI_SMALL = [("0;", 2), (";2", 3), ("1;1", 3), ("1,0;", 3), ("0;2", 3)]
 
 
 def test_pieri_all_kinds_small():
-    for s, N in [("0;", 2), (";2", 3), ("1;1", 3), ("1,0;", 3), ("0;2", 3)]:
+    images = {N: column_images(N) for N in (2, 3)}
+    for s, N in _PIERI_SMALL:
         for kind in PIERI_KINDS:
-            assert pieri_check(kind, parse_spart(s), N), (kind, s)
+            assert pieri_check(kind, parse_spart(s), N, images[N]), (kind, s)
 
 
 def _jack_expand(f, N):
@@ -308,10 +314,14 @@ _PIERI_POOL = [(kind, L, N) for N in (2, 3, 4) for L in _labels(4, N, 2)
 
 
 def test_pieri_matches_expanded_oracle():
+    # the column route against the operator applied to the expanded P_L,
+    # and against the image re-expanded in the Jack basis
     assert len(_PIERI_POOL) == 645
+    images = {N: column_images(N) for N in (2, 3, 4)}
     for kind, L, N in _PIERI_POOL:
-        assert pieri_check(kind, L, N) is _pieri_expanded_check(kind, L, N) \
-            is True, (kind, str(L), N)
+        assert pieri_check(kind, L, N, images[N]) \
+            is pieri_check_expanded(kind, L, N) \
+            is _pieri_expanded_check(kind, L, N) is True, (kind, str(L), N)
 
 
 def _lowest_scaled(closed):
@@ -329,14 +339,61 @@ def test_pieri_mutant_fails_on_both_routes(monkeypatch, mutate):
     monkeypatch.setattr(jack, "pieri_closed",
                         lambda kind, L, N: mutate(closed_map(kind, L, N)))
     mutants = 0
-    for s, N in [("0;", 2), (";2", 3), ("1;1", 3), ("1,0;", 3), ("0;2", 3)]:
+    images = {N: column_images(N) for N in (2, 3)}
+    for s, N in _PIERI_SMALL:
+        L = parse_spart(s)
         for kind in PIERI_KINDS:
-            if not closed_map(kind, parse_spart(s), N):
+            if not closed_map(kind, L, N):
                 continue
-            assert not pieri_check(kind, parse_spart(s), N), (kind, s)
-            assert not _pieri_expanded_check(kind, parse_spart(s), N), (kind, s)
+            assert not pieri_check(kind, L, N, images[N]), (kind, s)
+            assert not pieri_check_expanded(kind, L, N), (kind, s)
+            assert not _pieri_expanded_check(kind, L, N), (kind, s)
             mutants += 1
     assert mutants > 15
+
+
+def test_pieri_builds_each_column_once(monkeypatch):
+    # one suite call: each (kind, O) column is symmetry-checked and read
+    # once, m_O is built once per O, and no P_L is expanded into terms
+    checked, read, monomials, used = [], [], [], {}
+    is_symmetric = SuperPolynomial.is_symmetric
+    to_mbasis_real, combine_real = superpoly.to_mbasis, superpoly.combine
+    monomial_real = superpoly.monomial_msym
+
+    def check(f):
+        checked.append(f)
+        return is_symmetric(f)
+
+    def reading(f, verify=True):
+        assert not verify
+        read.append(f)
+        return to_mbasis_real(f, verify=verify)
+
+    def building(om, N):
+        monomials.append((om, N))
+        return monomial_real(om, N)
+
+    def combining(coords, columns):
+        used.setdefault(id(columns), set()).update(coords)
+        return combine_real(coords, columns)
+
+    def expanding(*args):
+        raise AssertionError("a Jack superpolynomial was expanded")
+
+    monkeypatch.setattr(SuperPolynomial, "is_symmetric", check)
+    monkeypatch.setattr(superpoly, "to_mbasis", reading)
+    monkeypatch.setattr(superpoly, "monomial_msym", building)
+    monkeypatch.setattr(superpoly, "combine", combining)
+    for module in (jack, superpoly):
+        monkeypatch.setattr(module, "from_mbasis", expanding)
+    monkeypatch.setattr(jack, "jack_poly", expanding)
+    assert suite_pieri(4, 3, 2) == (True, {"checked": 230, "failures": []})
+    assert len(used) == len(PIERI_KINDS)
+    # the polynomials checked are exactly the columns read, in order
+    assert len(checked) == len(read) == sum(map(len, used.values()))
+    assert all(f is g for f, g in zip(checked, read))
+    assert len(monomials) == len(set(monomials))
+    assert {om for om, _ in monomials} == set().union(*used.values())
 
 
 # ---------------------------------------------------------------------------
