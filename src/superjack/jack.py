@@ -3,9 +3,10 @@
 P_L is the joint triangular eigenfunction of D and Delta in the monomial
 superbasis: monic at its label, supported on dominance-smaller labels, and
 killed by both eigenoperators minus their eigenvalues.  Both operators are
-applied once per family with the Z[a] generator, so their rows hold ints and
-elements of Z[a] of degree at most 1, and one factored triangular peel
-solves for every coefficient without a polynomial gcd.
+applied once per label with the Z[a] generator, in at most l(label)+1
+variables, so every family that holds the label shares its rows; they hold
+ints and elements of Z[a] of degree at most 1, and one factored triangular
+peel solves for every coefficient without a polynomial gcd.
 """
 
 from __future__ import annotations
@@ -77,29 +78,46 @@ class JackExpansion:
 
 
 # ---------------------------------------------------------------------------
-# eigenoperator matrices over the monomial superbasis, cached per degree
+# eigenoperator matrices over the monomial superbasis, cached per label
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _mbasis_matrices(n: int, m: int, N: int):
-    """The family's labels and its D and Delta rows, {label: {label: entry}};
-    only the diagonal terms carry the parameter, so each entry is an int or
-    an element of Z[a] of degree 1."""
-    labels = enumerate_sparts(n, m, N)
+def _label_rows(om: SuperPartition, Nv: int):
+    """The D and Delta rows of m_om in Nv variables, {label: entry}; only the
+    diagonal terms carry the parameter, so each entry is an int or an element
+    of Z[a] of degree 1."""
     alpha = AlphaPolynomial.gen()
-    d_rows = {}
-    delta_rows = {}
-    for om in labels:
-        mono = monomial_msym(om, N)
-        row_d = to_mbasis(apply_D(mono, alpha), verify=False)
-        row_delta = to_mbasis(apply_Delta(mono, alpha), verify=False)
-        for gm in set(row_d) | set(row_delta):
-            if not dominance_leq(gm, om):
-                raise RuntimeError(
-                    f"triangularity broken: m_[{gm}] in image of m_[{om}]")
-        d_rows[om] = row_d
-        delta_rows[om] = row_delta
-    return labels, d_rows, delta_rows
+    mono = monomial_msym(om, Nv)
+    row_d = to_mbasis(apply_D(mono, alpha), verify=False)
+    row_delta = to_mbasis(apply_Delta(mono, alpha), verify=False)
+    for gm in set(row_d) | set(row_delta):
+        if not dominance_leq(gm, om):
+            raise RuntimeError(
+                f"triangularity broken: m_[{gm}] in image of m_[{om}]")
+    return row_d, row_delta
+
+
+@lru_cache(maxsize=None)
+def _mbasis_matrices(n: int, m: int, N: int):
+    """The family's labels and its D and Delta rows, {label: {label: entry}}.
+
+    The row of O in N variables is its row in Nv = min(N, l(O)+1), so
+    families at different N share it:
+    1. D and Delta commute with x_N = theta_N = 0: each of their terms that
+       involves index N carries x_N or theta_N (the pair images x_i x_N(...)
+       of D, (x_i theta_N + x_N theta_i)(...) and theta_i theta_N(...) of
+       Delta, the diagonal x_N^2 d_N^2 and theta_N x_N d_N d_theta_N), and
+       m_O(N) restricts to m_O(N-1), or to 0 when l(O) = N.  So the row in
+       N-1 variables is the row in N cut to labels of length <= N-1.
+    2. A row reaches no label longer than l(O)+1: each exchange term touches
+       two indices and vanishes unless the source term already uses one.
+    By 1, the row in Nv variables is the row in N cut to labels of length
+    <= Nv, and by 2 the cut drops nothing.
+    """
+    labels = enumerate_sparts(n, m, N)
+    rows = [_label_rows(om, min(N, om.length + 1)) for om in labels]
+    return (labels, {om: r[0] for om, r in zip(labels, rows)},
+            {om: r[1] for om, r in zip(labels, rows)})
 
 
 _JACK_CACHE: dict[tuple[SuperPartition, int], JackExpansion] = {}
@@ -109,10 +127,12 @@ def clear_caches() -> dict[str, int]:
     """Empty the in-process caches of the Jack layer; return their sizes."""
     sizes = {"_JACK_CACHE": len(_JACK_CACHE),
              "_mbasis_matrices": _mbasis_matrices.cache_info().currsize,
+             "_label_rows": _label_rows.cache_info().currsize,
              "enumerate_sparts": enumerate_sparts.cache_info().currsize,
              "power_sum_columns": power_sum_columns.cache_info().currsize}
     _JACK_CACHE.clear()
     _mbasis_matrices.cache_clear()
+    _label_rows.cache_clear()
     enumerate_sparts.cache_clear()
     power_sum_columns.cache_clear()
     return sizes

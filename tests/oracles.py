@@ -4,8 +4,9 @@ commuting variables, the coefficient of a power of one of them, the Euclid
 gcd and exact division of Z[a] run over Q with Fraction coefficients,
 dense Gauss-Jordan solves over Q or Q(a), the power-sum expansion among
 them, the stability, cochain and Pieri checks on expanded polynomials, the
-diagonal action of one permutation, and the Sekiguchi eigenrelations read
-on the whole polynomial."""
+diagonal action of one permutation, the Sekiguchi eigenrelations read
+on the whole polynomial, and the D and Delta rows built in all N
+variables."""
 
 import math
 from fractions import Fraction
@@ -15,13 +16,14 @@ from superjack import ideals, jack
 from superjack.coeffring import (ALPHA, AlphaPolynomial, AlphaRational,
                                  FieldMatrix, NoSolution, SolutionSpace,
                                  UniqueSolution)
-from superjack.ops import (OPERATORS, L_op, operator, sekiguchi_S,
-                           sekiguchi_S_tilde, ulist_equals_scalar_multiple)
-from superjack.spart import (SuperPartition, enumerate_sparts, epsilon_u,
-                             n_mult, star_pair)
+from superjack.ops import (OPERATORS, L_op, apply_D, apply_Delta, operator,
+                           sekiguchi_S, sekiguchi_S_tilde,
+                           ulist_equals_scalar_multiple)
+from superjack.spart import (SuperPartition, dominance_leq, enumerate_sparts,
+                             epsilon_u, n_mult, star_pair)
 from superjack.superpoly import (SuperPolynomial, combine, ferm_power,
-                                 from_mbasis, p_label, permute_into, power_sum,
-                                 to_mbasis)
+                                 from_mbasis, monomial_msym, p_label,
+                                 permute_into, power_sum, to_mbasis)
 
 
 def f_stat(parts: Sequence[int]) -> int:
@@ -355,3 +357,19 @@ def pieri_check_expanded(kind: str, L: SuperPartition, N: int) -> bool:
         g = operator(kind.replace("perp", "_perp"))(P, ALPHA)
     columns = {om: jack.jack_symbolic(om, N).coeffs for om in closed}
     return to_mbasis(g, verify=False) == combine(closed, columns)
+
+
+def mbasis_matrices_full(n: int, m: int, N: int):
+    """`jack._mbasis_matrices` with every row built in all N variables:
+    to_mbasis(apply_D(m_O(N))) and the same for Delta, checked triangular."""
+    labels = enumerate_sparts(n, m, N)
+    alpha = AlphaPolynomial.gen()
+    d_rows = {}
+    delta_rows = {}
+    for om in labels:
+        mono = monomial_msym(om, N)
+        d_rows[om] = to_mbasis(apply_D(mono, alpha), verify=False)
+        delta_rows[om] = to_mbasis(apply_Delta(mono, alpha), verify=False)
+        assert all(dominance_leq(gm, om)
+                   for gm in set(d_rows[om]) | set(delta_rows[om])), str(om)
+    return labels, d_rows, delta_rows

@@ -36,6 +36,18 @@ def test_compute_json_and_determinism(capsys):
     assert payload["label"] == "1,0;2"
 
 
+def test_compute_beyond_n_plus_m_variables_is_unchanged(capsys):
+    # (3|2) labels reach 5 parts at most, so N = 9 and N = 7 agree
+    coeffs = []
+    for N in ("9", "7"):
+        code, out, _ = run(capsys, "compute", "--spart", "2,1;2", "--N", N,
+                           "--out", "json")
+        assert code == 0
+        coeffs.append(json.loads(out)["coeffs"])
+    assert coeffs[0] == coeffs[1]
+    assert len(coeffs[0]) == 7
+
+
 def test_compute_numeric_alpha(capsys):
     code, out, err = run(capsys, "compute", "--spart", ";2", "--N", "2",
                          "--alpha", "1", "--basis", "vars")

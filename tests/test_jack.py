@@ -28,8 +28,8 @@ from superjack.superpoly import (SuperPolynomial, column_images, ferm_power,
                                  integral_multiple, monomial_msym, p_label,
                                  to_mbasis, to_pbasis)
 from oracles import (act_Ksigma, coefficient_xpower, dense_solve_exact,
-                     eta_bar, f_stat, pieri_check_expanded, tilde_composition,
-                     vandermonde)
+                     eta_bar, f_stat, mbasis_matrices_full,
+                     pieri_check_expanded, tilde_composition, vandermonde)
 
 a = ALPHA
 
@@ -757,6 +757,69 @@ def test_equal_eigenvalue_pairs_raise(monkeypatch):
                         lambda S: AlphaPolynomial.const(0))
     with pytest.raises(DegenerateSystem, match="1; vs 0;1"):
         jack_symbolic(L, 2)
+
+
+# every family with n <= 6 and N <= 6, and every family at N = n+m+2, n <= 4
+_ROW_GRID = sorted({(n, m, N) for N in range(1, 7) for n in range(7)
+                    for m in fermionic_range(n, N)
+                    if enumerate_sparts(n, m, N)}
+                   | {(n, m, n + m + 2) for n in range(5)
+                      for m in fermionic_range(n, n + 6)})
+
+
+def test_rows_in_l_plus_one_variables_match_the_N_variable_oracle():
+    shortened = 0
+    for n, m, N in _ROW_GRID:
+        got = jack._mbasis_matrices(n, m, N)
+        assert got == mbasis_matrices_full(n, m, N), (n, m, N)
+        shortened += sum(om.length + 1 < N for om in got[0])
+    assert shortened == 370
+
+
+def test_D_and_Delta_commute_with_dropping_the_last_variable():
+    # the body of X(m_O(N)) at x_N = theta_N = 0 is X(m_O(N-1)), or 0 when
+    # m_O needs all N variables
+    alpha = AlphaPolynomial.gen()
+    for n, m, N in _ROW_GRID:
+        if N < 2:
+            continue
+        for om in enumerate_sparts(n, m, N):
+            for apply in (apply_D, apply_Delta):
+                body, _ = apply(monomial_msym(om, N), alpha).restrict_last()
+                want = (apply(monomial_msym(om, N - 1), alpha)
+                        if om.length < N else SuperPolynomial(N - 1))
+                assert body == want, (apply.__name__, str(om), N)
+
+
+def test_rows_reach_labels_at_most_one_part_longer():
+    # in n+m variables no label is cut, and the bound l(O)+1 is reached
+    reached = 0
+    for n in range(7):
+        for m in fermionic_range(n, n + 6):
+            labels, d_rows, delta_rows = mbasis_matrices_full(
+                n, m, max(n + m, 1))
+            for om in labels:
+                for gm in set(d_rows[om]) | set(delta_rows[om]):
+                    assert gm.length <= om.length + 1, (str(om), str(gm))
+                    reached += gm.length == om.length + 1
+    assert reached > 0
+
+
+def test_jack_is_stable_in_N():
+    # in fewer than n+m variables P_L is cut to labels that fit; in more it
+    # is unchanged
+    checked = 0
+    for n in range(6):
+        for m in fermionic_range(n, n + 6):
+            top = n + m
+            for L in enumerate_sparts(n, m, top):
+                full = jack_symbolic(L, top).coeffs
+                for N in range(max(L.length, 1), top + 3):
+                    want = full if N >= top else {
+                        om: c for om, c in full.items() if om.length <= N}
+                    assert jack_symbolic(L, N).coeffs == want, (str(L), N)
+                    checked += 1
+    assert checked == 569
 
 
 def _unbounded_caches() -> dict:
