@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 a verification suite found a counterexample,
 2 usage error, 3 internal inconsistency (e.g. a pole where regularity is
-guaranteed).  Machine-readable errors go to stderr as JSON objects.
+guaranteed).  Machine-readable errors go to stderr as JSON objects.  A
+command at a = -(k+1)/(r-1) checks (k, r) before it reads any label.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from pathlib import Path
 from .coeffring import ALPHA, AlphaRational, PoleError, alpha_eval, parse_alpha
 from .ideals import char_F, char_I, cluster_multiplicity
 from .jack import (PIERI_KINDS, JackExpansion, eigen_check, jack_symbolic,
-                   pieri_closed, _JACK_CACHE)
+                   pieri_closed)
 from .ops import NonPolynomialResult, apply_operator
-from .spart import (SuperPartition, admissible_at_degree, enumerate_sparts,
-                    parse_spart)
+from .spart import (SuperPartition, admissible_at_degree, check_kr,
+                    enumerate_sparts, parse_spart)
 from .superpoly import SuperPolynomial, from_mbasis, terms_to_json
 from .suites import SUITES
 
@@ -98,11 +99,11 @@ def cache_load(directory: str, L: SuperPartition, N: int) -> JackExpansion | Non
 
 
 def jack_cached(L: SuperPartition, N: int, directory: str | None) -> JackExpansion:
-    """From memory, else from the disk cache, else computed and stored."""
-    if directory and (L, N) not in _JACK_CACHE:
+    """From the disk cache when a directory is given, else computed (and
+    stored there)."""
+    if directory:
         hit = cache_load(directory, L, N)
         if hit is not None:
-            _JACK_CACHE[(L, N)] = hit
             return hit
     expansion = jack_symbolic(L, N)
     if directory:
@@ -238,6 +239,7 @@ def cmd_enumerate(args) -> int:
             k, r = (int(v) for v in args.admissible.split(","))
         except ValueError as exc:
             raise UsageError("--admissible expects 'k,r'") from exc
+        check_kr(k, r)
         labels = admissible_at_degree(k, r, args.N, args.n, args.m)
     else:
         labels = list(enumerate_sparts(args.n, args.m, args.N))
@@ -305,6 +307,7 @@ def cmd_characters(args) -> int:
     if args.space == "F":
         series = char_F(args.k, args.N, args.nmax)
     elif args.space == "I":
+        check_kr(args.k, args.r)
         series = char_I(args.k, args.r, args.N, args.nmax)
     else:
         raise UsageError("--space must be F or I")
@@ -321,6 +324,7 @@ def cmd_characters(args) -> int:
 def cmd_cluster(args) -> int:
     L = parse_spart(args.spart)
     cluster = tuple(int(v) for v in args.cluster.split(","))
+    check_kr(args.k, args.r)
     res = cluster_multiplicity(L, args.k, args.r, args.N, cluster, args.primed)
     payload = {"label": str(L), "k": args.k, "r": args.r, "N": args.N,
                "cluster": list(cluster), "primed": args.primed,

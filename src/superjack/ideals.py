@@ -14,13 +14,14 @@ piece) is linear, so its image is read through `superpoly.column_images`.
 Membership is a monic triangular peel, not a solve.  P_L is monic at L and
 supported on labels that L dominates, so in the order of `enumerate_sparts`
 (``sort_key``, which extends dominance) each basis element has coefficient 1
-at its own label and nothing above it; `DegreeBasis.columns` checks exactly
-that.  Any nonzero combination of such columns then has a basis label as its
-top label, so the peel (`superpoly.peel`, which the power-sum expansion
-shares) decides membership: a peel that empties the residual
-has found coefficients that are their own certificate, and a peel stuck on a
-label outside the basis is confirmed by one dense `solve_exact` call before
-`NotInSpan` is raised.
+at its own label and nothing above it; a `DegreeBasis` is checked for exactly
+that when it is built.  Any nonzero combination of such columns then has a
+basis label as its top label, so the peel (`superpoly.peel`, which the
+power-sum expansion shares) decides membership: a peel that empties the
+residual has found coefficients that are their own certificate, and a peel
+stuck on a label outside the basis is confirmed by one dense `solve_exact`
+call before `NotInSpan` is raised.  Nothing here checks gcd(k+1, r-1) = 1;
+the suites and the command line check it where a run starts.
 """
 
 from __future__ import annotations
@@ -33,9 +34,11 @@ from .coeffring import FieldMatrix, NoSolution, solve_exact, UniqueSolution
 from .jack import jack_at
 from .ops import OPERATORS, L_op, operator
 from .spart import (SuperPartition, admissible_at_degree, check_kr,
-                    enumerate_admissible, enumerate_sparts, fermionic_range)
-from .superpoly import (SuperPolynomial, column_images, ferm_power,
-                        monomial_msym, peel, power_sum, prescribed_part)
+                    enumerate_admissible, enumerate_sparts, fermionic_range,
+                    is_admissible)
+from .superpoly import (SuperPolynomial, check_triangular, column_images,
+                        ferm_power, monomial_msym, peel, power_sum,
+                        prescribed_part)
 
 
 class NotInSpan(ValueError):
@@ -62,63 +65,44 @@ def alpha_kr(k: int, r: int) -> Fraction:
 # graded bases
 # ---------------------------------------------------------------------------
 
-class DegreeBasis(tuple):
-    """(label, m-coordinates) pairs spanning one degree in N variables;
-    ``columns`` keys the coordinates by label for the peel."""
+@dataclass(frozen=True)
+class DegreeBasis:
+    """One degree's basis in N variables: ``columns`` maps each label to its
+    m-coordinates and ``rank`` every label of the degree to its index in
+    `enumerate_sparts`, top first.  Checked when built: each column is 1 at
+    its own label and 0 above it, so the peel in `membership` is exact and
+    finite; any other basis raises `NotUnitriangular`."""
+    N: int
+    columns: dict
+    rank: dict
 
-    def __new__(cls, entries, N: int):
-        self = super().__new__(cls, entries)
-        self.N = N
-        self._columns = None
-        return self
-
-    def columns(self) -> tuple[dict, dict]:
-        """``{label: mcoords}`` and the rank of every label of the degree.
-
-        Rank is the index in `enumerate_sparts`, top label first.  Each
-        column must be 1 at its own label and 0 at every label above it,
-        which makes the peel in `membership` exact and finite; any other
-        basis raises `NotUnitriangular`.
-        """
-        if self._columns is None:
-            rank = {}
-            if self:
-                L = self[0][0]
-                rank = {G: i for i, G in
-                        enumerate(enumerate_sparts(L.n, L.m, self.N))}
-            columns = dict(self)
-            for L, col in columns.items():
-                top = rank.get(L, -1)
-                if col.get(L) != 1 or any(rank.get(G, -1) <= top
-                                          for G in col if G != L):
-                    raise NotUnitriangular(
-                        f"basis element {L} is not monic at its label or "
-                        "reaches a label above it")
-            self._columns = columns, rank
-        return self._columns
+    def __post_init__(self):
+        bad = check_triangular(self.columns, self.rank)
+        if bad is None:
+            bad = next((L for L, col in self.columns.items() if col[L] != 1),
+                       None)
+        if bad is not None:
+            raise NotUnitriangular(f"basis element {bad} is not monic at its "
+                                   "label or reaches a label above it")
 
 
-def degree_basis(k: int, r: int, N: int, n: int, m: int,
-                 allow_noncoprime: bool = False) -> DegreeBasis:
+def degree_basis(k: int, r: int, N: int, n: int, m: int) -> DegreeBasis:
     """Specialized Jack polynomials for the admissible labels of one degree."""
     a0 = alpha_kr(k, r)
-    return DegreeBasis(
-        ((L, jack_at(L, N, a0).coeffs)
-         for L in admissible_at_degree(k, r, N, n, m,
-                                       allow_noncoprime=allow_noncoprime)),
-        N)
+    labels = enumerate_sparts(n, m, N)
+    return DegreeBasis(N, {L: jack_at(L, N, a0).coeffs for L in labels
+                           if is_admissible(L, k, r, N)},
+                       {L: i for i, L in enumerate(labels)})
 
 
-def ideal_basis(k: int, r: int, N: int, nmax: int,
-                allow_noncoprime: bool = False
-                ) -> dict[tuple[int, int], DegreeBasis]:
+def ideal_basis(k: int, r: int, N: int,
+                nmax: int) -> dict[tuple[int, int], DegreeBasis]:
     """The nonempty degree bases up to total degree nmax, keyed by (n, m)."""
     by_degree = {}
     for n in range(nmax + 1):
         for m in fermionic_range(n, N):
-            entry = degree_basis(k, r, N, n, m,
-                                 allow_noncoprime=allow_noncoprime)
-            if entry:
+            entry = degree_basis(k, r, N, n, m)
+            if entry.columns:
                 by_degree[(n, m)] = entry
     return by_degree
 
@@ -157,8 +141,8 @@ def membership(coords: dict, basis: DegreeBasis):
     coefficient times the basis element of the label, and repeats.  When
     the residual empties, the coefficients found sum to the input, so a
     positive answer certifies itself.  When the top label has no basis
-    element, the columns being monic triangular (checked by
-    `DegreeBasis.columns`) put the input outside the span; one dense solve
+    element, the columns being monic triangular (checked when the
+    `DegreeBasis` is built) put the input outside the span; one dense solve
     confirms that before NotInSpan, with ``label`` the stuck label, is
     raised.  The caller vouches for symmetry: the column route checks each
     operator column once, and m-coordinates of a symmetric polynomial
@@ -166,7 +150,7 @@ def membership(coords: dict, basis: DegreeBasis):
     """
     if not coords:
         return {}
-    columns, rank = basis.columns()
+    columns, rank = basis.columns, basis.rank
     stray = coords.keys() - rank.keys()
     if stray:
         top = max(stray, key=SuperPartition.sort_key)
@@ -178,7 +162,7 @@ def membership(coords: dict, basis: DegreeBasis):
                       NoSolution):
         raise NotUnitriangular(
             f"peel stuck at {top}, yet the dense solve finds it in the span")
-    raise NotInSpan(f"outside the span ({len(basis)} elements), "
+    raise NotInSpan(f"outside the span ({len(columns)} elements), "
                     f"stuck at {top}", residual=coords, label=top)
 
 
@@ -193,23 +177,19 @@ def rank_of(vectors: Sequence[dict]) -> int:
 # stability of the span under the operator algebra
 # ---------------------------------------------------------------------------
 
-def stability_suite(k: int, r: int, N: int, nmax: int,
-                    allow_noncoprime: bool = False) -> dict:
+def stability_suite(k: int, r: int, N: int, nmax: int) -> dict:
     """Check closure under the five lowering/raising operators, the first two
     power sums, the degree-(-2) Virasoro mode and variable restriction."""
     a0 = alpha_kr(k, r)
-    basis = ideal_basis(k, r, N, nmax, allow_noncoprime=allow_noncoprime)
+    basis = ideal_basis(k, r, N, nmax)
     spans: dict[tuple[int, int, int], DegreeBasis] = {
         (N, n, m): b for (n, m), b in basis.items()}
 
     def span(Nv, n, m):
         """Admissible basis of degree (n|m) in Nv variables, built once."""
-        if n < 0 or m < 0 or m > Nv:
-            return DegreeBasis((), Nv)
         key = (Nv, n, m)
         if key not in spans:
-            spans[key] = degree_basis(k, r, Nv, n, m,
-                                      allow_noncoprime=allow_noncoprime)
+            spans[key] = degree_basis(k, r, Nv, n, m)
         return spans[key]
 
     def generator(name: str):
@@ -239,8 +219,8 @@ def stability_suite(k: int, r: int, N: int, nmax: int,
     image = column_images(N)
     violations = []
     checked = 0
-    for (n, m), entries in sorted(basis.items()):
-        for label, coords in entries:
+    for (n, m), b in sorted(basis.items()):
+        for label, coords in b.columns.items():
             for name, act, (dn, dm) in actions:
                 img = image(name, act, coords)
                 checked += 1
@@ -251,8 +231,8 @@ def stability_suite(k: int, r: int, N: int, nmax: int,
                 except NotInSpan:
                     violations.append((name, str(label), (n, m)))
     # restriction to one variable fewer, up to the largest exponent of x_N
-    for (n, m), entries in sorted(basis.items()):
-        for label, coords in entries:
+    for (n, m), b in sorted(basis.items()):
+        for label, coords in b.columns.items():
             top = max(max(om.star, default=0) for om in coords)
             for j in range(top + 1):
                 for piece, pm in (("body", m), ("slope", m - 1)):
@@ -314,12 +294,10 @@ class CharacterSeries:
         return all(self.coeff(*k) == other.coeff(*k) for k in keys)
 
 
-def char_I(k: int, r: int, N: int, nmax: int,
-           allow_noncoprime: bool = False) -> CharacterSeries:
+def char_I(k: int, r: int, N: int, nmax: int) -> CharacterSeries:
     """Admissible-label counts per bidegree."""
     table = {}
-    for L in enumerate_admissible(k, r, N, nmax,
-                                  allow_noncoprime=allow_noncoprime):
+    for L in enumerate_admissible(k, r, N, nmax):
         table[(L.n, L.m)] = table.get((L.n, L.m), 0) + 1
     return CharacterSeries(table, nmax)
 
@@ -349,8 +327,7 @@ def char_F(k: int, N: int, nmax: int) -> CharacterSeries:
 # vanishing and clustering
 # ---------------------------------------------------------------------------
 
-def vanish_check(L: SuperPartition, k: int, r: int, N: int,
-                 allow_noncoprime: bool = False) -> bool:
+def vanish_check(L: SuperPartition, k: int, r: int, N: int) -> bool:
     """Does the specialized polynomial die when k+1 variables coincide?"""
     if N < k + 1:
         raise ValueError("coincidence vanishing needs N >= k+1")
@@ -383,10 +360,8 @@ class ClusterResult:
 
 
 def cluster_multiplicity(L: SuperPartition, k: int, r: int, N: int,
-                         cluster: Sequence[int], primed: int,
-                         allow_noncoprime: bool = False) -> ClusterResult:
+                         cluster: Sequence[int], primed: int) -> ClusterResult:
     """Order of vanishing in (x - x') with the cluster merged to x' + t."""
-    check_kr(k, r, allow_noncoprime)
     cluster = tuple(cluster)
     if primed in cluster or len(set(cluster)) != len(cluster):
         raise ValueError("cluster indices must be distinct and avoid primed")
@@ -409,15 +384,14 @@ def cluster_multiplicity(L: SuperPartition, k: int, r: int, N: int,
 # cochain structure
 # ---------------------------------------------------------------------------
 
-def cochain_check(k: int, r: int, N: int, nmax: int, d: str = "q",
-                  allow_noncoprime: bool = False) -> dict:
+def cochain_check(k: int, r: int, N: int, nmax: int, d: str = "q") -> dict:
     """d-stability, d*d = 0 and kernel/image rank bookkeeping on the span,
     all read in m-coordinates through the columns of d."""
     if d not in ("q", "q_tilde"):
         raise ValueError("d must be 'q' or 'q_tilde'")
     op = operator(d)
     dn, dm = OPERATORS[d].shift
-    basis = ideal_basis(k, r, N, nmax, allow_noncoprime=allow_noncoprime)
+    basis = ideal_basis(k, r, N, nmax)
     a0 = alpha_kr(k, r)
     image = column_images(N)
 
@@ -426,13 +400,13 @@ def cochain_check(k: int, r: int, N: int, nmax: int, d: str = "q",
 
     failures = []
     ranks = {}
-    for (n, m), entries in sorted(basis.items()):
-        images = [image(d, act, coords) for _, coords in entries]
+    for (n, m), b in sorted(basis.items()):
+        entries = b.columns
+        images = [image(d, act, coords) for coords in entries.values()]
         target = basis.get((n + dn, m + dm))
         if target is None and any(images):
-            target = degree_basis(k, r, N, n + dn, m + dm,
-                                  allow_noncoprime=allow_noncoprime)
-        for (label, _), img in zip(entries, images):
+            target = degree_basis(k, r, N, n + dn, m + dm)
+        for label, img in zip(entries, images):
             if image(d, act, img):
                 failures.append(("d.d != 0", str(label), (n, m)))
             if not img:
@@ -498,17 +472,15 @@ def _representative_clusters(k: int, m: int, N: int):
     return out
 
 
-def harness_clustering(k: int, r: int, N: int, nmax: int,
-                       allow_noncoprime: bool = False) -> dict:
+def harness_clustering(k: int, r: int, N: int, nmax: int) -> dict:
     """Sweep the multiplicity over admissible labels and log exceptions."""
     rows = []
     labels = (L for n in range(nmax + 1) for m in fermionic_range(n, N)[1:]
-              for L in admissible_at_degree(k, r, N, n, m, allow_noncoprime))
+              for L in admissible_at_degree(k, r, N, n, m))
     for L in labels:
         m = L.m
         for cluster, primed in _representative_clusters(k, m, N):
-            res = cluster_multiplicity(L, k, r, N, cluster, primed,
-                                       allow_noncoprime=allow_noncoprime)
+            res = cluster_multiplicity(L, k, r, N, cluster, primed)
             if res.multiplicity is None:
                 rows.append({"label": str(L), "cluster": cluster,
                              "primed": primed, "s": None, "expected": None,

@@ -371,12 +371,9 @@ def duality_check(L: SuperPartition, N: int) -> bool:
 _PIERI_TABLE = {
     "p0": (add_circle_moves, upper_hook, True, True, None),
     "Q": (add_circle_moves, upper_hook, True, True, ONE / ALPHA),
-    "Qperp": (lambda L, N: remove_circle_moves(L), lower_hook, False, False,
-              ONE),
-    "q": (lambda L, N: square_to_circle_moves(L), upper_hook, False, True,
-          None),
-    "qperp": (lambda L, N: circle_to_square_moves(L), lower_hook, True, False,
-              None),
+    "Qperp": (remove_circle_moves, lower_hook, False, False, ONE),
+    "q": (square_to_circle_moves, upper_hook, False, True, None),
+    "qperp": (circle_to_square_moves, lower_hook, True, False, None),
 }
 PIERI_KINDS = tuple(_PIERI_TABLE)
 
@@ -394,7 +391,7 @@ def pieri_closed(kind: str, L: SuperPartition, N: int) -> dict[SuperPartition, A
         raise ValueError(f"{L} does not fit in {N} variables")
     moves, hook, column, l_on_top, scale = _PIERI_TABLE[kind]
     out = {}
-    for mv in moves(L, N):
+    for mv in moves(L):
         om = mv.result
         if om.length > N:
             continue

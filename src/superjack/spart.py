@@ -236,17 +236,16 @@ def dominance_leq(O: SuperPartition, L: SuperPartition) -> bool:
 
 def check_kr(k: int, r: int, allow_noncoprime: bool = False) -> None:
     """Raise ValueError outside k >= 1, r >= 2 and, unless allowed,
-    gcd(k+1, r-1) = 1."""
+    gcd(k+1, r-1) = 1: the hypothesis of a run, checked once where it
+    starts.  Admissibility and `ideals` compute for any pair."""
     if k < 1 or r < 2:
         raise ValueError("need k >= 1 and r >= 2")
     if not allow_noncoprime and math.gcd(k + 1, r - 1) != 1:
         raise ValueError(f"k+1={k + 1} and r-1={r - 1} are not coprime")
 
 
-def is_admissible(L: SuperPartition, k: int, r: int, N: int,
-                  allow_noncoprime: bool = False) -> bool:
+def is_admissible(L: SuperPartition, k: int, r: int, N: int) -> bool:
     """Admissibility: circled[i] - starred[i+k] >= r for 1 <= i <= N-k."""
-    check_kr(k, r, allow_noncoprime)
     circ, star = star_pair(L, N)
     return all(circ[i] - star[i + k] >= r for i in range(N - k))
 
@@ -282,7 +281,7 @@ def _without_one(parts: tuple[int, ...], value: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def add_circle_moves(L: SuperPartition, N: Optional[int] = None) -> list[Move]:
+def add_circle_moves(L: SuperPartition) -> list[Move]:
     star = L.star
     moves = []
     for v in sorted(set(L.sym) | {0}, reverse=True):
@@ -291,8 +290,6 @@ def add_circle_moves(L: SuperPartition, N: Optional[int] = None) -> list[Move]:
         anti = tuple(sorted(L.antisym + (v,), reverse=True))
         sym = _without_one(L.sym, v) if v else L.sym
         res = SuperPartition(anti, sym)
-        if N is not None and res.length > N:
-            continue
         i = sum(1 for p in star if p > v) + 1
         moves.append(Move(res, (i, v + 1)))
     return moves
@@ -336,13 +333,13 @@ def circle_to_square_moves(L: SuperPartition) -> list[Move]:
     return moves
 
 
-def almost_admissible_variants(G: SuperPartition, k: int, r: int, N: int,
-                               allow_noncoprime: bool = False) -> list[SuperPartition]:
-    """All labels one move away from an admissible G, deduplicated."""
-    if not is_admissible(G, k, r, N, allow_noncoprime=allow_noncoprime):
+def almost_admissible_variants(G: SuperPartition, k: int, r: int,
+                               N: int) -> list[SuperPartition]:
+    """All labels in N rows one move from an admissible G, deduplicated."""
+    if not is_admissible(G, k, r, N):
         raise ValueError(f"{G} is not ({k},{r},{N})-admissible")
     seen = {}
-    for mv in (add_circle_moves(G, N) + remove_circle_moves(G)
+    for mv in (add_circle_moves(G) + remove_circle_moves(G)
                + square_to_circle_moves(G) + circle_to_square_moves(G)):
         if mv.result.length <= N:
             seen[mv.result] = None
@@ -380,16 +377,15 @@ def enumerate_all_m(n: int, N: int) -> list[SuperPartition]:
     return [L for m in fermionic_range(n, N) for L in enumerate_sparts(n, m, N)]
 
 
-def admissible_at_degree(k: int, r: int, N: int, n: int, m: int,
-                         allow_noncoprime: bool = False) -> list[SuperPartition]:
-    return [L for L in enumerate_sparts(n, m, N)
-            if is_admissible(L, k, r, N, allow_noncoprime=allow_noncoprime)]
+def admissible_at_degree(k: int, r: int, N: int, n: int,
+                         m: int) -> list[SuperPartition]:
+    return [L for L in enumerate_sparts(n, m, N) if is_admissible(L, k, r, N)]
 
 
-def enumerate_admissible(k: int, r: int, N: int, nmax: int,
-                         allow_noncoprime: bool = False) -> list[SuperPartition]:
+def enumerate_admissible(k: int, r: int, N: int,
+                         nmax: int) -> list[SuperPartition]:
     return [L for n in range(nmax + 1) for m in fermionic_range(n, N)
-            for L in admissible_at_degree(k, r, N, n, m, allow_noncoprime)]
+            for L in admissible_at_degree(k, r, N, n, m)]
 
 
 # ---------------------------------------------------------------------------

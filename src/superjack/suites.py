@@ -1,7 +1,8 @@
 """Verification suites shared by the command line and the acceptance tests.
 
 Each suite returns (ok, report) where report is JSON-serializable; ok is
-False exactly when a counterexample was found.
+False exactly when a counterexample was found.  A suite at a = -(k+1)/(r-1)
+checks (k, r) once, before it reads any label (`spart.check_kr`).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .jack import (duality_check, jack_at, jack_poly, norm_gram, norm_hook,
 from .ops import (check_algebra_table, check_virasoro_relations,
                   sekiguchi_S, sekiguchi_S_tilde, theta_part,
                   ulist_equals_scalar_multiple)
-from .spart import (SuperPartition, almost_admissible_variants,
+from .spart import (SuperPartition, almost_admissible_variants, check_kr,
                     enumerate_admissible, enumerate_all_m, enumerate_sparts,
                     epsilon_u, fermionic_range, star_pair)
 from .superpoly import (SuperPolynomial, column_images, integral_multiple,
@@ -120,13 +121,15 @@ def suite_pieri(nmax: int, N: int, mmax: int = 2) -> tuple[bool, dict]:
 
 def suite_stability(k: int, r: int, N: int, nmax: int,
                     allow_noncoprime: bool = False) -> tuple[bool, dict]:
-    rep = stability_suite(k, r, N, nmax, allow_noncoprime=allow_noncoprime)
+    check_kr(k, r, allow_noncoprime)
+    rep = stability_suite(k, r, N, nmax)
     return not rep["violations"], rep
 
 
 def suite_vanishing(k: int, r: int, N: int, nmax: int) -> tuple[bool, dict]:
     if N < k + 1:
         return True, {"checked": 0, "failures": [], "skipped": "N < k+1"}
+    check_kr(k, r)
     failures = []
     labels = enumerate_admissible(k, r, N, nmax)
     for L in labels:
@@ -141,15 +144,14 @@ def suite_regularity(k: int, r: int, N: int, nmax: int,
                      allow_noncoprime: bool = False,
                      include_almost: bool = True) -> tuple[bool, dict]:
     """Pole-freeness of admissible (and optionally almost-admissible) labels."""
+    check_kr(k, r, allow_noncoprime)
     a0 = alpha_kr(k, r)
     poles = []
     seen = set()
-    for L in enumerate_admissible(k, r, N, nmax,
-                                  allow_noncoprime=allow_noncoprime):
+    for L in enumerate_admissible(k, r, N, nmax):
         todo = [L]
         if include_almost:
-            todo += almost_admissible_variants(
-                L, k, r, N, allow_noncoprime=allow_noncoprime)
+            todo += almost_admissible_variants(L, k, r, N)
         for V in todo:
             if V in seen:
                 continue
@@ -162,12 +164,14 @@ def suite_regularity(k: int, r: int, N: int, nmax: int,
 
 
 def suite_cochain(k: int, r: int, N: int, nmax: int, d: str = "q") -> tuple[bool, dict]:
+    check_kr(k, r)
     rep = cochain_check(k, r, N, nmax, d)
     ok = not rep["failures"] and all(e["exact"] for e in rep["exactness"])
     return ok, rep
 
 
 def suite_conjecture_IF(k: int, N: int, nmax: int) -> tuple[bool, dict]:
+    check_kr(k, 2)
     rep = harness_I_eq_F(k, N, nmax)
     rep = dict(rep)
     rep["char_I"] = rep["char_I"].series_str()
@@ -176,6 +180,7 @@ def suite_conjecture_IF(k: int, N: int, nmax: int) -> tuple[bool, dict]:
 
 
 def suite_conjecture_rma(k: int, r: int, N: int, nmax: int) -> tuple[bool, dict]:
+    check_kr(k, r)
     rep = harness_clustering(k, r, N, nmax)
     divisibility_ok = all(row.get("divides", True) for row in rep["rows"]
                           if not row.get("zero"))

@@ -567,12 +567,11 @@ def power_sum_columns(n: int, m: int, N: int) -> tuple[dict, dict]:
     """
     labels = enumerate_sparts(n, m, N)
     rank = {P: -i for i, P in enumerate(labels)}  # bottom label first
-    columns = {}
-    for P in labels:
-        col = columns[P] = to_mbasis(p_label(P, N), verify=False)
-        if not col.get(P) or any(rank[G] < rank[P] for G in col):
-            raise ArithmeticError(
-                f"p_[{P}] is zero at its label or reaches a label below it")
+    columns = {P: to_mbasis(p_label(P, N), verify=False) for P in labels}
+    bad = check_triangular(columns, rank)
+    if bad is not None:
+        raise ArithmeticError(
+            f"p_[{bad}] is zero at its label or reaches a label below it")
     return columns, rank
 
 
@@ -619,6 +618,18 @@ def omega_alpha(mcoeffs: dict[SuperPartition, object], N: int,
 # ---------------------------------------------------------------------------
 # linear algebra in monomial-superbasis coordinates
 # ---------------------------------------------------------------------------
+
+def check_triangular(columns: dict, rank: dict) -> Optional[SuperPartition]:
+    """The first label whose column is zero at it or reaches a label that is
+    unranked or ranked below it; None when `peel` over these columns is
+    exact."""
+    for L, col in columns.items():
+        top = rank.get(L)
+        if top is None or not col.get(L) or any(
+                G not in rank or rank[G] < top for G in col):
+            return L
+    return None
+
 
 def peel(residual: dict, columns: dict,
          rank: dict) -> tuple[dict, Optional[SuperPartition]]:

@@ -254,22 +254,17 @@ def _in_span(f: SuperPolynomial, basis) -> bool:
     return True
 
 
-def stability_suite_expanded(k: int, r: int, N: int, nmax: int,
-                             allow_noncoprime: bool = False) -> dict:
+def stability_suite_expanded(k: int, r: int, N: int, nmax: int) -> dict:
     """`ideals.stability_suite` on expanded polynomials: each P_L is expanded
     into orbit terms, each action is applied to the whole polynomial, and
     every image is symmetry-checked and read back with `to_mbasis`."""
     a0 = ideals.alpha_kr(k, r)
-    basis = ideals.ideal_basis(k, r, N, nmax,
-                               allow_noncoprime=allow_noncoprime)
+    basis = ideals.ideal_basis(k, r, N, nmax)
     spans = {(N, n, m): b for (n, m), b in basis.items()}
 
     def span(Nv, n, m):
-        if n < 0 or m < 0 or m > Nv:
-            return ideals.DegreeBasis((), Nv)
         if (Nv, n, m) not in spans:
-            spans[Nv, n, m] = ideals.degree_basis(
-                k, r, Nv, n, m, allow_noncoprime=allow_noncoprime)
+            spans[Nv, n, m] = ideals.degree_basis(k, r, Nv, n, m)
         return spans[Nv, n, m]
 
     def generator(name):
@@ -284,8 +279,8 @@ def stability_suite_expanded(k: int, r: int, N: int, nmax: int,
         ("L_-2", lambda f: L_op(-2, f), (2, 0)),
     ]
     polys = {degree: [(label, from_mbasis(coords, N))
-                      for label, coords in entries]
-             for degree, entries in basis.items()}
+                      for label, coords in b.columns.items()]
+             for degree, b in basis.items()}
     violations = []
     checked = 0
     for (n, m), entries in sorted(polys.items()):
@@ -321,12 +316,14 @@ def cochain_check_expanded(k: int, r: int, N: int, nmax: int,
     a0 = ideals.alpha_kr(k, r)
     failures = []
     ranks = {}
-    for (n, m), entries in sorted(basis.items()):
-        images = [act(from_mbasis(coords, N), a0) for _, coords in entries]
+    for (n, m), b in sorted(basis.items()):
+        entries = b.columns
+        images = [act(from_mbasis(coords, N), a0)
+                  for coords in entries.values()]
         target = basis.get((n + dn, m + dm))
         if target is None and any(images):
             target = ideals.degree_basis(k, r, N, n + dn, m + dm)
-        for (label, _), img in zip(entries, images):
+        for label, img in zip(entries, images):
             if act(img, a0):
                 failures.append(("d.d != 0", str(label), (n, m)))
             if img and not _in_span(img, target):

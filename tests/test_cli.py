@@ -6,7 +6,7 @@ import pytest
 from superjack import cli
 from superjack.cli import cache_load, cache_store, dispatch
 from superjack.coeffring import PoleError, parse_alpha
-from superjack.jack import DegenerateSystem, jack_symbolic, _JACK_CACHE
+from superjack.jack import DegenerateSystem, jack_symbolic
 from superjack.spart import parse_spart
 from superjack.superpoly import terms_to_json, to_mbasis
 
@@ -186,6 +186,47 @@ def _usage_error(capsys, *argv):
     assert len(lines) == 1, err
     assert json.loads(lines[0])["error"] == "UsageError"
     return json.loads(lines[0])["message"]
+
+
+# every command that reads (k, r); conjecture-IF takes k alone (r = 2), and
+# at the empty enumerate degree no label reaches is_admissible
+_KR_COMMANDS = {
+    "enumerate": ("enumerate", "--n", "3", "--m", "2", "--N", "3",
+                  "--admissible", "{k},{r}"),
+    "enumerate-empty": ("enumerate", "--n", "0", "--m", "3", "--N", "2",
+                        "--admissible", "{k},{r}"),
+    "characters": ("characters", "--space", "I", "--k", "{k}", "--r", "{r}",
+                   "--N", "3", "--nmax", "3"),
+    "cluster": ("cluster", "--spart", ";2", "--k", "{k}", "--r", "{r}",
+                "--N", "3", "--cluster", "1,2", "--primed", "3"),
+    **{suite: ("verify", "--suite", suite, "--k", "{k}", "--r", "{r}",
+               "--N", "3", "--nmax", "3")
+       for suite in ("stability", "regularity", "vanishing", "cochain",
+                     "conjecture-rma")},
+    "conjecture-IF": ("verify", "--suite", "conjecture-IF", "--k", "{k}",
+                      "--N", "3", "--nmax", "3"),
+}
+
+
+@pytest.mark.parametrize("command, k, r, message", [
+    *((command, 1, 3, "not coprime") for command in _KR_COMMANDS
+      if command != "conjecture-IF"),
+    *((command, 0, 2, "k >= 1") for command in _KR_COMMANDS)])
+def test_rejected_k_r_is_a_usage_error_before_any_label(capsys, command, k,
+                                                        r, message):
+    # enumerate at an empty degree used to print [] with exit 0
+    argv = [a.format(k=k, r=r) for a in _KR_COMMANDS[command]]
+    assert message in _usage_error(capsys, *argv)
+
+
+def test_allow_noncoprime_runs_regularity(capsys):
+    # (1,3) outside the hypothesis: almost-admissible labels hit poles (the
+    # stability case is in test_verify_pass_and_fail_exit_codes)
+    code, out, _ = run(capsys, "verify", "--suite", "regularity", "--k", "1",
+                       "--r", "3", "--N", "2", "--nmax", "6",
+                       "--allow-noncoprime", "--out", "json")
+    assert code == 1
+    assert json.loads(out)["report"]["checked"] == 47
 
 
 @pytest.mark.parametrize("N", ["0", "-1", "x"])
@@ -441,7 +482,6 @@ def test_cache_roundtrip(tmp_path):
     L = parse_spart(";2,1")
     exp = jack_symbolic(L, 3)
     cache_store(str(tmp_path), exp)
-    _JACK_CACHE.pop((L, 3), None)
     loaded = cache_load(str(tmp_path), L, 3)
     assert loaded is not None
     assert loaded.coeffs == exp.coeffs
@@ -540,7 +580,7 @@ def test_cache_zero_coefficient_evicts(tmp_path, capsys):
     L = parse_spart("2;1")
     path = _store_fake(tmp_path, L, 3, {**jack_symbolic(L, 3).coeffs,
                                         parse_spart("0;1,1,1"): 0})
-    _JACK_CACHE.pop((L, 3), None)
+    # the Jack is already in memory: a cache directory is still read first
     code, out, err = run(capsys, "--cache-dir", str(tmp_path), "compute",
                          "--spart", "2;1", "--N", "3", "--out", "json")
     assert code == 0

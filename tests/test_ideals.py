@@ -32,7 +32,7 @@ def test_ideal_basis_lowest_degrees():
     basis = ideal_basis(1, 2, 3, 3)
     # the unique element of lowest total degree sits at (3|2)
     assert sorted(basis) == [(3, 2), (3, 3)]
-    labels = [str(L) for L, _ in basis[(3, 2)]]
+    labels = [str(L) for L in basis[(3, 2)].columns]
     assert labels == ["2,1;"]
     # degree (0|1): the lone-circle label fails admissibility, matching the
     # absence of constant terms in the graded dimension series
@@ -41,7 +41,7 @@ def test_ideal_basis_lowest_degrees():
 
 def test_membership_basics():
     basis = degree_basis(1, 2, 3, 3, 2)
-    label, coords = basis[0]
+    (label, coords), = basis.columns.items()
     assert membership(coords, basis) == {label: Fraction(1)}
     assert membership({}, basis) == {}
     with pytest.raises(NotInSpan):
@@ -51,7 +51,7 @@ def test_membership_basics():
 def test_membership_in_an_empty_degree():
     assert (1, 0) not in ideal_basis(1, 2, 3, 3)
     empty = degree_basis(1, 2, 3, 1, 0)
-    assert isinstance(empty, DegreeBasis) and not empty
+    assert isinstance(empty, DegreeBasis) and not empty.columns
     with pytest.raises(NotInSpan) as exc:
         membership(to_mbasis(power_sum(1, 3)), empty)
     assert str(exc.value.label) == ";1"
@@ -65,7 +65,7 @@ def _dense_membership(coords, basis):
     if not coords:
         return {}
     f = from_mbasis(coords, basis.N)
-    polys = [from_mbasis(c, basis.N) for _, c in basis]
+    polys = [from_mbasis(c, basis.N) for c in basis.columns.values()]
     keys = sorted({key for g in polys + [f] for key in g.terms})
     entries = [Fraction(g.terms.get(key, 0)) for key in keys for g in polys]
     rhs = [Fraction(f.terms.get(key, 0)) for key in keys]
@@ -73,18 +73,18 @@ def _dense_membership(coords, basis):
     if isinstance(res, NoSolution):
         return None
     vector = res.vector if isinstance(res, UniqueSolution) else res.particular
-    return {basis[i][0]: c for i, c in enumerate(vector) if c}
+    return {L: c for L, c in zip(basis.columns, vector) if c}
 
 
 def _mcoord_membership(coords, basis):
     """Oracle: one `_span_solve` over the basis's monomial coordinates."""
     if not coords:
         return {}
-    res = ideals._span_solve([c for _, c in basis], coords)
+    res = ideals._span_solve(list(basis.columns.values()), coords)
     if isinstance(res, NoSolution):
         return None
     vector = res.vector if isinstance(res, UniqueSolution) else res.particular
-    return {basis[i][0]: c for i, c in enumerate(vector) if c}
+    return {L: c for L, c in zip(basis.columns, vector) if c}
 
 
 @pytest.mark.parametrize("k, r, N, nmax, noncoprime",
@@ -105,15 +105,15 @@ def test_membership_matches_dense_oracle(monkeypatch, k, r, N, nmax,
         except NotInSpan as exc:
             got = None
             assert exc.label is not None
-            assert exc.label not in {L for L, _ in basis}
-        assert got == want, (coords, [str(L) for L, _ in basis])
+            assert exc.label not in basis.columns
+        assert got == want, (coords, [str(L) for L in basis.columns])
         seen["out" if got is None else "in"] += 1
         if got is None:
             raise NotInSpan("outside the span", residual=coords)
         return got
 
     monkeypatch.setattr(ideals, "membership", differential)
-    rep = stability_suite(k, r, N, nmax, allow_noncoprime=noncoprime)
+    rep = stability_suite(k, r, N, nmax)
     assert seen["in"] > 50
     assert seen["out"] == len(rep["violations"])
     assert bool(seen["out"]) == noncoprime
@@ -126,7 +126,7 @@ def _membership_calls(monkeypatch, run):
     calls = []
 
     def recording(coords, basis):
-        calls.append((coords, basis.N, [L for L, _ in basis]))
+        calls.append((coords, basis.N, list(basis.columns)))
         return real(coords, basis)
 
     with monkeypatch.context() as patch:
@@ -135,11 +135,13 @@ def _membership_calls(monkeypatch, run):
 
 
 def _assert_routes_agree(monkeypatch, new, old):
-    """Same report and the same membership inputs from both routes."""
+    """Same report and the same membership inputs from both routes; returns
+    the report."""
     got, got_calls = _membership_calls(monkeypatch, new)
     want, want_calls = _membership_calls(monkeypatch, old)
     assert got == want
     assert got_calls == want_calls
+    return got
 
 
 # the membership-oracle grids, then criterion 9: (1,2), (2,2) and (2,3) at
@@ -154,12 +156,12 @@ STABILITY_GRIDS = [(1, 2, 3, 5, False), (1, 3, 2, 6, True),
 def test_column_route_matches_expanded_route(monkeypatch, k, r, N, nmax,
                                              noncoprime):
     # operator columns on m-coordinates against the operator applied to the
-    # expanded P_L: same checked count, ordered violations and images
-    _assert_routes_agree(
-        monkeypatch,
-        lambda: stability_suite(k, r, N, nmax, allow_noncoprime=noncoprime),
-        lambda: stability_suite_expanded(k, r, N, nmax,
-                                         allow_noncoprime=noncoprime))
+    # expanded P_L: same checked count, ordered violations and images; only
+    # the non-coprime grid breaks
+    rep = _assert_routes_agree(
+        monkeypatch, lambda: stability_suite(k, r, N, nmax),
+        lambda: stability_suite_expanded(k, r, N, nmax))
+    assert bool(rep["violations"]) == noncoprime
 
 
 @pytest.mark.parametrize("nmax", [5, 6])
@@ -197,12 +199,13 @@ def test_dropped_basis_element_is_missed():
     k, r, N = 1, 2, 3
     source = degree_basis(k, r, N, 4, 1)
     target = degree_basis(k, r, N, 5, 1)
-    assert len(target) > 1
+    assert len(target.columns) > 1
     images = [to_mbasis(power_sum(1, N) * from_mbasis(coords, N))
-              for _, coords in source]
+              for coords in source.columns.values()]
     used = 0
-    for j, (label, coords) in enumerate(target):
-        rest = DegreeBasis((e for i, e in enumerate(target) if i != j), N)
+    for label, coords in target.columns.items():
+        rest = DegreeBasis(N, {L: c for L, c in target.columns.items()
+                               if L != label}, target.rank)
         with pytest.raises(NotInSpan) as exc:
             membership(coords, rest)
         assert exc.value.label == label
@@ -229,20 +232,22 @@ def test_stuck_peel_contradicted_by_the_solve_exits_3(monkeypatch, capsys):
 
 def _mutant_columns():
     basis = degree_basis(1, 2, 3, 5, 1)
-    assert len(basis) > 1
-    (top, coords), (low, low_coords) = basis[0], basis[-1]
+    columns = basis.columns
+    assert len(columns) > 1
+    top, *_, low = columns
     above = enumerate_sparts(5, 1, 3)[0]
-    assert above not in low_coords
-    yield DegreeBasis([(top, {G: 2 * c for G, c in coords.items()}),
-                       *basis[1:]], 3)
-    yield DegreeBasis([*basis[:-1], (low, {**low_coords, above: 1})], 3)
+    assert above not in columns[low]
+    yield {**columns, top: {G: 2 * c for G, c in columns[top].items()}}
+    yield {**columns, low: {**columns[low], above: 1}}
 
 
-@pytest.mark.parametrize("mutant", list(_mutant_columns()),
+@pytest.mark.parametrize("columns", list(_mutant_columns()),
                          ids=["scaled by 2", "term above its label"])
-def test_non_unitriangular_columns_are_rejected(mutant):
+def test_non_unitriangular_columns_are_rejected(columns):
+    # refused when the basis is built, before any peel reads it
+    rank = degree_basis(1, 2, 3, 5, 1).rank
     with pytest.raises(NotUnitriangular):
-        membership(mutant[0][1], mutant)
+        DegreeBasis(3, columns, rank)
 
 
 def test_stability_checks_each_column_once(monkeypatch):
@@ -274,7 +279,7 @@ def test_stability_checks_each_column_once(monkeypatch):
     monkeypatch.setattr(superpoly, "to_mbasis", reading)
     monkeypatch.setattr(superpoly, "monomial_msym", building)
     monkeypatch.setattr(superpoly, "combine", combining)
-    rep = stability_suite(1, 3, 2, 6, allow_noncoprime=True)
+    rep = stability_suite(1, 3, 2, 6)
     assert len(rep["violations"]) == 51
     # the polynomials checked are exactly the columns read, in order
     assert len(checked) == len(read) == sum(map(len, used.values()))
@@ -319,7 +324,7 @@ def test_stability_suite_clean():
 
 def test_stability_detects_noncoprime_breakage():
     # with gcd(k+1, r-1) > 1 the span is genuinely not an ideal
-    rep = stability_suite(1, 3, 2, 4, allow_noncoprime=True)
+    rep = stability_suite(1, 3, 2, 4)
     assert rep["violations"]
 
 
@@ -408,13 +413,11 @@ def test_cluster_input_validation():
         cluster_multiplicity(parse_spart(";4,2"), 2, 3, 3, (1, 2), 1)
 
 
-def test_cluster_reads_allow_noncoprime():
-    # gcd(k+1, r-1) = 2: rejected unless asked for; then a = -1 is a pole
-    L = parse_spart(";2")
-    with pytest.raises(ValueError, match="not coprime"):
-        cluster_multiplicity(L, 1, 3, 3, (1, 2), 3)
+def test_cluster_computes_outside_coprimality():
+    # gcd(k+1, r-1) = 2: the library computes, and a = -1 is a pole; the
+    # command line rejects the pair (test_cli::test_cluster_noncoprime_exit_code)
     with pytest.raises(PoleError):
-        cluster_multiplicity(L, 1, 3, 3, (1, 2), 3, allow_noncoprime=True)
+        cluster_multiplicity(parse_spart(";2"), 1, 3, 3, (1, 2), 3)
 
 
 def test_cochain_q_and_qtilde():

@@ -103,3 +103,14 @@ def test_unreached_definition_is_caught():
                        "def h():\n    return f()\n"),
     }
     assert _unreached(modules) == {"h"}
+
+
+def test_only_run_entry_points_take_allow_noncoprime():
+    # coprimality is a hypothesis of a run, checked once where it starts;
+    # admissibility and the ideal layer compute for any (k, r)
+    takers = {node.name for path in SRC.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.FunctionDef)
+              and "allow_noncoprime" in {a.arg for a in node.args.args
+                                         + node.args.kwonlyargs}}
+    assert takers == {"check_kr", "suite_stability", "suite_regularity"}

@@ -5,7 +5,8 @@ import pytest
 from superjack.coeffring import ALPHA, AlphaPolynomial, AlphaRational
 from superjack.spart import (SuperPartition, add_circle_moves,
                              almost_admissible_variants, arm, cells,
-                             circle_to_square_moves, conjugate, dominance_leq,
+                             check_kr, circle_to_square_moves, conjugate,
+                             dominance_leq,
                              enumerate_admissible, enumerate_all_m,
                              enumerate_sparts, epsilon_u, fermionic_range,
                              is_admissible, leg, lower_hook, parse_spart,
@@ -103,9 +104,13 @@ def test_admissible_paper_examples():
     assert is_admissible(parse_spart("(8,4o,3,1o,0o)"), 1, 2, 5)
     assert is_admissible(parse_spart(";4,2"), 1, 2, 3)
     assert not is_admissible(parse_spart(";3"), 1, 2, 3)
-    with pytest.raises(ValueError):
-        is_admissible(parse_spart(";4,2"), 1, 3, 3)  # gcd(k+1, r-1) = 2
-    assert is_admissible(parse_spart(";4,1"), 1, 3, 2, allow_noncoprime=True)
+    # gcd(k+1, r-1) = 2: the label test still computes; check_kr refuses
+    # the pair where a run starts
+    assert not is_admissible(parse_spart(";4,2"), 1, 3, 3)
+    assert is_admissible(parse_spart(";4,1"), 1, 3, 2)
+    with pytest.raises(ValueError, match="not coprime"):
+        check_kr(1, 3)
+    check_kr(1, 3, allow_noncoprime=True)
 
 
 def test_admissible_m0_reduction():
@@ -209,7 +214,7 @@ def test_surgery_marked_cells_consistent():
     # marked cell coordinates identify the one differing diagram cell
     for n in range(5):
         for L in enumerate_all_m(n, 4):
-            for mv in add_circle_moves(L, 6):
+            for mv in add_circle_moves(L):
                 om = mv.result
                 i, j = mv.cell
                 circ, star = star_pair(L, 6)
