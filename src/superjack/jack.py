@@ -4,9 +4,9 @@ P_L is the joint triangular eigenfunction of D and Delta in the monomial
 superbasis: monic at its label, supported on dominance-smaller labels, and
 killed by both eigenoperators minus their eigenvalues.  Both operators are
 applied once per label with the Z[a] generator, in at most l(label)+1
-variables, so every family that holds the label shares its rows; they hold
-ints and elements of Z[a] of degree at most 1, and one factored triangular
-peel solves for every coefficient without a polynomial gcd.
+variables, on demand, so every family that holds the label shares its
+rows; they hold ints and elements of Z[a] of degree at most 1, and one
+factored triangular peel solves for every coefficient without a gcd.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class JackExpansion:
         over Q, with the zeros left out.
 
         A coefficient with a pole at a0 raises PoleError carrying the
-        ``label``, the ``offending`` monomial and its ``coefficient``.
+        ``label``, ``N``, the ``offending`` monomial and its ``coefficient``.
         """
         a0 = Fraction(a0)
         numeric = {}
@@ -65,6 +65,7 @@ class JackExpansion:
                     f"P_[{self.label}] has a pole at a={a0}: "
                     f"coefficient of m_[{om}] is {c}")
                 err.label = self.label
+                err.N = self.N
                 err.offending = om
                 err.coefficient = c
                 raise err from exc
@@ -97,9 +98,9 @@ def _label_rows(om: SuperPartition, Nv: int):
     return row_d, row_delta
 
 
-@lru_cache(maxsize=None)
-def _mbasis_matrices(n: int, m: int, N: int):
-    """The family's labels and its D and Delta rows, {label: {label: entry}}.
+def _rows(labels, N: int):
+    """The D and Delta rows in N variables of each of `labels`, as two dicts
+    {label: {label: entry}}, read from `_label_rows`.
 
     The row of O in N variables is its row in Nv = min(N, l(O)+1), so
     families at different N share it:
@@ -114,45 +115,35 @@ def _mbasis_matrices(n: int, m: int, N: int):
     By 1, the row in Nv variables is the row in N cut to labels of length
     <= Nv, and by 2 the cut drops nothing.
     """
-    labels = enumerate_sparts(n, m, N)
-    rows = [_label_rows(om, min(N, om.length + 1)) for om in labels]
-    return (labels, {om: r[0] for om, r in zip(labels, rows)},
-            {om: r[1] for om, r in zip(labels, rows)})
+    rows = {om: _label_rows(om, min(N, om.length + 1)) for om in labels}
+    return ({om: r[0] for om, r in rows.items()},
+            {om: r[1] for om, r in rows.items()})
 
 
-_JACK_CACHE: dict[tuple[SuperPartition, int], JackExpansion] = {}
+@lru_cache(maxsize=None)
+def jack_symbolic(L: SuperPartition, N: int) -> JackExpansion:
+    """Monic triangular joint eigenfunction expansion over Q(a).  The peel
+    reads the rows of L and of the labels below it only, so a cold call
+    builds no row of a label that L does not dominate."""
+    if L.length > N:
+        raise ValueError(f"{L} does not fit in {N} variables")
+    below = [om for om in enumerate_sparts(*L.degree(), N)
+             if om != L and dominance_leq(om, L)]
+    d_rows, delta_rows = _rows([L, *below], N)
+    found = _triangular_peel(L, below, [(d_rows, e_star_poly),
+                                        (delta_rows, e_tilde_poly)])
+    return JackExpansion(L, N, _coefficients(found))
+
+
+_CACHES = (jack_symbolic, _label_rows, enumerate_sparts, power_sum_columns)
 
 
 def clear_caches() -> dict[str, int]:
     """Empty the in-process caches of the Jack layer; return their sizes."""
-    sizes = {"_JACK_CACHE": len(_JACK_CACHE),
-             "_mbasis_matrices": _mbasis_matrices.cache_info().currsize,
-             "_label_rows": _label_rows.cache_info().currsize,
-             "enumerate_sparts": enumerate_sparts.cache_info().currsize,
-             "power_sum_columns": power_sum_columns.cache_info().currsize}
-    _JACK_CACHE.clear()
-    _mbasis_matrices.cache_clear()
-    _label_rows.cache_clear()
-    enumerate_sparts.cache_clear()
-    power_sum_columns.cache_clear()
+    sizes = {c.__name__: c.cache_info().currsize for c in _CACHES}
+    for c in _CACHES:
+        c.cache_clear()
     return sizes
-
-
-def jack_symbolic(L: SuperPartition, N: int) -> JackExpansion:
-    """Monic triangular joint eigenfunction expansion over Q(a)."""
-    key = (L, N)
-    hit = _JACK_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if L.length > N:
-        raise ValueError(f"{L} does not fit in {N} variables")
-    n, m = L.degree()
-    labels, d_rows, delta_rows = _mbasis_matrices(n, m, N)
-    below = [om for om in labels if om != L and dominance_leq(om, L)]
-    found = _triangular_peel(L, below, [(d_rows, e_star_poly),
-                                        (delta_rows, e_tilde_poly)])
-    result = _JACK_CACHE[key] = JackExpansion(L, N, _coefficients(found))
-    return result
 
 
 # A coefficient in factored form: (num, factors, d) stands for
@@ -256,8 +247,9 @@ def eigen_check(expansion: JackExpansion) -> Optional[str]:
 
     P_L is the monic joint eigenfunction of D and Delta supported on labels
     of its family that L dominates.  Both eigen-equations are read in
-    monomial-superbasis coordinates on the family's operator rows: for each
-    label G of the family, sum over O of c_O * row_O[G] must equal e_L * c_G.
+    monomial-superbasis coordinates on the rows of the labels the expansion
+    lists: for each label G of the family, sum over O of c_O * row_O[G] must
+    equal e_L * c_G.
     An m-expansion is symmetric and both operators keep symmetry, so these
     coordinates decide the equations as the expanded polynomial would.  The
     rows lie in Z[a] and the coefficients are cleared to Z[a], so the
@@ -265,7 +257,7 @@ def eigen_check(expansion: JackExpansion) -> Optional[str]:
     """
     L, N, coeffs = expansion.label, expansion.N, expansion.coeffs
     n, m = L.degree()
-    labels, d_rows, delta_rows = _mbasis_matrices(n, m, N)
+    labels = enumerate_sparts(n, m, N)
     family = set(labels)
     for om in sorted(coeffs, key=lambda S: S.sort_key(), reverse=True):
         if not coeffs[om]:
@@ -277,6 +269,7 @@ def eigen_check(expansion: JackExpansion) -> Optional[str]:
     if coeffs.get(L) != 1:
         return f"coefficient of m_[{L}] is not 1"
     cleared = clear_denominators(coeffs)
+    d_rows, delta_rows = _rows(cleared, N)
     for name, rows, ev in (("D", d_rows, e_star_poly(L)),
                            ("Delta", delta_rows, e_tilde_poly(L))):
         image = combine(cleared, rows)

@@ -155,8 +155,8 @@ class SuperPartition:
 
     @property
     def length(self) -> int:
-        """Number of rows of the circled diagram."""
-        return sum(1 for p in self.circled if p > 0)
+        """Number of rows of the circled diagram: one per (positive) part."""
+        return len(self.antisym) + len(self.sym)
 
     def degree(self) -> tuple[int, int]:
         return (self.n, self.m)

@@ -7,6 +7,8 @@ checks (k, r) once, before it reads any label (`spart.check_kr`).
 
 from __future__ import annotations
 
+from math import gcd
+
 from .coeffring import ALPHA, AlphaPolynomial, PoleError
 from .ideals import (alpha_kr, cochain_check, harness_clustering,
                      harness_I_eq_F, prescribed_vanish_check, stability_suite,
@@ -121,15 +123,25 @@ def suite_pieri(nmax: int, N: int, mmax: int = 2) -> tuple[bool, dict]:
 
 def suite_stability(k: int, r: int, N: int, nmax: int,
                     allow_noncoprime: bool = False) -> tuple[bool, dict]:
+    """Stability of the admissible span.  Outside gcd(k+1, r-1) = 1 a pole at
+    a0 (in N or N-1 variables) stops the run and is reported under ``poles``."""
     check_kr(k, r, allow_noncoprime)
-    rep = stability_suite(k, r, N, nmax)
+    try:
+        rep = stability_suite(k, r, N, nmax)
+    except PoleError as exc:
+        if gcd(k + 1, r - 1) == 1:
+            raise
+        pole = {"label": str(exc.label), "N": exc.N,
+                "a": str(alpha_kr(k, r)), "offending": str(exc.offending)}
+        return False, {"k": k, "r": r, "N": N, "nmax": nmax, "checked": 0,
+                       "violations": [], "poles": [pole]}
     return not rep["violations"], rep
 
 
 def suite_vanishing(k: int, r: int, N: int, nmax: int) -> tuple[bool, dict]:
+    check_kr(k, r)
     if N < k + 1:
         return True, {"checked": 0, "failures": [], "skipped": "N < k+1"}
-    check_kr(k, r)
     failures = []
     labels = enumerate_admissible(k, r, N, nmax)
     for L in labels:
@@ -141,26 +153,20 @@ def suite_vanishing(k: int, r: int, N: int, nmax: int) -> tuple[bool, dict]:
 
 
 def suite_regularity(k: int, r: int, N: int, nmax: int,
-                     allow_noncoprime: bool = False,
-                     include_almost: bool = True) -> tuple[bool, dict]:
-    """Pole-freeness of admissible (and optionally almost-admissible) labels."""
+                     allow_noncoprime: bool = False) -> tuple[bool, dict]:
+    """Pole-freeness of the admissible and almost-admissible labels."""
     check_kr(k, r, allow_noncoprime)
     a0 = alpha_kr(k, r)
+    labels = dict.fromkeys(
+        V for L in enumerate_admissible(k, r, N, nmax)
+        for V in [L, *almost_admissible_variants(L, k, r, N)])
     poles = []
-    seen = set()
-    for L in enumerate_admissible(k, r, N, nmax):
-        todo = [L]
-        if include_almost:
-            todo += almost_admissible_variants(L, k, r, N)
-        for V in todo:
-            if V in seen:
-                continue
-            seen.add(V)
-            try:
-                jack_at(V, N, a0)
-            except PoleError:
-                poles.append(str(V))
-    return not poles, {"checked": len(seen), "poles": poles}
+    for V in labels:
+        try:
+            jack_at(V, N, a0)
+        except PoleError:
+            poles.append(str(V))
+    return not poles, {"checked": len(labels), "poles": poles}
 
 
 def suite_cochain(k: int, r: int, N: int, nmax: int, d: str = "q") -> tuple[bool, dict]:

@@ -5,8 +5,8 @@ gcd and exact division of Z[a] run over Q with Fraction coefficients,
 dense Gauss-Jordan solves over Q or Q(a), the power-sum expansion among
 them, the stability, cochain and Pieri checks on expanded polynomials, the
 diagonal action of one permutation, the Sekiguchi eigenrelations read
-on the whole polynomial, and the D and Delta rows built in all N
-variables."""
+on the whole polynomial, and the D and Delta rows of a whole family, read
+from the per-label rows or built in all N variables."""
 
 import math
 from fractions import Fraction
@@ -356,8 +356,16 @@ def pieri_check_expanded(kind: str, L: SuperPartition, N: int) -> bool:
     return to_mbasis(g, verify=False) == combine(closed, columns)
 
 
+def family_rows(n: int, m: int, N: int):
+    """The family's labels and its D and Delta rows in N variables,
+    {label: {label: entry}}, each row read from `jack._label_rows` through
+    the reader the peel uses."""
+    labels = enumerate_sparts(n, m, N)
+    return (labels, *jack._rows(labels, N))
+
+
 def mbasis_matrices_full(n: int, m: int, N: int):
-    """`jack._mbasis_matrices` with every row built in all N variables:
+    """`family_rows` with every row built in all N variables:
     to_mbasis(apply_D(m_O(N))) and the same for Delta, checked triangular."""
     labels = enumerate_sparts(n, m, N)
     alpha = AlphaPolynomial.gen()

@@ -188,8 +188,9 @@ def _usage_error(capsys, *argv):
     return json.loads(lines[0])["message"]
 
 
-# every command that reads (k, r); conjecture-IF takes k alone (r = 2), and
-# at the empty enumerate degree no label reaches is_admissible
+# every command that reads (k, r); conjecture-IF takes k alone (r = 2), at
+# the empty enumerate degree no label reaches is_admissible, and vanishing at
+# N < k+1 checks no label
 _KR_COMMANDS = {
     "enumerate": ("enumerate", "--n", "3", "--m", "2", "--N", "3",
                   "--admissible", "{k},{r}"),
@@ -205,13 +206,16 @@ _KR_COMMANDS = {
                      "conjecture-rma")},
     "conjecture-IF": ("verify", "--suite", "conjecture-IF", "--k", "{k}",
                       "--N", "3", "--nmax", "3"),
+    "vanishing-N1": ("verify", "--suite", "vanishing", "--k", "{k}", "--r",
+                     "{r}", "--N", "1", "--nmax", "4"),
 }
 
 
 @pytest.mark.parametrize("command, k, r, message", [
     *((command, 1, 3, "not coprime") for command in _KR_COMMANDS
       if command != "conjecture-IF"),
-    *((command, 0, 2, "k >= 1") for command in _KR_COMMANDS)])
+    *((command, 0, 2, "k >= 1") for command in _KR_COMMANDS),
+    ("vanishing-N1", 1, 1, "r >= 2")])
 def test_rejected_k_r_is_a_usage_error_before_any_label(capsys, command, k,
                                                         r, message):
     # enumerate at an empty degree used to print [] with exit 0
@@ -227,6 +231,33 @@ def test_allow_noncoprime_runs_regularity(capsys):
                        "--allow-noncoprime", "--out", "json")
     assert code == 1
     assert json.loads(out)["report"]["checked"] == 47
+
+
+def test_noncoprime_stability_reports_a_pole(capsys):
+    # gcd(4, 2) = 2: P_[1;1] has a pole at a = -2, a counterexample to the
+    # run, not an internal error
+    code, out, err = run(capsys, "verify", "--suite", "stability", "--k", "3",
+                         "--r", "3", "--N", "3", "--nmax", "4",
+                         "--allow-noncoprime", "--out", "json")
+    assert (code, err) == (1, "")
+    report = json.loads(out)["report"]
+    assert report["violations"] == [] and "checked" in report
+    assert report["poles"] == [{"label": "1;1", "N": 3, "a": "-2",
+                                "offending": "0;1,1"}]
+
+
+def test_coprime_stability_pole_is_internal(capsys, monkeypatch):
+    # inside the hypothesis an admissible Jack is regular: a pole exits 3
+    from superjack import suites
+
+    def pole(*args):
+        raise PoleError("P_[1;1] has a pole")
+
+    monkeypatch.setattr(suites, "stability_suite", pole)
+    code, out, err = run(capsys, "verify", "--suite", "stability", "--k", "1",
+                         "--r", "2", "--N", "2", "--nmax", "2")
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "PoleError"
 
 
 @pytest.mark.parametrize("N", ["0", "-1", "x"])

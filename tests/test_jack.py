@@ -28,7 +28,7 @@ from superjack.superpoly import (SuperPolynomial, column_images, ferm_power,
                                  integral_multiple, monomial_msym, p_label,
                                  to_mbasis, to_pbasis)
 from oracles import (act_Ksigma, coefficient_xpower, dense_solve_exact,
-                     eta_bar, f_stat, mbasis_matrices_full,
+                     eta_bar, f_stat, family_rows, mbasis_matrices_full,
                      pieri_check_expanded, tilde_composition, vandermonde)
 
 a = ALPHA
@@ -687,7 +687,7 @@ def _not_in_lowest_terms(found):
 
 def test_gcd_free_build_matches_rational_oracle():
     for n, m, N in _FAMILIES:
-        labels, d_rows, delta_rows = jack._mbasis_matrices(n, m, N)
+        labels, d_rows, delta_rows = family_rows(n, m, N)
         want_d, want_delta = {}, {}
         for om in labels:
             mono = monomial_msym(om, N)
@@ -707,7 +707,7 @@ def test_gcd_free_build_matches_rational_oracle():
 def test_rows_are_ints_and_affine_elements_of_Z_a():
     # D and Delta applied with the Z[a] generator to integral monomials
     for n, m, N in _FAMILIES:
-        labels, d_rows, delta_rows = jack._mbasis_matrices(n, m, N)
+        labels, d_rows, delta_rows = family_rows(n, m, N)
         for rows in (d_rows, delta_rows):
             for om in labels:
                 for gm, v in rows[om].items():
@@ -724,7 +724,7 @@ def test_peel_without_cancellation_is_caught(monkeypatch):
     monkeypatch.setattr(jack, "poly_divexact", never_divides)
     caught = []
     for n, m, N in _FAMILIES:
-        labels, d_rows, delta_rows = jack._mbasis_matrices(n, m, N)
+        labels, d_rows, delta_rows = family_rows(n, m, N)
         for L in labels:
             found = jack._triangular_peel(L, _below(L, labels),
                                           _sym_pairs(d_rows, delta_rows))
@@ -752,11 +752,12 @@ def test_equal_eigenvalue_pairs_raise(monkeypatch):
     # 1; and 0;1 share e*, so a constant e~ leaves no operator to divide by
     L = parse_spart("1;")
     assert e_star_poly(L) == e_star_poly(parse_spart("0;1"))
-    monkeypatch.setattr(jack, "_JACK_CACHE", {})
+    jack_symbolic.cache_clear()
     monkeypatch.setattr(jack, "e_tilde_poly",
                         lambda S: AlphaPolynomial.const(0))
     with pytest.raises(DegenerateSystem, match="1; vs 0;1"):
         jack_symbolic(L, 2)
+    assert jack_symbolic.cache_info().currsize == 0
 
 
 # every family with n <= 6 and N <= 6, and every family at N = n+m+2, n <= 4
@@ -770,7 +771,7 @@ _ROW_GRID = sorted({(n, m, N) for N in range(1, 7) for n in range(7)
 def test_rows_in_l_plus_one_variables_match_the_N_variable_oracle():
     shortened = 0
     for n, m, N in _ROW_GRID:
-        got = jack._mbasis_matrices(n, m, N)
+        got = family_rows(n, m, N)
         assert got == mbasis_matrices_full(n, m, N), (n, m, N)
         shortened += sum(om.length + 1 < N for om in got[0])
     assert shortened == 370
@@ -843,13 +844,45 @@ def test_clear_caches_then_rebuild():
     pbefore = to_pbasis(before[labels[0]], 3)
     caches = _unbounded_caches()
     sizes = jack.clear_caches()
-    assert set(sizes) == {"_JACK_CACHE"} | set(caches)
+    assert set(sizes) == set(caches)
     assert all(size > 0 for size in sizes.values()), sizes
     assert all(c.cache_info().currsize == 0 for c in caches.values())
     assert set(jack.clear_caches().values()) == {0}
     for L in labels:
         assert jack_symbolic(L, 3).coeffs == before[L]
     assert to_pbasis(before[labels[0]], 3) == pbefore
+
+
+def _rows_read(monkeypatch, build) -> set:
+    """The labels whose rows `build()` reads, from cold caches."""
+    jack.clear_caches()
+    read = set()
+    label_rows = jack._label_rows
+
+    def spy(om, Nv):
+        read.add(om)
+        return label_rows(om, Nv)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(jack, "_label_rows", spy)
+        build()
+    return read
+
+
+def test_rows_are_built_only_for_the_labels_read(monkeypatch):
+    # 2;2 sits below the top of (4|1) N=4 and is incomparable to 0;3,1
+    N = 4
+    L = parse_spart("2;2")
+    family = enumerate_sparts(*L.degree(), N)
+    below = {om for om in family if dominance_leq(om, L)}
+    assert parse_spart("0;3,1") in set(family) - below
+    assert _rows_read(monkeypatch, lambda: jack_symbolic(L, N)) == below
+    P = jack_symbolic(L, N)
+    assert set(P.coeffs) == below
+    verdicts = []
+    assert _rows_read(monkeypatch,
+                      lambda: verdicts.append(eigen_check(P))) == below
+    assert verdicts == [None]
 
 
 def _expanded_eigen_check(expansion):
@@ -922,7 +955,7 @@ def test_eigen_check_catches_doubled_lowest_coefficient():
     # on the family's own Z[a] rows, a doubled lowest coefficient breaks the
     # D eigen-equation at that label
     N = 3
-    labels = jack._mbasis_matrices(3, 1, N)[0]
+    labels = family_rows(3, 1, N)[0]
     L = labels[0]
     P = dict(jack_symbolic(L, N).coeffs)
     assert eigen_check(JackExpansion(L, N, P)) is None
