@@ -305,12 +305,13 @@ def cmd_op(args) -> int:
 
 def cmd_characters(args) -> int:
     if args.space == "F":
+        if args.r is not None:
+            raise UsageError("--space F does not take --r")
         series = char_F(args.k, args.N, args.nmax)
-    elif args.space == "I":
-        check_kr(args.k, args.r)
-        series = char_I(args.k, args.r, args.N, args.nmax)
     else:
-        raise UsageError("--space must be F or I")
+        r = 2 if args.r is None else args.r
+        check_kr(args.k, r)
+        series = char_I(args.k, r, args.N, args.nmax)
     if args.out == "json":
         print(json.dumps({"space": args.space, "k": args.k, "N": args.N,
                           "nmax": args.nmax,
@@ -436,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("characters", help="graded dimension series")
     p.add_argument("--space", required=True, choices=("F", "I"))
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=int, default=2)
+    p.add_argument("--r", type=int, help="I only; default 2")
     p.add_argument("--N", type=_positive_N, required=True)
     p.add_argument("--nmax", type=_int_at_least(0, "nmax"), required=True)
     p.add_argument("--out", choices=("json", "pretty"), default="pretty")

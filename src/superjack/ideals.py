@@ -6,10 +6,11 @@ graded by (total degree | fermionic degree); membership, stability, character
 and clustering questions all reduce to exact linear algebra over Q in the
 monomial superbasis.
 
-No Jack superpolynomial is expanded for stability or cochains.  A basis
-element is its m-coordinates, and every action checked on the span (p0*, q,
-q_perp, Q, Q_perp, p1*, p2*, L_-2, d = q or q_tilde, and each restriction
-piece) is linear, so its image is read through `superpoly.column_images`.
+No Jack superpolynomial is expanded anywhere in this module.  A basis
+element is its m-coordinates; every action checked on the span (p0*, q,
+q_perp, Q, Q_perp, p1*, p2*, L_-2, d = q or q_tilde, restriction pieces) is
+linear, so its image is read through `superpoly.column_images`, and the
+coincidence and cluster checks sum substituted `prescribed_monomial` columns.
 
 Membership is a monic triangular peel, not a solve.  P_L is monic at L and
 supported on labels that L dominates, so in the order of `enumerate_sparts`
@@ -33,12 +34,11 @@ from typing import Callable, Optional, Sequence
 from .coeffring import FieldMatrix, NoSolution, solve_exact, UniqueSolution
 from .jack import jack_at
 from .ops import OPERATORS, L_op, operator
-from .spart import (SuperPartition, admissible_at_degree, check_kr,
-                    enumerate_admissible, enumerate_sparts, fermionic_range,
-                    is_admissible)
+from .spart import (SuperPartition, check_kr, enumerate_admissible,
+                    enumerate_sparts, fermionic_range, is_admissible)
 from .superpoly import (SuperPolynomial, check_triangular, column_images,
-                        ferm_power, monomial_msym, peel, power_sum,
-                        prescribed_part)
+                        combine, ferm_power, monomial_msym, peel, power_sum,
+                        prescribed_monomial)
 
 
 class NotInSpan(ValueError):
@@ -327,25 +327,39 @@ def char_F(k: int, N: int, nmax: int) -> CharacterSeries:
 # vanishing and clustering
 # ---------------------------------------------------------------------------
 
-def vanish_check(L: SuperPartition, k: int, r: int, N: int) -> bool:
-    """Does the specialized polynomial die when k+1 variables coincide?"""
+def _block_sets(size: int, m: int, N: int):
+    """One set of `size` indices per count c from 1..m: 1..c, m+1..m+size-c.
+    g symmetric in x_1..x_m and in x_{m+1}..x_N dies on a class iff on it."""
+    for c in range(max(0, size + m - N), min(size, m) + 1):
+        yield tuple(range(1, c + 1)) + tuple(range(m + 1, m + 1 + size - c))
+
+
+def _vanishes(L: SuperPartition, k: int, r: int, N: int, cmax: int) -> bool:
+    """Does g = prescribed_part(P_L(a0), m) = sum c_O prescribed_monomial(O)
+    die on each block set of k+1 indices with at most cmax in 1..m?"""
     if N < k + 1:
         raise ValueError("coincidence vanishing needs N >= k+1")
-    P = jack_at(L, N, alpha_kr(k, r)).polynomial()
-    return P.merge_x(range(1, k + 2), 1).is_zero()
+    coords = jack_at(L, N, alpha_kr(k, r)).coeffs
+    return not any(combine(coords, {
+        om: prescribed_monomial(om, N).merge_x(S[1:], S[0]).terms
+        for om in coords}) for S in _block_sets(k + 1, L.m, N)
+        if sum(i <= L.m for i in S) <= cmax)
+
+
+def vanish_check(L: SuperPartition, k: int, r: int, N: int) -> bool:
+    """Does the specialized polynomial die when k+1 variables coincide?
+
+    P is symmetric, so its theta_T part is +-sigma(V*g), g its prescribed
+    part, V the Vandermonde of x_1..x_m and sigma(1..m) = T; sigma^-1 moves
+    the coinciding set anywhere.  So P dies iff V*g dies on every (k+1)-set.
+    V dies when two indices lie in 1..m; else V is a nonzero factor, and
+    Q[x] is a domain.  So P dies iff g does on the sets with c <= 1."""
+    return _vanishes(L, k, r, N, 1)
 
 
 def prescribed_vanish_check(L: SuperPartition, k: int, r: int, N: int) -> bool:
-    """Vandermonde-stripped variant, all choices of k+1 coinciding variables."""
-    from itertools import combinations
-    if N < k + 1:
-        raise ValueError("coincidence vanishing needs N >= k+1")
-    P = jack_at(L, N, alpha_kr(k, r)).polynomial()
-    g = prescribed_part(P, L.m)
-    for combo in combinations(range(1, N + 1), k + 1):
-        if not g.merge_x(combo[1:], combo[0]).is_zero():
-            return False
-    return True
+    """Vandermonde-stripped variant, every set of k+1 coinciding variables."""
+    return _vanishes(L, k, r, N, k + 1)
 
 
 @dataclass
@@ -367,17 +381,18 @@ def cluster_multiplicity(L: SuperPartition, k: int, r: int, N: int,
         raise ValueError("cluster indices must be distinct and avoid primed")
     if not all(1 <= i <= N for i in cluster + (primed,)):
         raise ValueError(f"cluster and primed indices must lie in 1..{N}")
-    m = L.m
-    P = jack_at(L, N, alpha_kr(k, r)).polynomial()
-    g = prescribed_part(P, m).extend(N + 2)
+    if len(cluster) != k:
+        raise ValueError(f"the cluster must hold exactly k = {k} indices")
+    coords = jack_at(L, N, alpha_kr(k, r)).coeffs
     xprime = SuperPolynomial.x(N + 1, N + 2)
     shifted = xprime + SuperPolynomial.x(N + 2, N + 2)
-    assignments = {c: shifted for c in cluster}
-    assignments[primed] = xprime
-    img = g.subs_x(assignments)
-    a = sum(1 for i in set(cluster) | {primed} if i <= m)
-    s = None if img.is_zero() else img.x_valuation(N + 2)
-    return ClusterResult(s, a, r - a)
+    assignments = {c: shifted for c in cluster} | {primed: xprime}
+    img = combine(coords, {
+        om: prescribed_monomial(om, N).extend(N + 2).subs_x(assignments).terms
+        for om in coords})
+    a = sum(1 for i in cluster + (primed,) if i <= L.m)
+    return ClusterResult(min((e[N + 1] for _, e in img), default=None),
+                         a, r - a)
 
 
 # ---------------------------------------------------------------------------
@@ -453,33 +468,21 @@ def harness_I_eq_F(k: int, N: int, nmax: int) -> dict:
 
 
 def _representative_clusters(k: int, m: int, N: int):
-    """Inequivalent (cluster, primed) choices by block symmetry."""
-    out = []
-    for c1 in range(0, min(k, m) + 1):
-        if k - c1 > N - m:
-            continue
-        cluster = tuple(range(1, c1 + 1)) + tuple(range(m + 1, m + 1 + (k - c1)))
-        for primed_ferm in (True, False):
-            if primed_ferm:
-                if c1 + 1 > m:
-                    continue
-                primed = c1 + 1
-            else:
-                if m + k - c1 + 1 > N:
-                    continue
-                primed = m + k - c1 + 1
-            out.append((cluster, primed))
-    return out
+    """Inequivalent (cluster, primed) choices by block symmetry: each
+    block-class cluster, primed the next free index of either block."""
+    for cluster in _block_sets(k, m, N):
+        c = sum(i <= m for i in cluster)
+        if c < m:
+            yield cluster, c + 1
+        if m + k - c < N:
+            yield cluster, m + k - c + 1
 
 
 def harness_clustering(k: int, r: int, N: int, nmax: int) -> dict:
     """Sweep the multiplicity over admissible labels and log exceptions."""
     rows = []
-    labels = (L for n in range(nmax + 1) for m in fermionic_range(n, N)[1:]
-              for L in admissible_at_degree(k, r, N, n, m))
-    for L in labels:
-        m = L.m
-        for cluster, primed in _representative_clusters(k, m, N):
+    for L in [L for L in enumerate_admissible(k, r, N, nmax) if L.m]:
+        for cluster, primed in _representative_clusters(k, L.m, N):
             res = cluster_multiplicity(L, k, r, N, cluster, primed)
             if res.multiplicity is None:
                 rows.append({"label": str(L), "cluster": cluster,
@@ -492,7 +495,7 @@ def harness_clustering(k: int, r: int, N: int, nmax: int) -> dict:
                 "zero": False,
                 "exception": res.multiplicity != res.expected,
                 "divides": res.multiplicity >= res.expected,
-                "within_bounds": N >= k + m + 1 and r > m > 0,
+                "within_bounds": N >= k + L.m + 1 and r > L.m > 0,
             })
     exceptions = [row for row in rows if row.get("exception")]
     bad = [row for row in exceptions if row.get("within_bounds")]

@@ -30,7 +30,8 @@ from .spart import (SuperPartition, add_circle_moves, bosonic_cells,
                     square_to_circle_moves, upper_hook, v_poly, z_stat)
 from .superpoly import (SuperPolynomial, combine, ferm_power, from_mbasis,
                         monomial_msym, omega_alpha, power_sum_columns,
-                        prescribed_part, to_mbasis, to_pbasis)
+                        prescribed_monomial, prescribed_part, to_mbasis,
+                        to_pbasis)
 
 
 class DegenerateSystem(ArithmeticError):
@@ -135,7 +136,8 @@ def jack_symbolic(L: SuperPartition, N: int) -> JackExpansion:
     return JackExpansion(L, N, _coefficients(found))
 
 
-_CACHES = (jack_symbolic, _label_rows, enumerate_sparts, power_sum_columns)
+_CACHES = (jack_symbolic, _label_rows, enumerate_sparts, power_sum_columns,
+           prescribed_monomial)
 
 
 def clear_caches() -> dict[str, int]:

@@ -289,12 +289,6 @@ class SuperPolynomial:
             acc = c + acc
         return acc
 
-    def x_valuation(self, i: int) -> int:
-        """Order of vanishing in x_i; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return min(e[i - 1] for _, e in self.terms)
-
     def map_coeff(self, fn: Callable) -> "SuperPolynomial":
         out = SuperPolynomial(self.N)
         for key, c in self.terms.items():
@@ -711,6 +705,12 @@ def prescribed_part(P: SuperPolynomial, m: int) -> SuperPolynomial:
         for j in range(i + 1, m + 1):
             g = divide_xdiff(g, i, j)
     return g
+
+
+@lru_cache(maxsize=None)
+def prescribed_monomial(om: SuperPartition, N: int) -> SuperPolynomial:
+    """prescribed_part(m_om, om.m) in N variables; shared, never mutated."""
+    return prescribed_part(monomial_msym(om, N), om.m)
 
 
 # ---------------------------------------------------------------------------

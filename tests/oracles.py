@@ -3,13 +3,15 @@ non-symmetric construction, the Vandermonde product, the swap of two
 commuting variables, the coefficient of a power of one of them, the Euclid
 gcd and exact division of Z[a] run over Q with Fraction coefficients,
 dense Gauss-Jordan solves over Q or Q(a), the power-sum expansion among
-them, the stability, cochain and Pieri checks on expanded polynomials, the
+them, the stability, cochain, Pieri and coincidence-vanishing checks and
+the cluster orders on expanded polynomials, the
 diagonal action of one permutation, the Sekiguchi eigenrelations read
 on the whole polynomial, and the D and Delta rows of a whole family, read
 from the per-label rows or built in all N variables."""
 
 import math
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from superjack import ideals, jack
@@ -23,7 +25,8 @@ from superjack.spart import (SuperPartition, dominance_leq, enumerate_sparts,
                              epsilon_u, n_mult, star_pair)
 from superjack.superpoly import (SuperPolynomial, combine, ferm_power,
                                  from_mbasis, monomial_msym, p_label,
-                                 permute_into, power_sum, to_mbasis)
+                                 permute_into, power_sum, prescribed_part,
+                                 to_mbasis)
 
 
 def f_stat(parts: Sequence[int]) -> int:
@@ -354,6 +357,38 @@ def pieri_check_expanded(kind: str, L: SuperPartition, N: int) -> bool:
         g = operator(kind.replace("perp", "_perp"))(P, ALPHA)
     columns = {om: jack.jack_symbolic(om, N).coeffs for om in closed}
     return to_mbasis(g, verify=False) == combine(closed, columns)
+
+
+def _expanded_at(L: SuperPartition, k: int, r: int, N: int) -> SuperPolynomial:
+    """P_L(a0) in N variables, every orbit term written out; a0 is read
+    through `ideals.alpha_kr`, so a test can move it."""
+    return jack.jack_at(L, N, ideals.alpha_kr(k, r)).polynomial()
+
+
+def vanish_check_expanded(L: SuperPartition, k: int, r: int, N: int) -> bool:
+    """`ideals.vanish_check` on the expanded P: x_2..x_{k+1} merged into x_1."""
+    return _expanded_at(L, k, r, N).merge_x(range(1, k + 2), 1).is_zero()
+
+
+def prescribed_vanish_check_expanded(L: SuperPartition, k: int, r: int,
+                                     N: int) -> bool:
+    """`ideals.prescribed_vanish_check` on the expanded P: the prescribed
+    part merged on every one of the C(N, k+1) index sets."""
+    g = prescribed_part(_expanded_at(L, k, r, N), L.m)
+    return all(g.merge_x(S[1:], S[0]).is_zero()
+               for S in combinations(range(1, N + 1), k + 1))
+
+
+def cluster_order_expanded(L: SuperPartition, k: int, r: int, N: int,
+                           cluster: Sequence[int], primed: int):
+    """The multiplicity of `ideals.cluster_multiplicity` on the expanded P:
+    the x_{N+2}-valuation of its prescribed part with the cluster set to
+    x_{N+1} + x_{N+2} and x_primed to x_{N+1}; None when that is zero."""
+    g = prescribed_part(_expanded_at(L, k, r, N), L.m).extend(N + 2)
+    xprime = SuperPolynomial.x(N + 1, N + 2)
+    shifted = xprime + SuperPolynomial.x(N + 2, N + 2)
+    img = g.subs_x({**{c: shifted for c in cluster}, primed: xprime})
+    return min((e[N + 1] for _, e in img.terms), default=None)
 
 
 def family_rows(n: int, m: int, N: int):

@@ -170,6 +170,27 @@ def test_cluster_vanishing_polynomial_exit_code(capsys):
     assert not payload["matches"]
 
 
+@pytest.mark.parametrize("cluster", ["2", "2,3,4"])
+def test_cluster_of_other_size_than_k_is_a_usage_error(capsys, cluster):
+    # k = 2: a 1-cluster printed "-> EXCEPTION" and a 3-cluster "vanishes",
+    # both with exit 0
+    assert "exactly k = 2" in _usage_error(
+        capsys, "cluster", "--spart", "2;4,1", "--k", "2", "--r", "3",
+        "--N", "4", "--cluster", cluster, "--primed", "1")
+
+
+def test_characters_space_F_takes_no_r(capsys):
+    # --r 5 used to print the F series and exit 0
+    assert "--space F does not take --r" in _usage_error(
+        capsys, "characters", "--space", "F", "--k", "1", "--r", "5",
+        "--N", "3", "--nmax", "4")
+    code, out, _ = run(capsys, "characters", "--space", "I", "--k", "1",
+                       "--r", "2", "--N", "3", "--nmax", "4")
+    assert code == 0
+    assert out == run(capsys, "characters", "--space", "I", "--k", "1",
+                      "--N", "3", "--nmax", "4")[1]
+
+
 def test_cluster_noncoprime_exit_code(capsys):
     # gcd(k+1, r-1) = 2: outside the theorem, rejected as jack verify does
     code, out, err = run(capsys, "cluster", "--spart", ";2", "--k", "1",

@@ -14,12 +14,14 @@ from superjack.ideals import (CharacterSeries, DegreeBasis, NotInSpan,
                               prescribed_vanish_check, rank_of,
                               stability_suite, vanish_check)
 from superjack.jack import jack_at
-from superjack.spart import (enumerate_all_m, enumerate_sparts, is_admissible,
-                             parse_spart)
+from superjack.spart import (enumerate_admissible, enumerate_all_m,
+                             enumerate_sparts, is_admissible, parse_spart)
+from superjack.suites import suite_conjecture_rma
 from superjack.superpoly import (SuperPolynomial, from_mbasis, power_sum,
                                  to_mbasis)
-from oracles import (cochain_check_expanded, dense_solve_exact,
-                     stability_suite_expanded)
+from oracles import (cluster_order_expanded, cochain_check_expanded,
+                     dense_solve_exact, prescribed_vanish_check_expanded,
+                     stability_suite_expanded, vanish_check_expanded)
 
 
 def test_alpha_kr():
@@ -413,11 +415,113 @@ def test_cluster_input_validation():
         cluster_multiplicity(parse_spart(";4,2"), 2, 3, 3, (1, 2), 1)
 
 
+@pytest.mark.parametrize("cluster", [(2,), (2, 3, 4)])
+def test_cluster_of_other_size_than_k_is_rejected(cluster):
+    # the predicted order r - a holds for a cluster of exactly k variables;
+    # these used to print an order ("EXCEPTION", "vanishes")
+    with pytest.raises(ValueError, match="exactly k = 2"):
+        cluster_multiplicity(parse_spart("2;4,1"), 2, 3, 4, cluster, 1)
+
+
 def test_cluster_computes_outside_coprimality():
     # gcd(k+1, r-1) = 2: the library computes, and a = -1 is a pole; the
     # command line rejects the pair (test_cli::test_cluster_noncoprime_exit_code)
     with pytest.raises(PoleError):
-        cluster_multiplicity(parse_spart(";2"), 1, 3, 3, (1, 2), 3)
+        cluster_multiplicity(parse_spart(";2"), 1, 3, 3, (1,), 3)
+
+
+# criterion 12's grid: every coprime (k, r) with k, r <= 3, N <= 5, n <= 6
+VANISHING_GRID = [(k, r, N) for k, r in ((1, 2), (2, 2), (3, 2), (2, 3))
+                  for N in range(k + 1, 6)]
+
+
+def _vanishing_verdicts(check, wrong_a0: bool) -> dict:
+    """check's verdict on each label of the grid, keyed (k, r, N, label).
+    wrong_a0 moves a0 to -(k+1)/r for both routes; a label with a pole there
+    is left out."""
+    out = {}
+    with pytest.MonkeyPatch.context() as patch:
+        if wrong_a0:
+            patch.setattr(ideals, "alpha_kr",
+                          lambda k, r: Fraction(-(k + 1), r))
+        for k, r, N in VANISHING_GRID:
+            for L in enumerate_admissible(k, r, N, 6):
+                try:
+                    out[(k, r, N, L)] = check(L, k, r, N)
+                except PoleError:
+                    pass
+    return out
+
+
+@pytest.fixture(scope="module")
+def expanded_verdicts():
+    """The expanded routes' verdicts, by (check name, wrong_a0)."""
+    return {(check.__name__, wrong): _vanishing_verdicts(oracle, wrong)
+            for check, oracle in (
+                (vanish_check, vanish_check_expanded),
+                (prescribed_vanish_check, prescribed_vanish_check_expanded))
+            for wrong in (False, True)}
+
+
+@pytest.mark.parametrize("wrong_a0", [False, True])
+@pytest.mark.parametrize("check", [vanish_check, prescribed_vanish_check])
+def test_block_class_route_matches_expanded_route(expanded_verdicts, check,
+                                                  wrong_a0):
+    want = expanded_verdicts[(check.__name__, wrong_a0)]
+    assert _vanishing_verdicts(check, wrong_a0) == want
+    # 578 labels at a0; at the wrong a0 the labels without a pole, many of
+    # which do not vanish, so the comparison sees both verdicts
+    assert len(want) == (419 if wrong_a0 else 578)
+    if wrong_a0 or check is prescribed_vanish_check:
+        assert not all(want.values())
+
+
+def _block_sets_keeping(keep):
+    """A mutant `_block_sets` that yields only the sets whose count c of
+    indices in 1..m passes keep(c)."""
+    blocks = ideals._block_sets
+    return lambda size, m, N: (S for S in blocks(size, m, N)
+                               if keep(sum(i <= m for i in S)))
+
+
+@pytest.mark.parametrize("check, keep, wrong_a0", [
+    (vanish_check, lambda c: c == 0, True),
+    (vanish_check, lambda c: c == 1, True),
+    (prescribed_vanish_check, lambda c: c <= 1, False)],
+    ids=["full-c0-only", "full-c1-only", "prescribed-c-le-1"])
+def test_block_class_mutants_disagree(monkeypatch, expanded_verdicts, check,
+                                      keep, wrong_a0):
+    monkeypatch.setattr(ideals, "_block_sets", _block_sets_keeping(keep))
+    want = expanded_verdicts[(check.__name__, wrong_a0)]
+    got = _vanishing_verdicts(check, wrong_a0)
+    assert any(got[key] != v for key, v in want.items())
+
+
+CRITERION_13_CLUSTERS = [("2;4,1", 2, 3, 4, (2, 3), 1),
+                         ("2;4,1", 2, 3, 4, (2, 3), 4),
+                         ("1;3,1", 3, 2, 5, (2, 3, 4), 5),
+                         ("1;3,1", 3, 2, 5, (2, 3, 4), 1),
+                         ("1;3,1", 3, 2, 4, (2, 3, 4), 1),
+                         (";4,2", 2, 3, 3, (2, 3), 1)]
+
+
+@pytest.mark.parametrize("label, k, r, N, cluster, primed",
+                         CRITERION_13_CLUSTERS)
+def test_cluster_column_route_matches_expanded_route(label, k, r, N, cluster,
+                                                     primed):
+    L = parse_spart(label)
+    assert cluster_multiplicity(L, k, r, N, cluster, primed).multiplicity \
+        == cluster_order_expanded(L, k, r, N, cluster, primed)
+
+
+def test_conjecture_rma_rows_match_expanded_route():
+    ok, rep = suite_conjecture_rma(2, 3, 4, 6)
+    assert ok and len(rep["rows"]) == 49
+    assert any(row["zero"] for row in rep["rows"])
+    for row in rep["rows"]:
+        assert row["s"] == cluster_order_expanded(
+            parse_spart(row["label"]), 2, 3, 4, row["cluster"],
+            row["primed"]), row
 
 
 def test_cochain_q_and_qtilde():

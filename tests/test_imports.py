@@ -114,3 +114,12 @@ def test_only_run_entry_points_take_allow_noncoprime():
               and "allow_noncoprime" in {a.arg for a in node.args.args
                                          + node.args.kwonlyargs}}
     assert takers == {"check_kr", "suite_stability", "suite_regularity"}
+
+
+def test_ideals_expands_no_jack():
+    # every check in ideals reads P_L through its m-coordinates: columns
+    # per monomial, never the orbit terms of the whole polynomial
+    tree = ast.parse((SRC / "ideals.py").read_text())
+    called = {getattr(node.func, "attr", getattr(node.func, "id", None))
+              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert not called & {"polynomial", "from_mbasis"}

@@ -8,6 +8,7 @@ import pytest
 
 import superjack
 from superjack import jack, superpoly
+from superjack.ideals import vanish_check
 from superjack.coeffring import (ALPHA, ONE, AlphaPolynomial, AlphaRational,
                                  FieldMatrix, PoleError, UniqueSolution,
                                  parse_alpha)
@@ -842,6 +843,7 @@ def test_clear_caches_then_rebuild():
     labels = [parse_spart(s) for s in (";3", "1;2", "2,0;1")]
     before = {L: jack_symbolic(L, 3).coeffs for L in labels}
     pbefore = to_pbasis(before[labels[0]], 3)
+    assert vanish_check(parse_spart(";4,2"), 1, 2, 3)  # prescribed columns
     caches = _unbounded_caches()
     sizes = jack.clear_caches()
     assert set(sizes) == set(caches)
