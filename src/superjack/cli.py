@@ -304,17 +304,17 @@ def cmd_op(args) -> int:
 
 
 def cmd_characters(args) -> int:
+    payload = {"space": args.space, "k": args.k}
     if args.space == "F":
         if args.r is not None:
             raise UsageError("--space F does not take --r")
         series = char_F(args.k, args.N, args.nmax)
     else:
-        r = 2 if args.r is None else args.r
+        r = payload["r"] = 2 if args.r is None else args.r
         check_kr(args.k, r)
         series = char_I(args.k, r, args.N, args.nmax)
     if args.out == "json":
-        print(json.dumps({"space": args.space, "k": args.k, "N": args.N,
-                          "nmax": args.nmax,
+        print(json.dumps({**payload, "N": args.N, "nmax": args.nmax,
                           "table": {f"{n}|{m}": c for (n, m), c in
                                     sorted(series.table.items())}}))
     else:

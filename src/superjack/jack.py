@@ -4,9 +4,9 @@ P_L is the joint triangular eigenfunction of D and Delta in the monomial
 superbasis: monic at its label, supported on dominance-smaller labels, and
 killed by both eigenoperators minus their eigenvalues.  Both operators are
 applied once per label with the Z[a] generator, in at most l(label)+1
-variables, on demand, so every family that holds the label shares its
-rows; they hold ints and elements of Z[a] of degree at most 1, and one
-factored triangular peel solves for every coefficient without a gcd.
+variables, on demand, so families share rows.  Only diagonal entries carry
+a, so the triangular peel sums int tuples over products of linear factors,
+cancels those by an integer root test, and normalizes once in Q(a).
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from functools import lru_cache, partial
 from math import gcd, lcm
 from typing import Callable, Optional
 
-from .coeffring import (ALPHA, ONE, AlphaPolynomial, AlphaRational,
-                        PoleError, _poly, alpha_eval, clear_denominators,
-                        poly_divexact)
+from .coeffring import (ALPHA, ONE, ZERO, AlphaPolynomial, AlphaRational,
+                        PoleError, _poly, alpha_eval, clear_denominators)
 # unused here: perfbench's test_tracer_wraps_every_binding reads jack.solve_exact
 from .coeffring import solve_exact  # noqa: F401
 from .ops import apply_D, apply_Delta, operator
@@ -30,8 +29,7 @@ from .spart import (SuperPartition, add_circle_moves, bosonic_cells,
                     square_to_circle_moves, upper_hook, v_poly, z_stat)
 from .superpoly import (SuperPolynomial, combine, ferm_power, from_mbasis,
                         monomial_msym, omega_alpha, power_sum_columns,
-                        prescribed_monomial, prescribed_part, to_mbasis,
-                        to_pbasis)
+                        prescribed_monomial, to_mbasis, to_pbasis)
 
 
 class DegenerateSystem(ArithmeticError):
@@ -136,36 +134,23 @@ def jack_symbolic(L: SuperPartition, N: int) -> JackExpansion:
     return JackExpansion(L, N, _coefficients(found))
 
 
-_CACHES = (jack_symbolic, _label_rows, enumerate_sparts, power_sum_columns,
-           prescribed_monomial)
-
-
-def clear_caches() -> dict[str, int]:
-    """Empty the in-process caches of the Jack layer; return their sizes."""
-    sizes = {c.__name__: c.cache_info().currsize for c in _CACHES}
-    for c in _CACHES:
-        c.cache_clear()
-    return sizes
-
-
-# A coefficient in factored form: (num, factors, d) stands for
-# num / (d * prod f**k over factors.items()), with num in Z[a], each f a
-# primitive linear polynomial with positive leading coefficient, d > 0.
-
 def _triangular_peel(L, below, pairs):
-    """Factored coefficients of the monic triangular joint eigenfunction at L,
-    each in lowest terms; zeros left out.
+    """Coefficients of the monic triangular joint eigenfunction at L in lowest
+    factored form, zeros left out: (num, factors, d) is num / (d * prod
+    (f0 + f1*a)**k over factors.items()), num a trimmed int tuple, lowest
+    degree first, each (f0, f1) primitive with f1 > 0, and d > 0.
 
     `pairs` lists (rows, eigenvalue) per operator: rows[O][G] is the entry at
     G in the image of basis element O, and eigenvalue(G) the diagonal entry
-    at G.  Each coefficient below L comes from the first operator whose
-    eigenvalue there differs from L's: a row sum over those already found
-    divided by that difference, which is linear in a.  So every denominator
-    is an integer times a product of linear factors, and exact cancellation
-    needs exact divisions by those factors only, never a gcd.
+    at G.  Each coefficient below L is a row sum over those already found
+    (only diagonal entries carry a, so ints times int tuples), divided by the
+    first eigenvalue difference from L that is nonzero, linear in a.  So the
+    only cancellations are by linear factors, found without a gcd: by Gauss's
+    lemma a primitive f0 + f1*a divides num in Z[a] exactly when the integer
+    f1**deg(num) * num(-f0/f1) is 0.
     """
     targets = [(rows, eigenvalue, eigenvalue(L)) for rows, eigenvalue in pairs]
-    found = {L: (AlphaPolynomial.const(1), {}, 1)}
+    found = {L: ((1,), {}, 1)}
     for gm in below:  # a linear extension of the triangular order
         for rows, eigenvalue, target in targets:
             diff = target - eigenvalue(gm)
@@ -174,74 +159,90 @@ def _triangular_peel(L, below, pairs):
         else:
             raise DegenerateSystem(f"{L} vs {gm}: equal eigenvalues")
         terms = [(c, rows[om][gm]) for om, c in found.items() if gm in rows[om]]
-        c = _divide_row_sum(terms, diff)
+        c = _divide_row_sum(terms, diff.coeffs) if terms else None
         if c is not None:
             found[gm] = c
     return found
 
 
 def _divide_row_sum(terms, diff):
-    """(sum of c * v over terms) / diff in lowest factored form, or None if 0.
-
-    The row entries v are ints or elements of Z[a].
-    """
-    if diff.degree() > 1:
-        raise RuntimeError(f"eigenvalue difference {diff} is not linear in a")
-    factors: dict[AlphaPolynomial, int] = {}
-    d = 1
-    for (_, fac, dc), _v in terms:
+    """(sum of c * v over terms) / diff in lowest factored form, or None if 0."""
+    assert len(diff) <= 2, f"eigenvalue difference {diff} is not linear in a"
+    c0, c1 = (*diff, 0)[:2]
+    factors = {}
+    for (_, fac, _), _v in terms:
         for f, k in fac.items():
-            if k > factors.get(f, 0):
-                factors[f] = k
-        d = lcm(d, dc)
-    num = AlphaPolynomial()
-    powers = {}  # (f, extra) -> f ** extra, shared by the terms of this sum
+            factors[f] = max(k, factors.get(f, 0))
+    d = lcm(*(dc for (_, _, dc), _v in terms))
+    num = [0] * (max(len(t[0][0]) for t in terms) + sum(factors.values()))
     for (cn, fac, dc), v in terms:
-        part = cn * v * (d // dc)
-        for f, k in factors.items():
-            extra = k - fac.get(f, 0)
-            if extra:
-                if (f, extra) not in powers:
-                    powers[f, extra] = f ** extra
-                part = part * powers[f, extra]
-        num = num + part
+        assert type(v) is int, f"off-diagonal row entry {v} carries a"
+        v *= d // dc
+        cof = _product(*((f, k - fac.get(f, 0))
+                         for f, k in factors.items() if k > fac.get(f, 0)))
+        for i, x in enumerate(cn):
+            for j, y in enumerate(cof, i):
+                num[j] += v * x * y
+    while num and not num[-1]:
+        num.pop()
     if not num:
         return None
-    # diff = content * f with f primitive and of positive leading coefficient
-    content = diff.content()
-    if diff.leading() < 0:
-        content, num = -content, -num
-    d *= abs(content)
-    if diff.degree() == 1:
-        f = _poly([c // content for c in diff.coeffs])
-        factors[f] = factors.get(f, 0) + 1
-    for f in list(factors):
-        while factors[f]:
-            try:
-                num = poly_divexact(num, f)
-            except ArithmeticError:
-                break
-            factors[f] -= 1
-        if not factors[f]:
-            del factors[f]
-    g = gcd(num.content(), d)
-    if g > 1:
-        num = _poly([c // g for c in num.coeffs])
-        d //= g
-    return num, factors, d
+    g = gcd(c0, c1) if (c1 or c0) > 0 else -gcd(c0, c1)  # sign goes to d
+    if c1:  # diff = g * (f0 + f1*a)
+        factors[c0 // g, c1 // g] = factors.get((c0 // g, c1 // g), 0) + 1
+    for f in factors:
+        while factors[f] and (q := _divide_linear(num, f)) is not None:
+            num, factors[f] = q, factors[f] - 1
+    d *= g
+    g = gcd(d, *num) if d > 0 else -gcd(d, *num)
+    return (tuple(x // g for x in num), {f: k for f, k in factors.items() if k},
+            d // g)
 
 
-def _denominator(factors, d) -> AlphaPolynomial:
-    out = AlphaPolynomial.const(d)
-    for f, k in factors.items():
-        out = out * f ** k
-    return out
+def _root_value(num, f0, f1) -> int:
+    """f1**deg(num) * num(-f0/f1), by Horner on ints."""
+    s, w = 0, 1
+    for x in reversed(num):
+        s, w = s * -f0 + x * w, w * f1
+    return s
+
+
+def _divide_linear(num, f):
+    """num / (f0 + f1*a) by synthetic division over Z, top down, or None when
+    the primitive f = (f0, f1) does not divide num: its root value is not 0."""
+    if _root_value(num, *f):
+        return None
+    q = [0] * len(num)
+    for i in range(len(num) - 1, 0, -1):
+        q[i - 1] = (num[i] - f[0] * q[i]) // f[1]
+    return q[:-1]
+
+
+@lru_cache(maxsize=None)
+def _product(*items, d=1) -> tuple:
+    """d * prod (f0 + f1*a)**k over the items ((f0, f1), k), an int tuple."""
+    out = [d]
+    for f0, f1 in (f for f, k in items for _ in range(k)):
+        out = [x * f0 + y * f1 for x, y in zip(out + [0], [0, *out])]
+    return tuple(out)
 
 
 def _coefficients(found) -> dict:
-    """The peel's factored coefficients as elements of Q(a)."""
-    return {key: AlphaRational(num, _denominator(factors, d))
-            for key, (num, factors, d) in found.items()}
+    """The peel's coefficients in Q(a), by the normalizing constructor."""
+    return {key: AlphaRational(_poly(num), _poly(_product(*fac.items(), d=d)))
+            for key, (num, fac, d) in found.items()}
+
+
+_CACHES = (jack_symbolic, _label_rows, enumerate_sparts, power_sum_columns,
+           prescribed_monomial, _product)
+
+
+def clear_caches() -> dict[str, int]:
+    """Empty the in-process caches of the Jack layer; return their sizes."""
+    sizes = {c.__name__: c.cache_info().currsize for c in _CACHES}
+    for c in _CACHES:
+        c.cache_clear()
+    return sizes
 
 
 def eigen_check(expansion: JackExpansion) -> Optional[str]:
@@ -332,11 +333,10 @@ def evaluation_formula(L: SuperPartition, N: int) -> AlphaRational:
 
 
 def evaluation_direct(L: SuperPartition, N: int) -> AlphaRational:
-    """All-ones value of the Vandermonde-stripped coefficient polynomial."""
-    P = jack_poly(L, N)
-    g = prescribed_part(P, L.m)
-    val = g.eval_ones()
-    return val * ONE
+    """All-ones value of the Vandermonde-stripped coefficient polynomial, read
+    as the sum of c_O times that of each prescribed monomial, P unexpanded."""
+    return sum((c * prescribed_monomial(om, N).eval_ones()
+                for om, c in jack_symbolic(L, N).coeffs.items()), ZERO)
 
 
 def duality_check(L: SuperPartition, N: int) -> bool:

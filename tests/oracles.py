@@ -3,8 +3,8 @@ non-symmetric construction, the Vandermonde product, the swap of two
 commuting variables, the coefficient of a power of one of them, the Euclid
 gcd and exact division of Z[a] run over Q with Fraction coefficients,
 dense Gauss-Jordan solves over Q or Q(a), the power-sum expansion among
-them, the stability, cochain, Pieri and coincidence-vanishing checks and
-the cluster orders on expanded polynomials, the
+them, the stability, cochain, Pieri and coincidence-vanishing checks, the
+all-ones evaluation and the cluster orders on expanded polynomials, the
 diagonal action of one permutation, the Sekiguchi eigenrelations read
 on the whole polynomial, and the D and Delta rows of a whole family, read
 from the per-label rows or built in all N variables."""
@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Sequence
 
 from superjack import ideals, jack
-from superjack.coeffring import (ALPHA, AlphaPolynomial, AlphaRational,
+from superjack.coeffring import (ALPHA, ONE, AlphaPolynomial, AlphaRational,
                                  FieldMatrix, NoSolution, SolutionSpace,
                                  UniqueSolution)
 from superjack.ops import (OPERATORS, L_op, apply_D, apply_Delta, operator,
@@ -357,6 +357,12 @@ def pieri_check_expanded(kind: str, L: SuperPartition, N: int) -> bool:
         g = operator(kind.replace("perp", "_perp"))(P, ALPHA)
     columns = {om: jack.jack_symbolic(om, N).coeffs for om in closed}
     return to_mbasis(g, verify=False) == combine(closed, columns)
+
+
+def evaluation_expanded(L: SuperPartition, N: int) -> AlphaRational:
+    """`jack.evaluation_direct` on the expanded P over Q(a): its prescribed
+    part set to 1 in every commuting variable."""
+    return prescribed_part(jack.jack_poly(L, N), L.m).eval_ones() * ONE
 
 
 def _expanded_at(L: SuperPartition, k: int, r: int, N: int) -> SuperPolynomial:

@@ -191,6 +191,20 @@ def test_characters_space_F_takes_no_r(capsys):
                       "--N", "3", "--nmax", "4")[1]
 
 
+def test_characters_json_names_r(capsys):
+    # the I series is read at a = -(k+1)/(r-1), so its output names r
+    for argv, r in ((("--k", "2", "--r", "3"), 3), (("--k", "1"), 2)):
+        code, out, _ = run(capsys, "characters", "--space", "I", *argv,
+                           "--N", "3", "--nmax", "4", "--out", "json")
+        assert code == 0
+        assert list(json.loads(out)) == ["space", "k", "r", "N", "nmax",
+                                         "table"]
+        assert json.loads(out)["r"] == r
+    code, out, _ = run(capsys, "characters", "--space", "F", "--k", "1",
+                       "--N", "3", "--nmax", "4", "--out", "json")
+    assert list(json.loads(out)) == ["space", "k", "N", "nmax", "table"]
+
+
 def test_cluster_noncoprime_exit_code(capsys):
     # gcd(k+1, r-1) = 2: outside the theorem, rejected as jack verify does
     code, out, err = run(capsys, "cluster", "--spart", ";2", "--k", "1",

@@ -133,8 +133,8 @@ def test_poly_gcd_primitive():
        st.integers(1, 9))
 @settings(max_examples=200, deadline=None)
 def test_poly_divexact_by_a_primitive_linear_factor(coeffs, t, s):
-    # the peel's cancellation: a primitive linear f divides p in Z[a] exactly
-    # when it divides p over Q (Gauss's lemma)
+    # Gauss's lemma: a primitive linear f divides p in Z[a] exactly when it
+    # divides p over Q
     f = AlphaPolynomial.linear(t, s)
     if f.content() != 1:
         return

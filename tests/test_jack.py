@@ -2,16 +2,18 @@ import importlib
 import itertools
 import pkgutil
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import superjack
 from superjack import jack, superpoly
 from superjack.ideals import vanish_check
 from superjack.coeffring import (ALPHA, ONE, AlphaPolynomial, AlphaRational,
                                  FieldMatrix, PoleError, UniqueSolution,
-                                 parse_alpha)
+                                 parse_alpha, poly_divexact)
 from superjack.jack import (DegenerateSystem, JackExpansion, eigen_check,
                             jack_at, jack_poly, jack_symbolic,
                             duality_check, evaluation_direct,
@@ -29,8 +31,9 @@ from superjack.superpoly import (SuperPolynomial, column_images, ferm_power,
                                  integral_multiple, monomial_msym, p_label,
                                  to_mbasis, to_pbasis)
 from oracles import (act_Ksigma, coefficient_xpower, dense_solve_exact,
-                     eta_bar, f_stat, family_rows, mbasis_matrices_full,
-                     pieri_check_expanded, tilde_composition, vandermonde)
+                     eta_bar, evaluation_expanded, f_stat, family_rows,
+                     mbasis_matrices_full, pieri_check_expanded,
+                     tilde_composition, vandermonde)
 
 a = ALPHA
 
@@ -155,6 +158,16 @@ def test_evaluation_examples():
     # mixed label
     L = parse_spart("1,0;1")
     assert evaluation_formula(L, 3) == evaluation_direct(L, 3) == ONE
+
+
+def test_evaluation_matches_the_expanded_route():
+    # criterion 6's grid: the prescribed-monomial sum against prescribed_part
+    # of the whole expanded P
+    pairs = [(L, N) for N in range(1, 6) for n in range(6)
+             for L in enumerate_all_m(n, N)]
+    assert len(pairs) == 330
+    for L, N in pairs:
+        assert evaluation_direct(L, N) == evaluation_expanded(L, N), (str(L), N)
 
 
 def test_evaluation_m0_classical_product():
@@ -679,15 +692,40 @@ def _not_in_lowest_terms(found):
     """Labels whose factored coefficient (num, factors, d) is not canonical."""
     bad = []
     for om, (num, factors, d) in found.items():
-        den = jack._denominator(factors, d)
+        num = AlphaPolynomial(num)
+        den = AlphaPolynomial(jack._product(*factors.items(), d=d))
         c = AlphaRational(num, den)
         if (c.num, c.den) != (num, den):
             bad.append(om)
     return bad
 
 
+# n <= 7, with linear factors up to the fifth power in reduced denominators
+_SQUARED_FAMILY = (7, 2, 4)
+
+
+def _peel_faults(families):
+    """The (label, N) whose factored peel differs from the Q(a) oracle or
+    leaves a coefficient outside lowest terms, and the highest power of a
+    linear factor in any reduced denominator."""
+    faults, top = [], 0
+    for n, m, N in families:
+        labels, d_rows, delta_rows = family_rows(n, m, N)
+        for L in labels:
+            below = _below(L, labels)
+            found = jack._triangular_peel(L, below,
+                                          _sym_pairs(d_rows, delta_rows))
+            if (jack._coefficients(found) != _rational_peel(
+                    L, below, d_rows, delta_rows)
+                    or _not_in_lowest_terms(found)):
+                faults.append((str(L), N))
+            top = max([top, *(k for _, fac, _ in found.values()
+                              for k in fac.values())])
+    return faults, top
+
+
 def test_gcd_free_build_matches_rational_oracle():
-    for n, m, N in _FAMILIES:
+    for n, m, N in [*_FAMILIES, _SQUARED_FAMILY]:
         labels, d_rows, delta_rows = family_rows(n, m, N)
         want_d, want_delta = {}, {}
         for om in labels:
@@ -697,32 +735,37 @@ def test_gcd_free_build_matches_rational_oracle():
         assert d_rows == want_d, (n, m, N)
         assert delta_rows == want_delta, (n, m, N)
         for L in labels:
-            below = _below(L, labels)
             assert jack_symbolic(L, N).coeffs == _rational_peel(
-                L, below, want_d, want_delta), (str(L), N)
-            found = jack._triangular_peel(L, below,
-                                          _sym_pairs(d_rows, delta_rows))
-            assert _not_in_lowest_terms(found) == [], (str(L), N)
+                L, _below(L, labels), want_d, want_delta), (str(L), N)
+    assert _peel_faults(_FAMILIES)[0] == []
+    faults, top = _peel_faults([_SQUARED_FAMILY])
+    assert faults == [] and top >= 2
 
 
 def test_rows_are_ints_and_affine_elements_of_Z_a():
-    # D and Delta applied with the Z[a] generator to integral monomials
+    # D and Delta applied with the Z[a] generator to integral monomials; off
+    # the diagonal only ints, which the peel relies on
     for n, m, N in _FAMILIES:
         labels, d_rows, delta_rows = family_rows(n, m, N)
         for rows in (d_rows, delta_rows):
             for om in labels:
                 for gm, v in rows[om].items():
                     assert type(v) is int or (
-                        isinstance(v, AlphaPolynomial) and v.degree() <= 1), \
+                        gm == om and isinstance(v, AlphaPolynomial)
+                        and v.degree() <= 1), \
                         (n, m, N, str(om), str(gm), v)
 
 
-def test_peel_without_cancellation_is_caught(monkeypatch):
-    # a mutant whose exact division never divides keeps every factor
-    def never_divides(p, f):
-        raise ArithmeticError("inexact division in Z[a]")
+def test_off_diagonal_entry_in_Z_a_is_refused():
+    L, gm = parse_spart(";2"), parse_spart(";1,1")
+    rows = {L: {L: AlphaPolynomial((0, 2)), gm: a.num}}
+    with pytest.raises(AssertionError, match="off-diagonal"):
+        jack._triangular_peel(L, [gm], [(rows, e_star_poly)])
 
-    monkeypatch.setattr(jack, "poly_divexact", never_divides)
+
+def test_peel_without_cancellation_is_caught(monkeypatch):
+    # a mutant whose linear division never divides keeps every factor
+    monkeypatch.setattr(jack, "_divide_linear", lambda num, f: None)
     caught = []
     for n, m, N in _FAMILIES:
         labels, d_rows, delta_rows = family_rows(n, m, N)
@@ -731,6 +774,55 @@ def test_peel_without_cancellation_is_caught(monkeypatch):
                                           _sym_pairs(d_rows, delta_rows))
             caught += _not_in_lowest_terms(found)
     assert caught
+
+
+def test_root_test_without_the_scale_is_caught(monkeypatch):
+    # a mutant root test reads num(-f0) in place of f1**deg * num(-f0/f1),
+    # so it misjudges every factor with f1 > 1, such as 2a+1
+    root_value = jack._root_value
+    monkeypatch.setattr(jack, "_root_value",
+                        lambda num, f0, f1: root_value(num, f0, 1))
+    assert _peel_faults(_FAMILIES)[0]
+
+
+def _divexact_or_none(num, f):
+    try:
+        return poly_divexact(AlphaPolynomial(num), AlphaPolynomial(f)).coeffs
+    except ArithmeticError:
+        return None
+
+
+def _divide_linear_or_none(num, f):
+    q = jack._divide_linear(num, f)
+    return None if q is None else tuple(q)
+
+
+@pytest.mark.parametrize("num, f, quotient", [
+    ((3, 5, 2), (1, 1), (3, 2)),       # planted: (a+1)(2a+3)
+    ((1, 0, 1), (1, 1), None),         # a^2+1 has no root -1
+    ((-10, 3, 1), (-2, 1), (5, 1)),    # negative f0: (a-2)(a+5)
+    ((-3, 1, 2), (3, 2), (-1, 1)),     # root -3/2, not an integer
+    ((3, 1), (3, 2), None),            # a+3: num(-f0) = 0, yet 2a+3 fails
+    ((), (3, 2), ()),                  # zero numerator
+], ids=["planted", "no-root", "negative-f0", "rational-root",
+        "unscaled-root", "zero"])
+def test_divide_linear_cases(num, f, quotient):
+    assert _divide_linear_or_none(num, f) == quotient
+    assert _divexact_or_none(num, f) == quotient
+
+
+@given(st.lists(st.integers(-30, 30), max_size=6), st.integers(-9, 9),
+       st.integers(1, 9), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_divide_linear_matches_poly_divexact(coeffs, f0, f1, plant):
+    # the peel's division by a primitive linear factor against long division
+    g = gcd(f0, f1)
+    f0, f1 = f0 // g, f1 // g
+    num = AlphaPolynomial(coeffs)
+    if plant:
+        num = num * AlphaPolynomial((f0, f1))
+    assert (_divide_linear_or_none(num.coeffs, (f0, f1))
+            == _divexact_or_none(num.coeffs, (f0, f1)))
 
 
 def test_no_comparable_labels_share_both_eigenvalues():
