@@ -22,11 +22,12 @@ from .coeffring import (ALPHA, ONE, ZERO, AlphaPolynomial, AlphaRational,
 # unused here: perfbench's test_tracer_wraps_every_binding reads jack.solve_exact
 from .coeffring import solve_exact  # noqa: F401
 from .ops import apply_D, apply_Delta, operator
-from .spart import (SuperPartition, add_circle_moves, bosonic_cells,
-                    circle_to_square_moves, conjugate, dominance_leq,
-                    e_star_poly, e_tilde_poly, enumerate_sparts, lower_hook,
-                    remove_circle_moves, skew_circled_cells,
-                    square_to_circle_moves, upper_hook, v_poly, z_stat)
+from .spart import (SuperPartition, _dominance_key, add_circle_moves,
+                    bosonic_cells, circle_to_square_moves, conjugate,
+                    dominance_leq, e_star_poly, e_tilde_poly,
+                    enumerate_sparts, lower_hook, remove_circle_moves,
+                    skew_circled_cells, square_to_circle_moves, upper_hook,
+                    v_poly, z_stat)
 from .superpoly import (SuperPolynomial, combine, ferm_power, from_mbasis,
                         monomial_msym, omega_alpha, power_sum_columns,
                         prescribed_monomial, to_mbasis, to_pbasis)
@@ -144,35 +145,56 @@ def _triangular_peel(L, below, pairs):
     G in the image of basis element O, and eigenvalue(G) the diagonal entry
     at G.  Each coefficient below L is a row sum over those already found
     (only diagonal entries carry a, so ints times int tuples), divided by the
-    first eigenvalue difference from L that is nonzero, linear in a.  So the
-    only cancellations are by linear factors, found without a gcd: by Gauss's
-    lemma a primitive f0 + f1*a divides num in Z[a] exactly when the integer
-    f1**deg(num) * num(-f0/f1) is 0.
+    first eigenvalue difference from L that is nonzero, linear in a.  Each
+    coefficient found is pushed into the sums of the labels its rows reach
+    that are still unsolved by that operator, so each row entry is read
+    once.  The only cancellations are by linear factors, found without a
+    gcd: by Gauss's lemma a primitive f0 + f1*a divides num in Z[a] exactly
+    when the integer f1**deg(num) * num(-f0/f1) is 0.
     """
-    targets = [(rows, eigenvalue, eigenvalue(L)) for rows, eigenvalue in pairs]
-    found = {L: ((1,), {}, 1)}
+    targets = [eigenvalue(L) for _, eigenvalue in pairs]
+    plan, wanted = [], [set() for _ in pairs]
     for gm in below:  # a linear extension of the triangular order
-        for rows, eigenvalue, target in targets:
-            diff = target - eigenvalue(gm)
+        for k, (_, eigenvalue) in enumerate(pairs):
+            diff = targets[k] - eigenvalue(gm)
             if diff:
+                plan.append((gm, k, diff.coeffs))
+                wanted[k].add(gm)
                 break
         else:
             raise DegenerateSystem(f"{L} vs {gm}: equal eigenvalues")
-        terms = [(c, rows[om][gm]) for om, c in found.items() if gm in rows[om]]
-        c = _divide_row_sum(terms, diff.coeffs) if terms else None
+    sums = {gm: [] for gm in below}
+    found = {}
+
+    def take(om, c):  # push c into the row sums of the labels still wanted
+        found[om] = c
+        for (rows, _), labels in zip(pairs, wanted):
+            for gm, v in rows[om].items():
+                if gm in labels:
+                    sums[gm].append((c, v))
+
+    take(L, ((1,), {}, 1))
+    for gm, k, diff in plan:
+        wanted[k].discard(gm)
+        terms = sums.pop(gm)
+        c = _divide_row_sum(terms, diff) if terms else None
         if c is not None:
-            found[gm] = c
+            take(gm, c)
     return found
 
 
 def _divide_row_sum(terms, diff):
-    """(sum of c * v over terms) / diff in lowest factored form, or None if 0."""
+    """(sum of c * v over terms) / diff in lowest factored form, or None if 0;
+    factors in sorted order, so `_product` sees one key per product."""
     assert len(diff) <= 2, f"eigenvalue difference {diff} is not linear in a"
     c0, c1 = (*diff, 0)[:2]
-    factors = {}
+    g = gcd(c0, c1) if (c1 or c0) > 0 else -gcd(c0, c1)  # sign goes to d
+    new = (c0 // g, c1 // g)  # diff = g * (f0 + f1*a) when c1 != 0
+    factors = {new: 0} if c1 else {}
     for (_, fac, _), _v in terms:
         for f, k in fac.items():
             factors[f] = max(k, factors.get(f, 0))
+    factors = dict(sorted(factors.items()))
     d = lcm(*(dc for (_, _, dc), _v in terms))
     num = [0] * (max(len(t[0][0]) for t in terms) + sum(factors.values()))
     for (cn, fac, dc), v in terms:
@@ -187,9 +209,8 @@ def _divide_row_sum(terms, diff):
         num.pop()
     if not num:
         return None
-    g = gcd(c0, c1) if (c1 or c0) > 0 else -gcd(c0, c1)  # sign goes to d
-    if c1:  # diff = g * (f0 + f1*a)
-        factors[c0 // g, c1 // g] = factors.get((c0 // g, c1 // g), 0) + 1
+    if c1:
+        factors[new] += 1
     for f in factors:
         while factors[f] and (q := _divide_linear(num, f)) is not None:
             num, factors[f] = q, factors[f] - 1
@@ -219,9 +240,9 @@ def _divide_linear(num, f):
 
 
 @lru_cache(maxsize=None)
-def _product(*items, d=1) -> tuple:
-    """d * prod (f0 + f1*a)**k over the items ((f0, f1), k), an int tuple."""
-    out = [d]
+def _product(*items) -> tuple:
+    """prod (f0 + f1*a)**k over the items ((f0, f1), k), an int tuple."""
+    out = [1]
     for f0, f1 in (f for f, k in items for _ in range(k)):
         out = [x * f0 + y * f1 for x, y in zip(out + [0], [0, *out])]
     return tuple(out)
@@ -229,12 +250,14 @@ def _product(*items, d=1) -> tuple:
 
 def _coefficients(found) -> dict:
     """The peel's coefficients in Q(a), by the normalizing constructor."""
-    return {key: AlphaRational(_poly(num), _poly(_product(*fac.items(), d=d)))
+    return {key: AlphaRational(_poly(num),
+                               _poly([d * x for x in _product(*fac.items())]))
             for key, (num, fac, d) in found.items()}
 
 
 _CACHES = (jack_symbolic, _label_rows, enumerate_sparts, power_sum_columns,
-           prescribed_monomial, _product)
+           prescribed_monomial, _product, _dominance_key, e_star_poly,
+           e_tilde_poly)
 
 
 def clear_caches() -> dict[str, int]:

@@ -84,11 +84,11 @@ def _put(out: dict, q: SuperPolynomial, thetas: tuple, shift: tuple) -> None:
 
 def _with_diagonal(out: dict, f: SuperPolynomial, weight: Callable,
                    scalar) -> SuperPolynomial:
-    """Add scalar * weight(T, e) * c at the key of each term c of f, then drop
-    zeros.  Each distinct c * weight is multiplied by scalar once, and only
-    after the exchange sums in out are complete, so those stay in f's ring.
-    A Z[a] scalar keeps the image of integral input in Z[a]; on a Fraction
-    coefficient it gives the Q(a) product."""
+    """Add scalar * weight(T, e) * c at the key of each term c of f, then
+    delete the zero keys of out.  Each distinct c * weight is multiplied by
+    scalar once, and only after the exchange sums in out are complete, so
+    those stay in f's ring.  A Z[a] scalar keeps the image of integral input
+    in Z[a]; on a Fraction coefficient it gives the Q(a) product."""
     products: dict = {}
     for key, c in f.terms.items():
         w = weight(*key)
@@ -99,16 +99,18 @@ def _with_diagonal(out: dict, f: SuperPolynomial, weight: Callable,
                 v = products[cw] = cw * scalar
             cur = out.get(key)
             out[key] = v if cur is None else cur + v
-    return SuperPolynomial(f.N, {k: c for k, c in out.items() if c})
+    for key in [key for key, c in out.items() if not c]:
+        del out[key]
+    return SuperPolynomial(f.N, out)
 
 
 def _add_to_every_pair(out: dict, img: dict, N: int) -> None:
     """out += K_sigma img for each pair i < j, sigma = (i, j, rest increasing),
     img the (1, 2) exchange image of a symmetric f: K_sigma conjugates the
     (1, 2) exchange into the (i, j) one and fixes f."""
-    for i, j in combinations(range(1, N + 1), 2):
-        permute_into(out, img, (i, j) + tuple(
-            k for k in range(1, N + 1) if k not in (i, j)))
+    permute_into(out, img, [
+        (i, j) + tuple(k for k in range(1, N + 1) if k not in (i, j))
+        for i, j in combinations(range(1, N + 1), 2)])
 
 
 def apply_D(f: SuperPolynomial, alpha) -> SuperPolynomial:
@@ -276,8 +278,7 @@ def sekiguchi_S_tilde(f: SuperPolynomial, alpha) -> UList:
     out = []
     for comp in ul:
         acc: dict = {}
-        for sigma in reps:
-            permute_into(acc, comp.terms, sigma)
+        permute_into(acc, comp.terms, reps)
         out.append(SuperPolynomial(N, {k: c for k, c in acc.items() if c}))
     return out
 

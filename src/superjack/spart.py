@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
+from operator import le
 from typing import Iterator, Optional, Sequence
 
 from .coeffring import AlphaPolynomial
@@ -36,17 +38,6 @@ def conjugate_partition(parts: Sequence[int]) -> tuple[int, ...]:
         for j in range(p):
             out[j] += 1
     return tuple(out)
-
-
-def partition_dominates(lam: Sequence[int], mu: Sequence[int]) -> bool:
-    """True iff lam >= mu in dominance order (equal total weight assumed)."""
-    acc_l = acc_m = 0
-    for i in range(max(len(lam), len(mu))):
-        acc_l += lam[i] if i < len(lam) else 0
-        acc_m += mu[i] if i < len(mu) else 0
-        if acc_l < acc_m:
-            return False
-    return True
 
 
 def b_stat(parts: Sequence[int]) -> int:
@@ -226,12 +217,19 @@ def conjugate(L: SuperPartition) -> SuperPartition:
     return SuperPartition(tuple(anti), tuple(sym))
 
 
+@lru_cache(maxsize=None)
+def _dominance_key(L: SuperPartition):
+    """L's degree and the prefix sums of its starred and circled shapes."""
+    return L.degree(), tuple(accumulate(L.star)), tuple(accumulate(L.circled))
+
+
 def dominance_leq(O: SuperPartition, L: SuperPartition) -> bool:
-    """O <= L: both the starred and circled shapes dominated."""
-    if O.degree() != L.degree():
-        return False
-    return (partition_dominates(L.star, O.star)
-            and partition_dominates(L.circled, O.circled))
+    """O <= L: both the starred and circled shapes dominated.  The shapes of
+    one degree have equal totals, so the prefix sums decide it over the
+    shorter length."""
+    dO, sO, cO = _dominance_key(O)
+    dL, sL, cL = _dominance_key(L)
+    return dO == dL and all(map(le, sO, sL)) and all(map(le, cO, cL))
 
 
 def check_kr(k: int, r: int, allow_noncoprime: bool = False) -> None:
@@ -448,12 +446,14 @@ def v_poly(L: SuperPartition) -> AlphaPolynomial:
     return prod
 
 
+@lru_cache(maxsize=None)
 def e_star_poly(L: SuperPartition) -> AlphaPolynomial:
     """Eigenvalue of the alpha-deformed Laplacian, linear in alpha."""
     star = L.star
     return AlphaPolynomial.linear(-b_stat(star), b_stat(conjugate_partition(star)))
 
 
+@lru_cache(maxsize=None)
 def e_tilde_poly(L: SuperPartition) -> AlphaPolynomial:
     """Eigenvalue of the fermionic-degree operator, linear in alpha."""
     return AlphaPolynomial.linear(-sum(conjugate(L).antisym), sum(L.antisym))

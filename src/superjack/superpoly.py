@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -366,31 +367,32 @@ def _invert(sigma: Sequence[int]) -> list[int]:
     return inv
 
 
-def permute_into(out: dict, terms: dict, sigma: Sequence[int]) -> None:
-    """out += K_sigma of the term dict, zero terms skipped: K_sigma sends
-    x_k to x_sigma(k) and theta_k to theta_sigma(k).
+def permute_into(out: dict, terms: dict, sigmas: Iterable[Sequence[int]]) -> None:
+    """out += the sum over sigmas of K_sigma of the term dict, zero terms
+    skipped: K_sigma sends x_k to x_sigma(k) and theta_k to theta_sigma(k).
 
-    Exponent tuples are permuted by sigma^-1.  Each distinct theta tuple is
-    mapped through sigma and re-sorted, with the sign of that sort, once.
-    """
-    where = [s - 1 for s in _invert(sigma)]
-    # itemgetter of a single index returns the bare item, not a 1-tuple
-    pull = itemgetter(*where) if len(where) > 1 else tuple
-    get = out.get
-    thetas: dict = {}
+    The terms are grouped by theta tuple once; per sigma, exponent tuples
+    are permuted by sigma^-1, and each theta tuple is mapped through sigma
+    and re-sorted, with the sign of that sort, once."""
+    groups: dict = {}
     for (T, e), c in terms.items():
-        if not c:
-            continue
-        hit = thetas.get(T)
-        if hit is None:
+        if c:
+            groups.setdefault(T, []).append((e, c))
+    get = out.get
+    for sigma in sigmas:
+        where = [s - 1 for s in _invert(sigma)]
+        # itemgetter of a single index returns the bare item, not a 1-tuple
+        pull = itemgetter(*where) if len(where) > 1 else tuple
+        for T, group in groups.items():
             mapped = [sigma[t - 1] for t in T]
-            hit = thetas[T] = (tuple(sorted(mapped)), _sort_sign(mapped))
-        T2, sign = hit
-        if sign < 0:
-            c = -c
-        key = (T2, pull(e))
-        cur = get(key)
-        out[key] = c if cur is None else cur + c
+            T2 = tuple(sorted(mapped))
+            negate = _sort_sign(mapped) < 0
+            for e, c in group:
+                if negate:
+                    c = -c
+                key = (T2, pull(e))
+                cur = get(key)
+                out[key] = c if cur is None else cur + c
 
 
 # ---------------------------------------------------------------------------
@@ -463,41 +465,45 @@ def integral_multiple(f: SuperPolynomial) -> SuperPolynomial:
 # ---------------------------------------------------------------------------
 
 def monomial_msym(L: SuperPartition, N: int) -> SuperPolynomial:
-    """Monomial symmetric superpolynomial: distinct diagonal-orbit terms."""
+    """Monomial symmetric superpolynomial: distinct diagonal-orbit terms.
+    Each ordered placement of the distinct fermionic parts, largest first,
+    gives the theta tuple of its sorted slots, with the sign of that sort;
+    the bosonic arrangements fill the free slots, each term written once."""
     if L.length > N:
         raise ValueError(f"{L} needs at least {L.length} variables")
-    m = L.m
-    slots = ([(a, 1) for a in L.antisym]
-             + [(s, 0) for s in L.sym]
-             + [(0, 0)] * (N - m - len(L.sym)))
-    out = SuperPolynomial(N)
-    for arr in unique_arrangements(slots):
-        exps = tuple(v for v, _ in arr)
-        positions = [p + 1 for p, (_, kind) in enumerate(arr) if kind == 1]
-        # rank k fermionic exponent is the k-th largest; its position in the
-        # arrangement gives sigma(k), and the resort sign is the inversion parity
-        ranked = sorted(positions,
-                        key=lambda p: -arr[p - 1][0])
-        sign = _sort_sign(ranked)
-        out._iadd_term((tuple(sorted(positions)), exps), sign)
-    return out
+    bosons = list(unique_arrangements(list(L.sym) + [0] * (N - L.length)))
+    out = {}
+    for slots in permutations(range(N), L.m):
+        order = [*slots, *(p for p in range(N) if p not in slots)]
+        # exponent p is entry where[p] of antisym + arrangement
+        where = sorted(range(N), key=order.__getitem__)
+        pull = itemgetter(*where) if N > 1 else tuple
+        T = tuple(sorted(p + 1 for p in slots))
+        sign = _sort_sign(slots)
+        for b in bosons:
+            out[(T, pull(L.antisym + b))] = sign
+    return SuperPolynomial(N, out)
 
 
 def to_mbasis(f: SuperPolynomial, verify: bool = True) -> dict[SuperPartition, object]:
-    """Expand a symmetric superpolynomial over the monomial superbasis."""
+    """Expand a symmetric superpolynomial over the monomial superbasis: read
+    the coefficient of each label's canonical term, theta_1...theta_m times
+    x^(fermionic parts, strictly decreasing, then bosonic, weakly)."""
     if verify and not f.is_symmetric():
         raise NotSymmetric("input is not invariant under the diagonal action")
     out: dict[SuperPartition, object] = {}
     for (T, e), c in f.terms.items():
         mdeg = len(T)
-        if T != tuple(range(1, mdeg + 1)):
+        # T strictly increases from 1 up, so T = (1..m) when it ends at m
+        if T and T[-1] != mdeg:
             continue
-        head, tail = e[:mdeg], e[mdeg:]
-        if any(head[i] <= head[i + 1] for i in range(mdeg - 1)):
+        tail = e[mdeg:]
+        if sorted(tail, reverse=True) != list(tail):
             continue
-        if any(tail[i] < tail[i + 1] for i in range(len(tail) - 1)):
+        head = e[:mdeg]
+        if mdeg > 1 and sorted(set(head), reverse=True) != list(head):
             continue
-        out[SuperPartition(head, tuple(p for p in tail if p))] = c
+        out[SuperPartition(head, tuple(filter(None, tail)))] = c
     return out
 
 

@@ -6,12 +6,16 @@ dense Gauss-Jordan solves over Q or Q(a), the power-sum expansion among
 them, the stability, cochain, Pieri and coincidence-vanishing checks, the
 all-ones evaluation and the cluster orders on expanded polynomials, the
 diagonal action of one permutation, the Sekiguchi eigenrelations read
-on the whole polynomial, and the D and Delta rows of a whole family, read
-from the per-label rows or built in all N variables."""
+on the whole polynomial, the D and Delta rows of a whole family, read
+from the per-label rows or built in all N variables, and the orbit kernels
+the fast ones replaced: the relabel one permutation at a time, the
+term-by-term canonical scan, the orbit over every distinct arrangement and
+the two-partition dominance."""
 
 import math
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 from typing import Sequence
 
 from superjack import ideals, jack
@@ -26,7 +30,7 @@ from superjack.spart import (SuperPartition, dominance_leq, enumerate_sparts,
 from superjack.superpoly import (SuperPolynomial, combine, ferm_power,
                                  from_mbasis, monomial_msym, p_label,
                                  permute_into, power_sum, prescribed_part,
-                                 to_mbasis)
+                                 to_mbasis, unique_arrangements)
 
 
 def f_stat(parts: Sequence[int]) -> int:
@@ -122,7 +126,7 @@ def poly_at(p: AlphaPolynomial, a0: Fraction) -> Fraction:
 def act_Ksigma(f: SuperPolynomial, sigma: Sequence[int]) -> SuperPolynomial:
     """Diagonal action K_sigma on x and theta together."""
     out: dict = {}
-    permute_into(out, f.terms, sigma)
+    permute_into(out, f.terms, [sigma])
     return SuperPolynomial(f.N, out)
 
 
@@ -419,3 +423,90 @@ def mbasis_matrices_full(n: int, m: int, N: int):
         assert all(dominance_leq(gm, om)
                    for gm in set(d_rows[om]) | set(delta_rows[om])), str(om)
     return labels, d_rows, delta_rows
+
+
+# ---------------------------------------------------------------------------
+# the orbit kernels the fast ones replaced
+# ---------------------------------------------------------------------------
+
+def _parity_sign(seq) -> int:
+    """(-1) to the number of inversions of seq, counted pair by pair."""
+    inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
+              if seq[i] > seq[j])
+    return -1 if inv % 2 else 1
+
+
+def permute_into_each(out: dict, terms: dict, sigmas) -> None:
+    """`superpoly.permute_into` one permutation at a time: per sigma, the
+    exponent tuples pulled through sigma^-1, each theta tuple mapped,
+    re-sorted and signed once."""
+    for sigma in sigmas:
+        where = [0] * len(sigma)
+        for i, s in enumerate(sigma):
+            where[s - 1] = i
+        pull = itemgetter(*where) if len(where) > 1 else tuple
+        thetas: dict = {}
+        for (T, e), c in terms.items():
+            if not c:
+                continue
+            hit = thetas.get(T)
+            if hit is None:
+                mapped = [sigma[t - 1] for t in T]
+                hit = thetas[T] = (tuple(sorted(mapped)), _parity_sign(mapped))
+            T2, sign = hit
+            if sign < 0:
+                c = -c
+            key = (T2, pull(e))
+            out[key] = out[key] + c if key in out else c
+
+
+def to_mbasis_scan(f: SuperPolynomial) -> dict:
+    """`superpoly.to_mbasis` without the symmetry check, term by term: the
+    theta tuple compared with (1..m), the head and the tail with their
+    neighbours."""
+    out = {}
+    for (T, e), c in f.terms.items():
+        mdeg = len(T)
+        if T != tuple(range(1, mdeg + 1)):
+            continue
+        head, tail = e[:mdeg], e[mdeg:]
+        if any(head[i] <= head[i + 1] for i in range(mdeg - 1)):
+            continue
+        if any(tail[i] < tail[i + 1] for i in range(len(tail) - 1)):
+            continue
+        out[SuperPartition(head, tuple(p for p in tail if p))] = c
+    return out
+
+
+def monomial_msym_orbit(L: SuperPartition, N: int) -> SuperPolynomial:
+    """`superpoly.monomial_msym` over every distinct arrangement of the
+    marked parts: each fermionic part's slot ranked by its size gives the
+    sign."""
+    slots = ([(a, 1) for a in L.antisym] + [(s, 0) for s in L.sym]
+             + [(0, 0)] * (N - L.length))
+    out = SuperPolynomial(N)
+    for arr in unique_arrangements(slots):
+        positions = [p + 1 for p, (_, kind) in enumerate(arr) if kind == 1]
+        ranked = sorted(positions, key=lambda p: -arr[p - 1][0])
+        out.terms[(tuple(positions), tuple(v for v, _ in arr))] = \
+            _parity_sign(ranked)
+    return out
+
+
+def partition_dominates(lam: Sequence[int], mu: Sequence[int]) -> bool:
+    """True iff lam >= mu in dominance order (equal total weight assumed)."""
+    acc_l = acc_m = 0
+    for i in range(max(len(lam), len(mu))):
+        acc_l += lam[i] if i < len(lam) else 0
+        acc_m += mu[i] if i < len(mu) else 0
+        if acc_l < acc_m:
+            return False
+    return True
+
+
+def dominance_leq_shapes(O: SuperPartition, L: SuperPartition) -> bool:
+    """`spart.dominance_leq` on the sorted shapes, padded pair by pair."""
+    if O.degree() != L.degree():
+        return False
+    return (partition_dominates(L.star, O.star)
+            and partition_dominates(L.circled, O.circled))

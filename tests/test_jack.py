@@ -25,15 +25,15 @@ from superjack.ops import (apply_D, apply_Delta, cherednik, operator,
 from superjack.spart import (SuperPartition, conjugate, e_star_poly, e_tilde_poly,
                              enumerate_all_m, enumerate_sparts, epsilon_u,
                              dominance_leq, fermionic_range, parse_spart,
-                             partition_dominates, star_pair, v_poly)
+                             star_pair, v_poly)
 from superjack.suites import _labels, suite_pieri
 from superjack.superpoly import (SuperPolynomial, column_images, ferm_power,
                                  integral_multiple, monomial_msym, p_label,
                                  to_mbasis, to_pbasis)
 from oracles import (act_Ksigma, coefficient_xpower, dense_solve_exact,
                      eta_bar, evaluation_expanded, f_stat, family_rows,
-                     mbasis_matrices_full, pieri_check_expanded,
-                     tilde_composition, vandermonde)
+                     mbasis_matrices_full, partition_dominates,
+                     pieri_check_expanded, tilde_composition, vandermonde)
 
 a = ALPHA
 
@@ -693,7 +693,7 @@ def _not_in_lowest_terms(found):
     bad = []
     for om, (num, factors, d) in found.items():
         num = AlphaPolynomial(num)
-        den = AlphaPolynomial(jack._product(*factors.items(), d=d))
+        den = AlphaPolynomial([d * x for x in jack._product(*factors.items())])
         c = AlphaRational(num, den)
         if (c.num, c.den) != (num, den):
             bad.append(om)
@@ -945,6 +945,24 @@ def test_clear_caches_then_rebuild():
     for L in labels:
         assert jack_symbolic(L, 3).coeffs == before[L]
     assert to_pbasis(before[labels[0]], 3) == pbefore
+
+
+def test_product_cache_holds_each_product_once(monkeypatch):
+    # a cold build of the benchmark's two build families asks for each
+    # product of linear factors under one key
+    jack.clear_caches()
+    product = jack._product
+    asked = set()
+
+    def spy(*items):
+        asked.add(tuple(sorted(items)))
+        return product(*items)
+
+    monkeypatch.setattr(jack, "_product", spy)
+    for n, m, N in ((6, 2, 6), (8, 1, 4)):
+        for L in enumerate_sparts(n, m, N):
+            jack_symbolic(L, N)
+    assert product.cache_info().currsize == len(asked) > 100
 
 
 def _rows_read(monkeypatch, build) -> set:

@@ -23,7 +23,8 @@ from superjack.superpoly import (DivisionFailure, SuperPolynomial,
                                  divide_xdiff, ferm_power, from_mbasis,
                                  integral_multiple, monomial_msym, power_sum)
 
-from oracles import act_Ksigma, sekiguchi_verdicts_whole, swap_K
+from oracles import (act_Ksigma, permute_into_each, sekiguchi_verdicts_whole,
+                     swap_K)
 
 a = ALPHA
 
@@ -550,6 +551,52 @@ def test_relabel_without_theta_sign_fails_the_oracle(monkeypatch):
            if ops.operator(name)(f, ALPHA).terms != terms}
     assert {name for name, _, _ in bad} == {"D", "Delta"}
     assert len(bad) > 100, len(bad)  # 205 of the 660 cases
+
+
+def _relabel_faults(monkeypatch, cases):
+    """(name, L, N) of the cases whose multi-permutation relabel of the (1, 2)
+    image differs from the one-permutation-at-a-time oracle."""
+    relabel = superpoly.permute_into
+    faults = set()
+    for name, L, N, f in cases:
+        seen = []
+
+        def spy(out, img, sigmas):
+            relabel(out, img, sigmas)
+            want: dict = {}
+            permute_into_each(want, img, sigmas)
+            seen.append(out == want)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ops, "permute_into", spy)
+            ops.operator(name)(f, ALPHA)
+        assert len(seen) == 1
+        if not seen[0]:
+            faults.add((name, L, N))
+    return faults
+
+
+def _image_cases():
+    """Both operators on m_L for every label with n <= 6 in N <= 6."""
+    return [(name, L, N, monomial_msym(L, N))
+            for N in range(1, 7) for n in range(7)
+            for L in enumerate_all_m(n, N) for name in ("D", "Delta")]
+
+
+def test_every_pair_relabel_matches_the_one_at_a_time_oracle(monkeypatch):
+    cases = _image_cases()
+    assert len(cases) == 2 * 700
+    assert _relabel_faults(monkeypatch, cases) == set()
+
+
+def test_relabel_mutant_without_theta_sign_is_caught(monkeypatch):
+    # the kernel reads superpoly._sort_sign at call time, so patching it
+    # drops the theta sign from the relabel and from nothing else here
+    cases = _image_cases()
+    monkeypatch.setattr(superpoly, "_sort_sign", lambda seq: 1)
+    faults = _relabel_faults(monkeypatch, cases)
+    assert {name for name, _, _ in faults} == {"D", "Delta"}
+    assert len(faults) > 100, len(faults)
 
 
 @pytest.mark.parametrize("N", range(2, 7))

@@ -13,7 +13,7 @@ from superjack.spart import (SuperPartition, add_circle_moves,
                              remove_circle_moves, square_to_circle_moves,
                              star_pair, to_overpartition, upper_hook)
 
-from oracles import eta_bar, tilde_composition
+from oracles import dominance_leq_shapes, eta_bar, tilde_composition
 
 
 def test_star_pair_display_example():
@@ -90,6 +90,20 @@ def test_dominance_examples():
     assert not dominance_leq(parse_spart("2,1;"), parse_spart("0;3"))
     L = parse_spart("2,0;1")
     assert dominance_leq(L, L)
+
+
+def test_dominance_on_prefix_sums_matches_the_shape_oracle():
+    # every ordered pair of labels with n <= 8 in at most 7 rows, pairs of
+    # different degree included
+    labels = sorted({L for n in range(9) for L in enumerate_all_m(n, 7)},
+                    key=str)
+    assert len(labels) == 504
+    verdicts = {True: 0, False: 0}
+    for A, B in itertools.product(labels, labels):
+        got = dominance_leq(A, B)
+        assert got == dominance_leq_shapes(A, B), (str(A), str(B))
+        verdicts[got] += 1
+    assert verdicts == {True: 8373, False: 245643}
 
 
 def test_dominance_conjugation_antitone():

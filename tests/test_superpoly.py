@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superjack.coeffring import (ALPHA, ONE, AlphaPolynomial, AlphaRational,
                                  common_denominator)
@@ -358,6 +359,75 @@ def test_unique_arrangements():
     arrs = list(unique_arrangements([1, 1, 2]))
     assert len(arrs) == 3
     assert len(set(arrs)) == 3
+
+
+def test_orbit_walk_matches_every_arrangement():
+    # the placements of the fermionic parts times the bosonic arrangements
+    # against the orbit over every distinct arrangement of marked parts
+    count = 0
+    for N in range(1, 8):
+        for n in range(8):
+            for L in enumerate_all_m(n, N):
+                got = monomial_msym(L, N)
+                assert got.terms == oracles.monomial_msym_orbit(L, N).terms, \
+                    (str(L), N)
+                count += 1
+    assert count == 1390
+
+
+def _scan_case(rng):
+    """A term dict in N <= 5 variables that reaches every branch of the
+    canonical scan: initial and other theta tuples, heads with ties, tails
+    in and out of order, zero parts."""
+    N = rng.randint(1, 5)
+    terms = {}
+    for _ in range(rng.randint(0, 8)):
+        m = rng.randint(0, min(N, 3))
+        T = (tuple(range(1, m + 1)) if rng.random() < 0.5
+             else tuple(sorted(rng.sample(range(1, N + 1), m))))
+        e = [rng.randint(0, 3) for _ in range(N)]
+        if rng.random() < 0.7:  # near-canonical: head and tail sorted
+            e = sorted(e[:m], reverse=True) + sorted(e[m:], reverse=True)
+        terms[(T, tuple(e))] = rng.randint(-3, 3)
+    return SuperPolynomial(N, terms)
+
+
+def _scan_agrees(scan, f) -> bool:
+    try:
+        got = scan(f)
+    except ValueError:  # a non-canonical term read as a label
+        return False
+    return list(got.items()) == list(oracles.to_mbasis_scan(f).items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_canonical_scan_matches_term_by_term_oracle(rng):
+    assert _scan_agrees(functools.partial(to_mbasis, verify=False),
+                        _scan_case(rng))
+
+
+def _tie_accepting_scan(f):
+    """Mutant of the canonical scan: the head need only weakly decrease."""
+    out = {}
+    for (T, e), c in f.terms.items():
+        mdeg = len(T)
+        if T and T[-1] != mdeg:
+            continue
+        head, tail = e[:mdeg], e[mdeg:]
+        if (sorted(tail, reverse=True) == list(tail)
+                and sorted(head, reverse=True) == list(head)):
+            out[parse_spart(",".join(map(str, head)) + ";"
+                            + ",".join(map(str, tail)))] = c
+    return out
+
+
+def test_scan_mutant_accepting_a_tie_in_the_head_is_caught():
+    cases = [_scan_case(random.Random(seed)) for seed in range(300)]
+    assert all(_scan_agrees(functools.partial(to_mbasis, verify=False), f)
+               for f in cases)
+    faults = sum(not _scan_agrees(_tie_accepting_scan, f) for f in cases)
+    assert faults > 10, faults
 
 
 def test_to_pbasis_faithful():
