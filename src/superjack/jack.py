@@ -21,16 +21,17 @@ from .coeffring import (ALPHA, ONE, ZERO, AlphaPolynomial, AlphaRational,
                         PoleError, _poly, alpha_eval, clear_denominators)
 # unused here: perfbench's test_tracer_wraps_every_binding reads jack.solve_exact
 from .coeffring import solve_exact  # noqa: F401
-from .ops import apply_D, apply_Delta, operator
+from .ops import _pair_pulls, apply_D, apply_Delta, operator
 from .spart import (SuperPartition, _dominance_key, add_circle_moves,
                     bosonic_cells, circle_to_square_moves, conjugate,
                     dominance_leq, e_star_poly, e_tilde_poly,
                     enumerate_sparts, lower_hook, remove_circle_moves,
                     skew_circled_cells, square_to_circle_moves, upper_hook,
                     v_poly, z_stat)
-from .superpoly import (SuperPolynomial, combine, ferm_power, from_mbasis,
-                        monomial_msym, omega_alpha, power_sum_columns,
-                        prescribed_monomial, to_mbasis, to_pbasis)
+from .superpoly import (SuperPolynomial, _arrangements, _placements, combine,
+                        ferm_power, from_mbasis, monomial_msym, omega_alpha,
+                        power_sum_columns, prescribed_monomial, to_mbasis,
+                        to_pbasis)
 
 
 class DegenerateSystem(ArithmeticError):
@@ -257,7 +258,7 @@ def _coefficients(found) -> dict:
 
 _CACHES = (jack_symbolic, _label_rows, enumerate_sparts, power_sum_columns,
            prescribed_monomial, _product, _dominance_key, e_star_poly,
-           e_tilde_poly)
+           e_tilde_poly, _pair_pulls, _placements, _arrangements)
 
 
 def clear_caches() -> dict[str, int]:

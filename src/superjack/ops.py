@@ -4,30 +4,33 @@ of the super-Virasoro algebra.
 
 No rational function is ever materialized.  D and Delta require symmetric
 input.  They realize the exchange terms of the pair (1, 2), with their
-(x_1 - x_2) denominator, through exact polynomial division, and write that
-image into one term dict.  Every other pair (i, j) gets the same image
-relabeled: the exchange of (i, j) is K_sigma (exchange of (1, 2)) K_sigma^-1
-for any sigma with sigma(1) = i and sigma(2) = j, and K_sigma fixes a
-symmetric input.  The diagonal parts are closed per-term weights, scaled by
-the parameter once per distinct value.  Only the (1, 2) division is
-checked, so `apply_D` and `apply_Delta` trust their callers: input that is
-invariant under K_12 but not symmetric gets a wrong image, not an error.
-`apply_operator`, the entry point for outside input, is the trust
-boundary: it checks symmetry and raises NonPolynomialResult otherwise.  The
-Cherednik operators, defined on all input, expand each quotient as the
-closed geometric sum (x_i^a x_j^b - x_i^b x_j^a) / (x_i - x_j).
+(x_1 - x_2) denominator, through exact polynomial division.  The exchange
+of a pair (i, j) is K_sigma (exchange of (1, 2)) K_sigma^-1 for any sigma
+with sigma(1) = i and sigma(2) = j, and K_sigma fixes a symmetric input,
+so each image is symmetric: its coefficient at a label is pulled from the
+(1, 2) image and a closed diagonal weight, and the label's orbit is
+written once.  Only the (1, 2) division is checked, so `apply_D` and
+`apply_Delta` trust their callers: input that is invariant under K_12 but
+not symmetric gets a wrong image.  `apply_operator`, the entry point for
+outside input, is the trust boundary: it checks symmetry and raises
+NonPolynomialResult otherwise.  The Cherednik operators, defined on all
+input, expand each quotient as the closed geometric sum
+(x_i^a x_j^b - x_i^b x_j^a) / (x_i - x_j).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .coeffring import AlphaPolynomial, AlphaRational
-from .superpoly import (DivisionFailure, SuperPolynomial, divide_xdiff,
-                        pair_decompose, permute_into, power_sum, ferm_power)
+from .superpoly import (DivisionFailure, SuperPolynomial, _orbit_into,
+                        _sort_sign, divide_xdiff, pair_decompose,
+                        permute_into, power_sum, ferm_power)
 
 UList = list  # list of SuperPolynomial, coefficient of u^k at index k
 
@@ -36,9 +39,11 @@ class NonPolynomialResult(ArithmeticError):
     """Exact division failed: the input is outside the operator's domain."""
 
 
-def _over(n: int, alpha):
+def _over(n: int, alpha, name: str):
     """Exact n / alpha, for alpha an int, a Fraction or an element of Z[a] or
     Q(a); an element of Z[a] is lifted to Q(a), where it can divide."""
+    if not alpha:
+        raise ValueError(f"{name} divides by a: a = 0 is outside its domain")
     if isinstance(alpha, AlphaPolynomial):
         alpha = AlphaRational(alpha)
     return Fraction(n) / alpha
@@ -82,35 +87,55 @@ def _put(out: dict, q: SuperPolynomial, thetas: tuple, shift: tuple) -> None:
         out[key] = c if cur is None else cur + c
 
 
-def _with_diagonal(out: dict, f: SuperPolynomial, weight: Callable,
-                   scalar) -> SuperPolynomial:
-    """Add scalar * weight(T, e) * c at the key of each term c of f, then
-    delete the zero keys of out.  Each distinct c * weight is multiplied by
-    scalar once, and only after the exchange sums in out are complete, so
-    those stay in f's ring.  A Z[a] scalar keeps the image of integral input
-    in Z[a]; on a Fraction coefficient it gives the Q(a) product."""
-    products: dict = {}
-    for key, c in f.terms.items():
-        w = weight(*key)
-        if w:
-            cw = c * w
-            v = products.get(cw)
-            if v is None:
-                v = products[cw] = cw * scalar
-            cur = out.get(key)
-            out[key] = v if cur is None else cur + v
-    for key in [key for key, c in out.items() if not c]:
-        del out[key]
-    return SuperPolynomial(f.N, out)
+@lru_cache(maxsize=None)
+def _pair_pulls(N: int, m: int) -> tuple:
+    """(T, sign < 0, pull) per pair sigma = (i, j, rest increasing), i < j:
+    the term of K_sigma img at theta_1...theta_m x^e is +-img[T, pull(e)]."""
+    out = []
+    for sigma in _coset_reps(N, 2):
+        inv = [sigma.index(t) + 1 for t in range(1, m + 1)]
+        out.append((tuple(sorted(inv)), _sort_sign(inv) < 0,
+                    itemgetter(*(s - 1 for s in sigma))))
+    return tuple(out)
 
 
-def _add_to_every_pair(out: dict, img: dict, N: int) -> None:
-    """out += K_sigma img for each pair i < j, sigma = (i, j, rest increasing),
-    img the (1, 2) exchange image of a symmetric f: K_sigma conjugates the
-    (1, 2) exchange into the (i, j) one and fixes f."""
-    permute_into(out, img, [
-        (i, j) + tuple(k for k in range(1, N + 1) if k not in (i, j))
-        for i, j in combinations(range(1, N + 1), 2)])
+def _symmetric_image(img: dict, f: SuperPolynomial, weight: Callable,
+                     alpha) -> SuperPolynomial:
+    """sum over pairs sigma of K_sigma img, img the (1, 2) exchange image of
+    a symmetric f, plus alpha * weight(T, e) * c at each term c of f: the
+    diagonal's per-term weight is invariant on each orbit.  K_sigma
+    conjugates the (1, 2) exchange into the (i, j) one and fixes f, so the
+    image is sum c_G m_G, c_G its coefficient at G's canonical term.  K_sigma
+    keeps orbits, so c_G != 0 needs a term of img or f in m_G; a term whose
+    thetas carry equal exponents is in none, as no symmetric polynomial has
+    it.  Alpha enters after the exchange sum: a Z[a] alpha keeps Z[a] input.
+    """
+    N = f.N
+    # each label of f has its canonical term, with thetas 1..m, in f
+    keys = [key for key, c in img.items() if c]
+    keys += [(T, e) for T, e in f.terms if not T or T[-1] == len(T)]
+    labels = []
+    for head, full in {(tuple(sorted([e[t - 1] for t in T])), tuple(sorted(e)))
+                       for T, e in keys}:
+        if len(set(head)) == len(head):
+            rest = list(full)
+            for k in head:
+                rest.remove(k)
+            labels.append((head[::-1], tuple(reversed(rest))))
+    out: dict = {}
+    for head, rest in labels:
+        T0, e = tuple(range(1, len(head) + 1)), head + rest
+        acc = 0
+        for T, negate, pull in _pair_pulls(N, len(head)):
+            c = img.get((T, pull(e)))
+            if c:
+                acc = acc - c if negate else acc + c
+        c = f.terms.get((T0, e))
+        if c and (w := weight(T0, e)):
+            acc = acc + c * w * alpha
+        if acc:
+            _orbit_into(out, head, rest, N, acc)
+    return SuperPolynomial(N, out)
 
 
 def apply_D(f: SuperPolynomial, alpha) -> SuperPolynomial:
@@ -125,9 +150,8 @@ def apply_D(f: SuperPolynomial, alpha) -> SuperPolynomial:
     K_12 but not symmetric gets a wrong image instead of an error:
     `apply_operator` checks symmetry first.
     """
-    N = f.N
     img: dict = {}
-    if N > 1:
+    if f.N > 1:
         try:
             A, B, C, D2 = pair_decompose(f, 1, 2)
             s_bc = divide_xdiff(B - C, 1, 2)
@@ -140,11 +164,9 @@ def apply_D(f: SuperPolynomial, alpha) -> SuperPolynomial:
             _put(img, _diffdiff(divide_xdiff(D2, 1, 2), 1, 2), (2, 1), (0, 1))
         except DivisionFailure as exc:
             raise NonPolynomialResult(str(exc)) from exc
-    out: dict = {}
-    _add_to_every_pair(out, img, N)
     # k (k - 1) is even, so the halved weight stays an integer
-    return _with_diagonal(out, f, lambda T, e: sum(k * (k - 1) for k in e) // 2,
-                          alpha)
+    return _symmetric_image(img, f, lambda T, e: sum(k * (k - 1) for k in e)
+                            // 2, alpha)
 
 
 def apply_Delta(f: SuperPolynomial, alpha) -> SuperPolynomial:
@@ -158,9 +180,8 @@ def apply_Delta(f: SuperPolynomial, alpha) -> SuperPolynomial:
     Only B - C is divided, so most non-symmetric input passes without
     notice: `apply_operator` checks symmetry first.
     """
-    N = f.N
     img: dict = {}
-    if N > 1:
+    if f.N > 1:
         _, B, C, D2 = pair_decompose(f, 1, 2)
         try:
             s_bc = divide_xdiff(B - C, 1, 2)
@@ -169,9 +190,8 @@ def apply_Delta(f: SuperPolynomial, alpha) -> SuperPolynomial:
         _put(img, s_bc, (2,), (0,))
         _put(img, s_bc, (1,), (1,))
         _put(img, -D2, (2, 1), ())
-    out: dict = {}
-    _add_to_every_pair(out, img, N)
-    return _with_diagonal(out, f, lambda T, e: sum(e[t - 1] for t in T), alpha)
+    return _symmetric_image(img, f, lambda T, e: sum(e[t - 1] for t in T),
+                            alpha)
 
 
 def cherednik(f: SuperPolynomial, i: int, alpha) -> SuperPolynomial:
@@ -245,14 +265,10 @@ def theta_part(f: SuperPolynomial, m: int) -> SuperPolynomial:
     return out
 
 
-def _coset_reps(N: int, m: int):
+def _coset_reps(N: int, m: int) -> list:
     """Minimal-length representatives of S_N / (S_m x S_{N-m})."""
-    reps = []
-    for subset in combinations(range(1, N + 1), m):
-        rest = [p for p in range(1, N + 1) if p not in subset]
-        sigma = list(subset) + rest  # sigma(k) = k-th entry
-        reps.append(sigma)
-    return reps
+    return [(*sub, *(p for p in range(1, N + 1) if p not in sub))
+            for sub in combinations(range(1, N + 1), m)]
 
 
 def sekiguchi_S_tilde(f: SuperPolynomial, alpha) -> UList:
@@ -307,7 +323,7 @@ def nabla(f: SuperPolynomial, alpha=None) -> SuperPolynomial:
 
 
 def nabla_perp(f: SuperPolynomial, alpha) -> SuperPolynomial:
-    g = f.scale(_over(f.N, alpha))
+    g = f.scale(_over(f.N, alpha, "nabla_perp"))
     out = SuperPolynomial(f.N)
     for i in range(1, f.N + 1):
         out += f.diff_x(i).mul_x(i, 2)
@@ -337,7 +353,7 @@ def Q_op(f: SuperPolynomial, alpha) -> SuperPolynomial:
     for i in range(1, f.N + 1):
         out += f.diff_x(i).mul_x(i).mul_theta(i)
         thetas += f.mul_theta(i)
-    return out + thetas.scale(_over(f.N, alpha))
+    return out + thetas.scale(_over(f.N, alpha, "Q"))
 
 
 def Q_perp(f: SuperPolynomial, alpha=None) -> SuperPolynomial:
@@ -348,7 +364,7 @@ def Q_perp(f: SuperPolynomial, alpha=None) -> SuperPolynomial:
 
 
 def E_op(f: SuperPolynomial, alpha) -> SuperPolynomial:
-    out = f.scale(_over(f.N * f.N, alpha))
+    out = f.scale(_over(f.N * f.N, alpha, "E"))
     for i in range(1, f.N + 1):
         out += f.diff_x(i).mul_x(i)
     return out
@@ -493,7 +509,7 @@ def check_virasoro_relations(alpha, test_polys: Sequence[SuperPolynomial]
     failures = []
     for f in test_polys:
         N = f.N
-        n_a = _over(N, alpha)
+        n_a = _over(N, alpha, "the super-Virasoro bridge")
         for n in n_range:
             for m in n_range:
                 got = L_op(n, L_op(m, f)) - L_op(m, L_op(n, f))

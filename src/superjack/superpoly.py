@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -360,13 +360,6 @@ def _sort_sign(seq) -> int:
     return 1 if inv % 2 == 0 else -1
 
 
-def _invert(sigma: Sequence[int]) -> list[int]:
-    inv = [0] * len(sigma)
-    for i, s in enumerate(sigma, start=1):
-        inv[s - 1] = i
-    return inv
-
-
 def permute_into(out: dict, terms: dict, sigmas: Iterable[Sequence[int]]) -> None:
     """out += the sum over sigmas of K_sigma of the term dict, zero terms
     skipped: K_sigma sends x_k to x_sigma(k) and theta_k to theta_sigma(k).
@@ -380,7 +373,7 @@ def permute_into(out: dict, terms: dict, sigmas: Iterable[Sequence[int]]) -> Non
             groups.setdefault(T, []).append((e, c))
     get = out.get
     for sigma in sigmas:
-        where = [s - 1 for s in _invert(sigma)]
+        where = [sigma.index(k) for k in range(1, len(sigma) + 1)]
         # itemgetter of a single index returns the bare item, not a 1-tuple
         pull = itemgetter(*where) if len(where) > 1 else tuple
         for T, group in groups.items():
@@ -464,24 +457,45 @@ def integral_multiple(f: SuperPolynomial) -> SuperPolynomial:
 # symmetric bases
 # ---------------------------------------------------------------------------
 
-def monomial_msym(L: SuperPartition, N: int) -> SuperPolynomial:
-    """Monomial symmetric superpolynomial: distinct diagonal-orbit terms.
-    Each ordered placement of the distinct fermionic parts, largest first,
-    gives the theta tuple of its sorted slots, with the sign of that sort;
-    the bosonic arrangements fill the free slots, each term written once."""
-    if L.length > N:
-        raise ValueError(f"{L} needs at least {L.length} variables")
-    bosons = list(unique_arrangements(list(L.sym) + [0] * (N - L.length)))
-    out = {}
-    for slots in permutations(range(N), L.m):
+@lru_cache(maxsize=None)
+def _placements(m: int, N: int) -> tuple:
+    """(sorted slots, sign of that sort > 0, pull) per ordered placement of m
+    fermionic parts, largest first, in N slots; pull(parts + arrangement of
+    the free slots) is the exponent tuple."""
+    out = []
+    for slots in permutations(range(N), m):
         order = [*slots, *(p for p in range(N) if p not in slots)]
         # exponent p is entry where[p] of antisym + arrangement
         where = sorted(range(N), key=order.__getitem__)
-        pull = itemgetter(*where) if N > 1 else tuple
-        T = tuple(sorted(p + 1 for p in slots))
-        sign = _sort_sign(slots)
-        for b in bosons:
-            out[(T, pull(L.antisym + b))] = sign
+        out.append((tuple(sorted(p + 1 for p in slots)), _sort_sign(slots) > 0,
+                    itemgetter(*where) if N > 1 else tuple))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _arrangements(parts: tuple) -> tuple:
+    """The distinct arrangements of the zero-padded bosonic parts."""
+    return tuple(unique_arrangements(list(parts)))
+
+
+def _orbit_into(out: dict, head: tuple, sym: tuple, N: int, c) -> None:
+    """Write c m_L in N variables into out, each term once, as +-c: L has
+    the fermionic parts head and the bosonic parts sym, zeros allowed."""
+    if len(head) + len(sym) > N:
+        raise ValueError(f"{SuperPartition(head, sym)} needs at least "
+                         f"{len(head) + len(sym)} variables")
+    exps = [head + b for b in _arrangements(sym + (0,) * (N - len(head)
+                                                        - len(sym)))]
+    neg = -c
+    for T, plus, pull in _placements(len(head), N):
+        out.update(zip(zip(repeat(T), map(pull, exps)),
+                       repeat(c if plus else neg)))
+
+
+def monomial_msym(L: SuperPartition, N: int) -> SuperPolynomial:
+    """Monomial symmetric superpolynomial: distinct diagonal-orbit terms."""
+    out: dict = {}
+    _orbit_into(out, L.antisym, L.sym, N, 1)
     return SuperPolynomial(N, out)
 
 
@@ -513,8 +527,7 @@ def from_mbasis(coeffs: dict[SuperPartition, object], N: int) -> SuperPolynomial
     out = {}
     for L, c in coeffs.items():
         if c:
-            for key, sign in monomial_msym(L, N).terms.items():
-                out[key] = c if sign > 0 else -c
+            _orbit_into(out, L.antisym, L.sym, N, c)
     return SuperPolynomial(N, out)
 
 

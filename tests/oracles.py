@@ -8,7 +8,8 @@ all-ones evaluation and the cluster orders on expanded polynomials, the
 diagonal action of one permutation, the Sekiguchi eigenrelations read
 on the whole polynomial, the D and Delta rows of a whole family, read
 from the per-label rows or built in all N variables, and the orbit kernels
-the fast ones replaced: the relabel one permutation at a time, the
+the fast ones replaced: the relabel one permutation at a time, D and
+Delta built by relabeling their (1, 2) image to every pair, the
 term-by-term canonical scan, the orbit over every distinct arrangement and
 the two-partition dominance."""
 
@@ -18,7 +19,7 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Sequence
 
-from superjack import ideals, jack
+from superjack import ideals, jack, ops
 from superjack.coeffring import (ALPHA, ONE, AlphaPolynomial, AlphaRational,
                                  FieldMatrix, NoSolution, SolutionSpace,
                                  UniqueSolution)
@@ -458,6 +459,44 @@ def permute_into_each(out: dict, terms: dict, sigmas) -> None:
                 c = -c
             key = (T2, pull(e))
             out[key] = out[key] + c if key in out else c
+
+
+def _relabel(img: dict, f: SuperPolynomial, weight, alpha) -> SuperPolynomial:
+    """The (1, 2) exchange image of a symmetric f relabeled to every pair
+    i < j one permutation at a time, sigma = (i, j, rest increasing), then
+    alpha * weight(T, e) * c added at the key of each term c of f, zeros
+    dropped."""
+    N = f.N
+    out: dict = {}
+    permute_into_each(out, img, [
+        (i, j) + tuple(k for k in range(1, N + 1) if k not in (i, j))
+        for i, j in combinations(range(1, N + 1), 2)])
+    for key, c in f.terms.items():
+        w = weight(*key)
+        if w:
+            v = c * w * alpha
+            out[key] = out[key] + v if key in out else v
+    return SuperPolynomial(N, {key: c for key, c in out.items() if c})
+
+
+def _relabeled(name: str, weight):
+    """`ops.<name>` with its orbit write (`ops._symmetric_image`) swapped for
+    `_relabel` under the per-term diagonal weight: the same (1, 2) image,
+    carried to every pair term by term."""
+    def apply(f: SuperPolynomial, alpha) -> SuperPolynomial:
+        orbit = ops._symmetric_image
+        ops._symmetric_image = lambda img, g, _, a: _relabel(img, g, weight, a)
+        try:
+            return getattr(ops, name)(f, alpha)
+        finally:
+            ops._symmetric_image = orbit
+    return apply
+
+
+apply_D_relabel = _relabeled(
+    "apply_D", lambda T, e: sum(k * (k - 1) for k in e) // 2)
+apply_Delta_relabel = _relabeled(
+    "apply_Delta", lambda T, e: sum(e[t - 1] for t in T))
 
 
 def to_mbasis_scan(f: SuperPolynomial) -> dict:

@@ -455,6 +455,16 @@ def test_op_apply_k12_invariant_input_exit_code(capsys, tmp_path):
         assert json.loads(err.strip())["error"] == "NonPolynomialResult"
 
 
+@pytest.mark.parametrize("name", ["Q", "E", "nabla_perp"])
+def test_op_apply_dividing_by_zero_parameter_exit_code(capsys, tmp_path, name):
+    # each divides by the parameter; a = 0 used to exit 3 with Fraction(1, 0)
+    code, out, err = run(capsys, "op", "apply", "--name", name, "--alpha", "0",
+                         "--input", _write_x1_squared(tmp_path))
+    assert code == 2 and out == ""
+    message = json.loads(err.strip())["message"]
+    assert name in message and "a = 0" in message
+
+
 @pytest.mark.parametrize("index", ["5", "-1"])
 def test_op_apply_index_outside_range_exit_code(capsys, tmp_path, index):
     code, out, err = run(capsys, "op", "apply", "--name", "Cherednik",

@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from superjack.coeffring import ALPHA, AlphaPolynomial, AlphaRational
-from superjack import ops, superpoly
+from superjack.coeffring import (ALPHA, AlphaPolynomial, AlphaRational,
+                                 parse_alpha)
+from superjack import jack, ops, superpoly
 from superjack.ops import (ALGEBRA_TABLE, OPERATORS, G_op, L_op,
                            NonPolynomialResult, apply_D, apply_Delta,
                            apply_operator, check_algebra_table,
@@ -23,8 +25,8 @@ from superjack.superpoly import (DivisionFailure, SuperPolynomial,
                                  divide_xdiff, ferm_power, from_mbasis,
                                  integral_multiple, monomial_msym, power_sum)
 
-from oracles import (act_Ksigma, permute_into_each, sekiguchi_verdicts_whole,
-                     swap_K)
+from oracles import (act_Ksigma, apply_D_relabel, apply_Delta_relabel,
+                     sekiguchi_verdicts_whole, swap_K)
 
 a = ALPHA
 
@@ -338,7 +340,7 @@ def l_minus2_combination(f: SuperPolynomial, alpha) -> SuperPolynomial:
     N = f.N
     p2 = power_sum(2, N)
     p1 = power_sum(1, N)
-    inv_a = _over(1, alpha)
+    inv_a = _over(1, alpha, "L_-2")
     quarter3 = inv_a * Fraction(3, 4)
     half_inv = inv_a * Fraction(1, 2)
     comm_delta = apply_Delta(p2 * f, alpha) - p2 * apply_Delta(f, alpha)
@@ -538,70 +540,9 @@ def test_eigenoperators_integral_parameter_on_fraction_input():
                     assert all(got.terms.values())
 
 
-def test_relabel_without_theta_sign_fails_the_oracle(monkeypatch):
-    # mutant: theta indices mapped to another pair but re-sorted with no
-    # sign; the oracle comparison must catch it, for both operators
-    cases = [(name, L, N, monomial_msym(L, N))
-             for L, N in _small_monomials() if N <= 5
-             for name in ("D", "Delta")]
-    oracle = {"D": _apply_D_oracle, "Delta": _apply_Delta_oracle}
-    want = [oracle[name](f, ALPHA).terms for name, _, _, f in cases]
-    monkeypatch.setattr(superpoly, "_sort_sign", lambda seq: 1)
-    bad = {(name, L, N) for (name, L, N, f), terms in zip(cases, want)
-           if ops.operator(name)(f, ALPHA).terms != terms}
-    assert {name for name, _, _ in bad} == {"D", "Delta"}
-    assert len(bad) > 100, len(bad)  # 205 of the 660 cases
-
-
-def _relabel_faults(monkeypatch, cases):
-    """(name, L, N) of the cases whose multi-permutation relabel of the (1, 2)
-    image differs from the one-permutation-at-a-time oracle."""
-    relabel = superpoly.permute_into
-    faults = set()
-    for name, L, N, f in cases:
-        seen = []
-
-        def spy(out, img, sigmas):
-            relabel(out, img, sigmas)
-            want: dict = {}
-            permute_into_each(want, img, sigmas)
-            seen.append(out == want)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(ops, "permute_into", spy)
-            ops.operator(name)(f, ALPHA)
-        assert len(seen) == 1
-        if not seen[0]:
-            faults.add((name, L, N))
-    return faults
-
-
-def _image_cases():
-    """Both operators on m_L for every label with n <= 6 in N <= 6."""
-    return [(name, L, N, monomial_msym(L, N))
-            for N in range(1, 7) for n in range(7)
-            for L in enumerate_all_m(n, N) for name in ("D", "Delta")]
-
-
-def test_every_pair_relabel_matches_the_one_at_a_time_oracle(monkeypatch):
-    cases = _image_cases()
-    assert len(cases) == 2 * 700
-    assert _relabel_faults(monkeypatch, cases) == set()
-
-
-def test_relabel_mutant_without_theta_sign_is_caught(monkeypatch):
-    # the kernel reads superpoly._sort_sign at call time, so patching it
-    # drops the theta sign from the relabel and from nothing else here
-    cases = _image_cases()
-    monkeypatch.setattr(superpoly, "_sort_sign", lambda seq: 1)
-    faults = _relabel_faults(monkeypatch, cases)
-    assert {name for name, _, _ in faults} == {"D", "Delta"}
-    assert len(faults) > 100, len(faults)
-
-
 @pytest.mark.parametrize("N", range(2, 7))
 def test_eigenoperators_divide_for_one_pair(monkeypatch, N):
-    # the (1, 2) image is relabeled to every pair: five divisions for D and
+    # the (1, 2) image is pulled at each output label: five divisions for D and
     # one for Delta, whatever N
     calls = []
 
@@ -635,6 +576,97 @@ def symmetric_cases(draw):
 @given(symmetric_cases())
 def test_eigenoperators_match_oracle_on_symmetric_input(case):
     _both_routes(*case)
+
+
+RELABEL = {"D": apply_D_relabel, "Delta": apply_Delta_relabel}
+RELABEL_ALPHAS = [Fraction(-3, 2), ALPHA, parse_alpha("(1+2*a)/(3+a)")]
+
+
+@lru_cache(maxsize=None)
+def _image_cases():
+    """Both operators on m_L for every label with n <= 6 in N <= 6, with the
+    relabel oracle's image of each."""
+    cases = [(name, L, N, monomial_msym(L, N))
+             for N in range(1, 7) for n in range(7)
+             for L in enumerate_all_m(n, N) for name in ("D", "Delta")]
+    return cases, [RELABEL[name](f, ALPHA).terms for name, _, _, f in cases]
+
+
+def _relabel_faults():
+    """(name, L, N) of the cases whose image differs from the oracle's."""
+    cases, want = _image_cases()
+    return {(name, L, N) for (name, L, N, f), terms in zip(cases, want)
+            if ops.operator(name)(f, ALPHA).terms != terms}
+
+
+def test_eigenoperators_match_the_relabel_oracle_on_every_small_monomial():
+    cases, _ = _image_cases()
+    assert len(cases) == 2 * 700
+    assert _relabel_faults() == set()
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_cases(), st.sampled_from(RELABEL_ALPHAS))
+def test_eigenoperators_match_the_relabel_oracle_on_symmetric_input(case,
+                                                                     alpha):
+    f, _ = case
+    for name, old in RELABEL.items():
+        assert ops.operator(name)(f, alpha).terms == old(f, alpha).terms, \
+            (name, str(f))
+
+
+@pytest.mark.parametrize("label,N", [("1;2", 3), ("2,0;1", 3), ("1,0;2,1", 4),
+                                     ("3,1,0;", 4)])
+def test_eigenoperators_match_the_relabel_oracle_on_jack_polynomials(label, N):
+    L = parse_spart(label)
+    for f, alpha in ((jack_poly(L, N), ALPHA),
+                     (jack_at(L, N, Fraction(-3, 2)).polynomial(),
+                      RELABEL_ALPHAS[2])):
+        for name, old in RELABEL.items():
+            got = ops.operator(name)(f, alpha)
+            assert got.terms == old(f, alpha).terms, name
+            assert got.is_symmetric()
+
+
+def test_equal_theta_exponents_in_the_pair_image_cancel(monkeypatch):
+    # Delta's (1, 2) image of m_[1,0;] in 3 variables holds theta_2 theta_3
+    # x_1, with equal exponents on both theta slots: no label has it, and
+    # its relabels cancel in the sum over pairs
+    f = monomial_msym(parse_spart("1,0;"), 3)
+    images = []
+    orbit = ops._symmetric_image
+    with monkeypatch.context() as patch:
+        patch.setattr(ops, "_symmetric_image",
+                      lambda img, *rest: images.append(img) or orbit(img, *rest))
+        got = apply_Delta(f, ALPHA)
+    assert images[0][(2, 3), (1, 0, 0)]
+    assert got.terms == apply_Delta_relabel(f, ALPHA).terms
+    assert all(len({e[t - 1] for t in T}) == len(T) for T, e in got.terms)
+
+
+def _mutant_faults(monkeypatch, module):
+    """The relabel faults with `module._sort_sign` dropped.  The signs live
+    in memos, so those are emptied before the patch and after its undo."""
+    _image_cases()  # the inputs and the oracle's images, built unpatched
+    jack.clear_caches()
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "_sort_sign", lambda seq: 1)
+        faults = _relabel_faults()
+    jack.clear_caches()
+    return faults
+
+
+@pytest.mark.parametrize("module", [ops, superpoly],
+                         ids=["pull_without_theta_sign",
+                              "orbit_write_without_placement_sign"])
+def test_sign_mutant_is_caught(monkeypatch, module):
+    # ops._sort_sign signs the pair pulls; superpoly._sort_sign signs the
+    # placements of the orbit write and nothing else on this route
+    faults = _mutant_faults(monkeypatch, module)
+    for name in ("D", "Delta"):
+        hits = sum(1 for hit, _, _ in faults if hit == name)
+        assert hits > 100, (name, hits)
+    assert _relabel_faults() == set()
 
 
 @st.composite
