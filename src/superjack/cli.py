@@ -18,7 +18,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-from .coeffring import ALPHA, AlphaRational, PoleError, alpha_eval, parse_alpha
+from .coeffring import ALPHA, PoleError, alpha_eval, parse_alpha
 from .ideals import char_F, char_I, cluster_multiplicity
 from .jack import (PIERI_KINDS, JackExpansion, eigen_check, jack_symbolic,
                    pieri_closed)
@@ -284,8 +284,16 @@ def cmd_op(args) -> int:
     a0 = _parse_alpha_flag(args.alpha)
     alpha = ALPHA if a0 is None else a0
     if a0 is not None:
-        f = f.map_coeff(lambda c: alpha_eval(c, a0)
-                        if isinstance(c, AlphaRational) else c)
+        terms = {}
+        for (T, e), c in f.terms.items():
+            try:
+                terms[T, e] = alpha_eval(c, a0)
+            except PoleError:
+                _emit_error("UsageError", f"an --input coeff has a pole at "
+                            f"alpha = {a0}", thetas=list(T), exps=list(e),
+                            alpha=str(a0))
+                return 2
+        f = SuperPolynomial(f.N, {key: c for key, c in terms.items() if c})
     result = apply_operator(args.name, f, alpha, index=args.index,
                             mode=args.mode)
     if isinstance(result, list):  # u-coefficients from a Sekiguchi operator

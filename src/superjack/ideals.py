@@ -10,7 +10,8 @@ No Jack superpolynomial is expanded anywhere in this module.  A basis
 element is its m-coordinates; every action checked on the span (p0*, q,
 q_perp, Q, Q_perp, p1*, p2*, L_-2, d = q or q_tilde, restriction pieces) is
 linear, so its image is read through `superpoly.column_images`, and the
-coincidence and cluster checks sum substituted `prescribed_monomial` columns.
+coincidence and cluster checks sum substituted `prescribed_monomial` columns;
+dim F is the kernel of the same coincidence columns.
 
 Membership is a monic triangular peel, not a solve.  P_L is monic at L and
 supported on labels that L dominates, so in the order of `enumerate_sparts`
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .coeffring import FieldMatrix, NoSolution, solve_exact, UniqueSolution
 from .jack import jack_at
@@ -37,7 +38,7 @@ from .ops import OPERATORS, L_op, operator
 from .spart import (SuperPartition, check_kr, enumerate_admissible,
                     enumerate_sparts, fermionic_range, is_admissible)
 from .superpoly import (SuperPolynomial, check_triangular, column_images,
-                        combine, ferm_power, monomial_msym, peel, power_sum,
+                        combine, ferm_power, peel, power_sum,
                         prescribed_monomial)
 
 
@@ -194,57 +195,51 @@ def stability_suite(k: int, r: int, N: int, nmax: int) -> dict:
 
     def generator(name: str):
         op = operator(name)
-        return name, lambda f: op(f, a0), OPERATORS[name].shift
+        return name, lambda f: op(f, a0), (N, *OPERATORS[name].shift)
 
-    def restricted(j: int, piece: str):
-        """d^j/dx_N^j, then x_N = theta_N = 0: the body or the
-        theta_N-slope."""
+    def restricted(j: int, dm: int):
+        """d^j/dx_N^j, then x_N = theta_N = 0: the body (dm = 0) or the
+        theta_N-slope (dm = -1)."""
         def act(f):
             for _ in range(j):
                 f = f.diff_x(N)
-            body, slope = f.restrict_last()
-            return slope if piece == "slope" else body
+            return f.restrict_last()[-dm]
         return act
 
     p0, p1, p2 = ferm_power(0, N), power_sum(1, N), power_sum(2, N)
-    # (name, action, bidegree shift)
-    actions: list[tuple[str, Callable[[SuperPolynomial], SuperPolynomial],
-                        tuple[int, int]]] = [
-        ("p0*", lambda f: p0 * f, (0, 1)),
+    # (name, action, (variables, bidegree shift)) on a basis element
+    generators = [
+        ("p0*", lambda f: p0 * f, (N, 0, 1)),
         *map(generator, ("q", "q_perp", "Q", "Q_perp")),
-        ("p1*", lambda f: p1 * f, (1, 0)),
-        ("p2*", lambda f: p2 * f, (2, 0)),
-        ("L_-2", lambda f: L_op(-2, f), (2, 0)),
+        ("p1*", lambda f: p1 * f, (N, 1, 0)),
+        ("p2*", lambda f: p2 * f, (N, 2, 0)),
+        ("L_-2", lambda f: L_op(-2, f), (N, 2, 0)),
     ]
+
+    def restrictions(coords):
+        """Restriction to N - 1 variables, up to the largest exponent of x_N."""
+        for j in range(max(max(om.star, default=0) for om in coords) + 1):
+            for dm in (0, -1):
+                yield f"restrict d^{j}", restricted(j, dm), (N - 1, -j, dm)
+
     image = column_images(N)
     violations = []
     checked = 0
-    for (n, m), b in sorted(basis.items()):
-        for label, coords in b.columns.items():
-            for name, act, (dn, dm) in actions:
-                img = image(name, act, coords)
-                checked += 1
-                if not img:
-                    continue
-                try:
-                    membership(img, span(N, n + dn, m + dm))
-                except NotInSpan:
-                    violations.append((name, str(label), (n, m)))
-    # restriction to one variable fewer, up to the largest exponent of x_N
-    for (n, m), b in sorted(basis.items()):
-        for label, coords in b.columns.items():
-            top = max(max(om.star, default=0) for om in coords)
-            for j in range(top + 1):
-                for piece, pm in (("body", m), ("slope", m - 1)):
-                    img = image(f"restrict d^{j} {piece}",
-                                restricted(j, piece), coords)
+    # every generator on every element, then every restriction
+    for actions in (lambda coords: generators, restrictions):
+        for (n, m), b in sorted(basis.items()):
+            for label, coords in b.columns.items():
+                for name, act, (Nv, dn, dm) in actions(coords):
+                    # a restriction's two pieces share a name, not a column
+                    piece = "" if Nv == N else " slope" if dm else " body"
+                    img = image(name + piece, act, coords)
                     checked += 1
                     if not img:
                         continue
                     try:
-                        membership(img, span(N - 1, n - j, pm))
+                        membership(img, span(Nv, n + dn, m + dm))
                     except NotInSpan:
-                        violations.append((f"restrict d^{j}", str(label), (n, m)))
+                        violations.append((name, str(label), (n, m)))
     return {"k": k, "r": r, "N": N, "nmax": nmax,
             "checked": checked, "violations": violations}
 
@@ -303,14 +298,16 @@ def char_I(k: int, r: int, N: int, nmax: int) -> CharacterSeries:
 
 
 def dim_F(k: int, N: int, n: int, m: int) -> int:
-    """Dimension of the coincidence-vanishing subspace at one bidegree."""
+    """Dimension of the coincidence-vanishing subspace at one bidegree: the
+    kernel of the (n|m) labels' coincidence columns on the sets with c <= 1,
+    which decide vanishing by the lemma in `vanish_check`."""
     if k < 1:
         raise ValueError("coincidence vanishing needs k >= 1")
     if N < k + 1:
         raise ValueError("coincidence vanishing needs N >= k+1")
     labels = enumerate_sparts(n, m, N)
-    images = [monomial_msym(L, N).merge_x(range(1, k + 2), 1) for L in labels]
-    return len(labels) - rank_of([f.terms for f in images])
+    return len(labels) - rank_of(
+        list(_coincidence_columns(labels, k + 1, m, N, 1).values()))
 
 
 def char_F(k: int, N: int, nmax: int) -> CharacterSeries:
@@ -334,16 +331,26 @@ def _block_sets(size: int, m: int, N: int):
         yield tuple(range(1, c + 1)) + tuple(range(m + 1, m + 1 + size - c))
 
 
+def _coincidence_columns(labels, size: int, m: int, N: int, cmax: int) -> dict:
+    """Per label O of fermionic degree m, the terms of prescribed_monomial(O)
+    with each block set S of `size` indices, at most cmax of them in 1..m,
+    merged into x_min(S), keyed by (S, term).  g = sum c_O g_O dies on each
+    such set iff sum c_O times these columns is zero."""
+    sets = [S for S in _block_sets(size, m, N)
+            if sum(i <= m for i in S) <= cmax]
+    return {om: {(S, key): c for S in sets for key, c in
+                 prescribed_monomial(om, N).merge_x(S[1:], S[0]).terms.items()}
+            for om in labels}
+
+
 def _vanishes(L: SuperPartition, k: int, r: int, N: int, cmax: int) -> bool:
     """Does g = prescribed_part(P_L(a0), m) = sum c_O prescribed_monomial(O)
     die on each block set of k+1 indices with at most cmax in 1..m?"""
     if N < k + 1:
         raise ValueError("coincidence vanishing needs N >= k+1")
     coords = jack_at(L, N, alpha_kr(k, r)).coeffs
-    return not any(combine(coords, {
-        om: prescribed_monomial(om, N).merge_x(S[1:], S[0]).terms
-        for om in coords}) for S in _block_sets(k + 1, L.m, N)
-        if sum(i <= L.m for i in S) <= cmax)
+    return not combine(coords, _coincidence_columns(coords, k + 1, L.m, N,
+                                                    cmax))
 
 
 def vanish_check(L: SuperPartition, k: int, r: int, N: int) -> bool:

@@ -237,22 +237,28 @@ def cherednik(f: SuperPolynomial, i: int, alpha) -> SuperPolynomial:
 # Sekiguchi pair, with u carried as a second polynomial indeterminate
 # ---------------------------------------------------------------------------
 
-def _ulist_apply_shifted(ul: UList, op: Callable, N: int) -> UList:
-    """Multiply the u-polynomial by (op + u); op must return a new polynomial."""
-    out = [op(c) for c in ul] + [SuperPolynomial(N)]
-    for k in range(1, len(out)):
-        add = out[k]._iadd_term
-        for key, c in ul[k - 1].terms.items():
-            add(key, c)
-    return out
+def _cherednik_product(f: SuperPolynomial, alpha, shifted: int = 0) -> UList:
+    """f times the product over i = 1..N of (xi_i + u), with alpha added to
+    xi_i for i <= shifted, as u-power coefficients: the shift and the u
+    term join each fresh `cherednik` output in place."""
+    ul: UList = [f]
+    for i in range(1, f.N + 1):
+        out = [cherednik(g, i, alpha) for g in ul] + [SuperPolynomial(f.N)]
+        for k, comp in enumerate(out):
+            add = comp._iadd_term
+            if i <= shifted and k < len(ul):
+                for key, c in ul[k].terms.items():
+                    add(key, c * alpha)
+            if k:
+                for key, c in ul[k - 1].terms.items():
+                    add(key, c)
+        ul = out
+    return ul
 
 
 def sekiguchi_S(f: SuperPolynomial, alpha) -> UList:
     """Product of (Cherednik_i + u) over all i, as u-power coefficients."""
-    ul: UList = [f]
-    for i in range(1, f.N + 1):
-        ul = _ulist_apply_shifted(ul, lambda g, i=i: cherednik(g, i, alpha), f.N)
-    return ul
+    return _cherednik_product(f, alpha)
 
 
 def theta_part(f: SuperPolynomial, m: int) -> SuperPolynomial:
@@ -284,15 +290,9 @@ def sekiguchi_S_tilde(f: SuperPolynomial, alpha) -> UList:
     if len(degs) > 1:
         raise ValueError("input must be theta-homogeneous")
     m = degs.pop() if degs else 0
-    ul: UList = [theta_part(f, m)]
-    for i in range(1, m + 1):
-        ul = _ulist_apply_shifted(
-            ul, lambda g, i=i: cherednik(g, i, alpha) + g.scale(alpha), N)
-    for j in range(m + 1, N + 1):
-        ul = _ulist_apply_shifted(ul, lambda g, j=j: cherednik(g, j, alpha), N)
     reps = _coset_reps(N, m)
     out = []
-    for comp in ul:
+    for comp in _cherednik_product(theta_part(f, m), alpha, m):
         acc: dict = {}
         permute_into(acc, comp.terms, reps)
         out.append(SuperPolynomial(N, {k: c for k, c in acc.items() if c}))
@@ -315,87 +315,68 @@ def ulist_equals_scalar_multiple(ul: UList, coeffs: Sequence,
 # first-order algebras
 # ---------------------------------------------------------------------------
 
-def nabla(f: SuperPolynomial, alpha=None) -> SuperPolynomial:
+def _index_sum(f: SuperPolynomial, *pieces: Callable) -> SuperPolynomial:
+    """sum over i = 1..N of piece(f, i) over the pieces, in one term dict."""
     out = SuperPolynomial(f.N)
+    add = out._iadd_term
     for i in range(1, f.N + 1):
-        out += f.diff_x(i)
+        for piece in pieces:
+            for key, c in piece(f, i).terms.items():
+                add(key, c)
     return out
+
+
+def nabla(f: SuperPolynomial, alpha=None) -> SuperPolynomial:
+    return _index_sum(f, SuperPolynomial.diff_x)
 
 
 def nabla_perp(f: SuperPolynomial, alpha) -> SuperPolynomial:
-    g = f.scale(_over(f.N, alpha, "nabla_perp"))
-    out = SuperPolynomial(f.N)
-    for i in range(1, f.N + 1):
-        out += f.diff_x(i).mul_x(i, 2)
-        out += f.diff_theta(i).mul_theta(i).mul_x(i)
-        out += g.mul_x(i)
-    return out
+    scaled = f.scale(_over(f.N, alpha, "nabla_perp"))
+    return _index_sum(f, lambda g, i: g.diff_x(i).mul_x(i, 2),
+                      lambda g, i: g.diff_theta(i).mul_theta(i).mul_x(i),
+                      lambda _, i: scaled.mul_x(i))
 
 
 def q_op(f: SuperPolynomial, alpha=None) -> SuperPolynomial:
-    out = SuperPolynomial(f.N)
-    for i in range(1, f.N + 1):
-        out += f.diff_x(i).mul_theta(i)
-    return out
+    return _index_sum(f, lambda g, i: g.diff_x(i).mul_theta(i))
 
 
 def q_perp(f: SuperPolynomial, alpha=None) -> SuperPolynomial:
-    out = SuperPolynomial(f.N)
-    for i in range(1, f.N + 1):
-        out += f.diff_theta(i).mul_x(i)
-    return out
+    return _index_sum(f, lambda g, i: g.diff_theta(i).mul_x(i))
 
 
 def Q_op(f: SuperPolynomial, alpha) -> SuperPolynomial:
     """sum_i theta_i (x_i d_i + N/alpha) f, with the N/alpha half scaled once."""
-    out = SuperPolynomial(f.N)
-    thetas = SuperPolynomial(f.N)
-    for i in range(1, f.N + 1):
-        out += f.diff_x(i).mul_x(i).mul_theta(i)
-        thetas += f.mul_theta(i)
-    return out + thetas.scale(_over(f.N, alpha, "Q"))
+    return (q_tilde(f) + _index_sum(f, SuperPolynomial.mul_theta)
+            .scale(_over(f.N, alpha, "Q")))
 
 
 def Q_perp(f: SuperPolynomial, alpha=None) -> SuperPolynomial:
-    out = SuperPolynomial(f.N)
-    for i in range(1, f.N + 1):
-        out += f.diff_theta(i)
-    return out
+    return _index_sum(f, SuperPolynomial.diff_theta)
 
 
 def E_op(f: SuperPolynomial, alpha) -> SuperPolynomial:
-    out = f.scale(_over(f.N * f.N, alpha, "E"))
-    for i in range(1, f.N + 1):
-        out += f.diff_x(i).mul_x(i)
-    return out
+    return (f.scale(_over(f.N * f.N, alpha, "E"))
+            + _index_sum(f, lambda g, i: g.diff_x(i).mul_x(i)))
 
 
 def calE(f: SuperPolynomial, alpha=None) -> SuperPolynomial:
-    out = SuperPolynomial(f.N)
-    for i in range(1, f.N + 1):
-        out += f.diff_x(i).mul_x(i)
-        out += f.diff_theta(i).mul_theta(i)
-    return out
+    return _index_sum(f, lambda g, i: g.diff_x(i).mul_x(i),
+                      lambda g, i: g.diff_theta(i).mul_theta(i))
 
 
 def q_tilde(f: SuperPolynomial, alpha=None) -> SuperPolynomial:
-    out = SuperPolynomial(f.N)
-    for i in range(1, f.N + 1):
-        out += f.diff_x(i).mul_x(i).mul_theta(i)
-    return out
+    return _index_sum(f, lambda g, i: g.diff_x(i).mul_x(i).mul_theta(i))
 
 
 def L_op(n: int, f: SuperPolynomial) -> SuperPolynomial:
     """Virasoro mode, n <= 1 only (operators on polynomials)."""
     if n > 1:
         raise ValueError("only modes n <= 1 act on polynomials")
-    out = SuperPolynomial(f.N)
-    theta_weight = Fraction(1 - n, 2)
-    for i in range(1, f.N + 1):
-        out += f.diff_x(i).mul_x(i, 1 - n)
-        if theta_weight:
-            out += f.diff_theta(i).mul_theta(i).mul_x(i, -n).scale(theta_weight)
-    return out
+    half = Fraction(1 - n, 2)  # L_1's theta piece is zero before x_i^-1
+    return _index_sum(f, lambda g, i: g.diff_x(i).mul_x(i, 1 - n),
+                      lambda g, i: g.diff_theta(i).mul_theta(i).scale(half)
+                      .mul_x(i, -n))
 
 
 def G_op(r: Fraction, f: SuperPolynomial) -> SuperPolynomial:
@@ -406,11 +387,8 @@ def G_op(r: Fraction, f: SuperPolynomial) -> SuperPolynomial:
     if r > Fraction(1, 2):
         raise ValueError("only modes r <= 1/2 act on polynomials")
     k = int(Fraction(1, 2) - r)
-    out = SuperPolynomial(f.N)
-    for i in range(1, f.N + 1):
-        out += f.diff_theta(i).mul_x(i, k)
-        out += f.diff_x(i).mul_theta(i).mul_x(i, k)
-    return out
+    return _index_sum(f, lambda g, i: g.diff_theta(i).mul_x(i, k),
+                      lambda g, i: g.diff_x(i).mul_theta(i).mul_x(i, k))
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +540,6 @@ def apply_operator(name: str, f: SuperPolynomial, alpha,
     if name == "Cherednik":
         if not index:
             raise ValueError("Cherednik needs --index")
-        if not 1 <= index <= f.N:
-            raise ValueError(f"--index {index} is outside 1..{f.N}")
         return cherednik(f, index, alpha)
     if name == "L":
         if mode is None:

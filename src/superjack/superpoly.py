@@ -44,10 +44,6 @@ class SuperPolynomial:
 
     # -- constructors ------------------------------------------------------
     @staticmethod
-    def zero(N: int) -> "SuperPolynomial":
-        return SuperPolynomial(N)
-
-    @staticmethod
     def one(N: int) -> "SuperPolynomial":
         return SuperPolynomial(N, {((), (0,) * N): 1})
 
@@ -289,14 +285,6 @@ class SuperPolynomial:
         for _, c in self.terms.items():
             acc = c + acc
         return acc
-
-    def map_coeff(self, fn: Callable) -> "SuperPolynomial":
-        out = SuperPolynomial(self.N)
-        for key, c in self.terms.items():
-            v = fn(c)
-            if v:
-                out.terms[key] = v
-        return out
 
     # -- printing -----------------------------------------------------------
     def sorted_terms(self):

@@ -11,7 +11,9 @@ from the per-label rows or built in all N variables, and the orbit kernels
 the fast ones replaced: the relabel one permutation at a time, D and
 Delta built by relabeling their (1, 2) image to every pair, the
 term-by-term canonical scan, the orbit over every distinct arrangement and
-the two-partition dominance."""
+the two-partition dominance; and the routes the shared ones replaced: the
+first-order generators as per-index `out +=` loops, the Sekiguchi pair as a
+chain of (op + u) factors, and dim F on expanded merged monomials."""
 
 import math
 from fractions import Fraction
@@ -549,3 +551,133 @@ def dominance_leq_shapes(O: SuperPartition, L: SuperPartition) -> bool:
         return False
     return (partition_dominates(L.star, O.star)
             and partition_dominates(L.circled, O.circled))
+
+
+# ---------------------------------------------------------------------------
+# the per-index generator loops, the Sekiguchi chains and the expanded dim_F
+# that the shared routes replaced
+# ---------------------------------------------------------------------------
+
+def _loop(*pieces):
+    """A generator that adds each piece(f, i) into a fresh sum with
+    `out += piece`, i = 1..N, every piece per index."""
+    def apply(f: SuperPolynomial, alpha=None) -> SuperPolynomial:
+        out = SuperPolynomial(f.N)
+        for i in range(1, f.N + 1):
+            for piece in pieces:
+                out += piece(f, i)
+        return out
+    return apply
+
+
+def _Q_loop(f: SuperPolynomial, alpha) -> SuperPolynomial:
+    out = SuperPolynomial(f.N)
+    thetas = SuperPolynomial(f.N)
+    for i in range(1, f.N + 1):
+        out += f.diff_x(i).mul_x(i).mul_theta(i)
+        thetas += f.mul_theta(i)
+    return out + thetas.scale(ops._over(f.N, alpha, "Q"))
+
+
+def _E_loop(f: SuperPolynomial, alpha) -> SuperPolynomial:
+    out = f.scale(ops._over(f.N * f.N, alpha, "E"))
+    for i in range(1, f.N + 1):
+        out += f.diff_x(i).mul_x(i)
+    return out
+
+
+def _nabla_perp_loop(f: SuperPolynomial, alpha) -> SuperPolynomial:
+    g = f.scale(ops._over(f.N, alpha, "nabla_perp"))
+    return _loop(lambda f, i: f.diff_x(i).mul_x(i, 2),
+                 lambda f, i: f.diff_theta(i).mul_theta(i).mul_x(i),
+                 lambda f, i: g.mul_x(i))(f)
+
+
+# the nine (f, alpha) generators of the operator table, by their table name
+GENERATOR_LOOPS = {
+    "E": _E_loop,
+    "calE": _loop(lambda f, i: f.diff_x(i).mul_x(i),
+                  lambda f, i: f.diff_theta(i).mul_theta(i)),
+    "q": _loop(lambda f, i: f.diff_x(i).mul_theta(i)),
+    "Q": _Q_loop,
+    "q_perp": _loop(lambda f, i: f.diff_theta(i).mul_x(i)),
+    "Q_perp": _loop(lambda f, i: f.diff_theta(i)),
+    "nabla": _loop(lambda f, i: f.diff_x(i)),
+    "nabla_perp": _nabla_perp_loop,
+    "q_tilde": _loop(lambda f, i: f.diff_x(i).mul_x(i).mul_theta(i)),
+}
+
+
+def L_op_loop(n: int, f: SuperPolynomial) -> SuperPolynomial:
+    """`ops.L_op` as an `out +=` loop, the theta piece skipped at n = 1."""
+    if n > 1:
+        raise ValueError("only modes n <= 1 act on polynomials")
+    out = SuperPolynomial(f.N)
+    theta_weight = Fraction(1 - n, 2)
+    for i in range(1, f.N + 1):
+        out += f.diff_x(i).mul_x(i, 1 - n)
+        if theta_weight:
+            out += f.diff_theta(i).mul_theta(i).mul_x(i, -n).scale(theta_weight)
+    return out
+
+
+def G_op_loop(r: Fraction, f: SuperPolynomial) -> SuperPolynomial:
+    """`ops.G_op` as an `out +=` loop."""
+    k = int(Fraction(1, 2) - Fraction(r))
+    out = SuperPolynomial(f.N)
+    for i in range(1, f.N + 1):
+        out += f.diff_theta(i).mul_x(i, k)
+        out += f.diff_x(i).mul_theta(i).mul_x(i, k)
+    return out
+
+
+def ulist_apply_shifted(ul: list, op, N: int) -> list:
+    """Multiply the u-polynomial by (op + u); op must return a new polynomial."""
+    out = [op(c) for c in ul] + [SuperPolynomial(N)]
+    for k in range(1, len(out)):
+        add = out[k]._iadd_term
+        for key, c in ul[k - 1].terms.items():
+            add(key, c)
+    return out
+
+
+def cherednik_chain(f: SuperPolynomial, alpha, shifted: int = 0) -> list:
+    """f times the product of (xi_i + u), i = 1..N, one `ulist_apply_shifted`
+    per factor; for i <= shifted the factor's operator is
+    cherednik(g, i, alpha) + g.scale(alpha)."""
+    ul = [f]
+    for i in range(1, f.N + 1):
+        if i <= shifted:
+            op = lambda g, i=i: ops.cherednik(g, i, alpha) + g.scale(alpha)
+        else:
+            op = lambda g, i=i: ops.cherednik(g, i, alpha)
+        ul = ulist_apply_shifted(ul, op, f.N)
+    return ul
+
+
+def sekiguchi_S_tilde_chain(f: SuperPolynomial, alpha) -> list:
+    """`ops.sekiguchi_S_tilde` through `cherednik_chain`: the shifted chain
+    on the theta_1...theta_m part, then the coset sum."""
+    N = f.N
+    degs = f.fermionic_degrees()
+    if len(degs) > 1:
+        raise ValueError("input must be theta-homogeneous")
+    m = degs.pop() if degs else 0
+    out = []
+    for comp in cherednik_chain(ops.theta_part(f, m), alpha, m):
+        acc: dict = {}
+        permute_into(acc, comp.terms, ops._coset_reps(N, m))
+        out.append(SuperPolynomial(N, {k: c for k, c in acc.items() if c}))
+    return out
+
+
+def dim_F_expanded(k: int, N: int, n: int, m: int) -> int:
+    """`ideals.dim_F` on expanded monomials: each m_O in N variables with
+    x_1..x_{k+1} merged into x_1, ranked over its terms."""
+    if k < 1:
+        raise ValueError("coincidence vanishing needs k >= 1")
+    if N < k + 1:
+        raise ValueError("coincidence vanishing needs N >= k+1")
+    labels = enumerate_sparts(n, m, N)
+    images = [monomial_msym(L, N).merge_x(range(1, k + 2), 1) for L in labels]
+    return len(labels) - ideals.rank_of([f.terms for f in images])

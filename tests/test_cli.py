@@ -465,6 +465,24 @@ def test_op_apply_dividing_by_zero_parameter_exit_code(capsys, tmp_path, name):
     assert name in message and "a = 0" in message
 
 
+@pytest.mark.parametrize("coeff, alpha", [("1/a", "0"), ("1/(a+1)", "-1")])
+def test_op_apply_input_pole_exit_code(capsys, tmp_path, coeff, alpha):
+    # a coefficient with a pole at --alpha is bad input; it used to exit 3
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps({"N": 2, "terms": [
+        {"thetas": [], "exps": [1, 0], "coeff": "1"},
+        {"thetas": [2], "exps": [0, 3], "coeff": coeff}]}))
+    code, out, err = run(capsys, "op", "apply", "--name", "q",
+                         "--alpha", alpha, "--input", str(path))
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "UsageError"
+    assert (payload["thetas"], payload["exps"]) == ([2], [0, 3])
+    assert payload["alpha"] == alpha and "pole" in payload["message"]
+
+
 @pytest.mark.parametrize("index", ["5", "-1"])
 def test_op_apply_index_outside_range_exit_code(capsys, tmp_path, index):
     code, out, err = run(capsys, "op", "apply", "--name", "Cherednik",

@@ -15,12 +15,14 @@ from superjack.ideals import (CharacterSeries, DegreeBasis, NotInSpan,
                               stability_suite, vanish_check)
 from superjack.jack import jack_at
 from superjack.spart import (enumerate_admissible, enumerate_all_m,
-                             enumerate_sparts, is_admissible, parse_spart)
+                             enumerate_sparts, fermionic_range, is_admissible,
+                             parse_spart)
 from superjack.suites import suite_conjecture_rma
 from superjack.superpoly import (SuperPolynomial, from_mbasis, power_sum,
                                  to_mbasis)
 from oracles import (cluster_order_expanded, cochain_check_expanded,
-                     dense_solve_exact, prescribed_vanish_check_expanded,
+                     dense_solve_exact, dim_F_expanded,
+                     prescribed_vanish_check_expanded,
                      stability_suite_expanded, vanish_check_expanded)
 
 
@@ -336,6 +338,32 @@ def test_characters_appendix_values():
     assert [dim_F(1, 3, 3, m) for m in range(4)] == [0, 0, 1, 1]
     # u^2 coefficient of the N=2, k=1 series: 1 + 2v + v^2
     assert [dim_F(1, 2, 2, m) for m in range(3)] == [1, 2, 1]
+
+
+# (k, N, nmax) grids on which the column and the expanded dim F are compared
+DIM_F_GRIDS = [(1, 3, 8), (2, 4, 8), (1, 4, 8), (3, 5, 9)]
+
+
+def _dim_F_faults():
+    """The (k, N, n, m) of the grids where the two routes to dim F differ."""
+    return {(k, N, n, m) for k, N, nmax in DIM_F_GRIDS
+            for n in range(nmax + 1) for m in fermionic_range(n, N)
+            if dim_F(k, N, n, m) != dim_F_expanded(k, N, n, m)}
+
+
+def test_dim_F_columns_match_expanded_route():
+    assert _dim_F_faults() == set()
+
+
+def test_coincidence_columns_reading_c0_only_are_caught(monkeypatch):
+    # c = 0 alone misses the sets through 1..m, and at m + k + 1 > N there is
+    # no c = 0 set at all
+    columns = ideals._coincidence_columns
+    monkeypatch.setattr(ideals, "_coincidence_columns",
+                        lambda labels, size, m, N, cmax:
+                        columns(labels, size, m, N, 0))
+    faults = _dim_F_faults()
+    assert faults and all(m for _, _, _, m in faults)
 
 
 def test_character_series_formatting():

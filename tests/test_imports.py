@@ -118,8 +118,9 @@ def test_only_run_entry_points_take_allow_noncoprime():
 
 def test_ideals_expands_no_jack():
     # every check in ideals reads P_L through its m-coordinates: columns
-    # per monomial, never the orbit terms of the whole polynomial
+    # per monomial, never the orbit terms of the whole polynomial, and dim F
+    # reads the coincidence columns, never an expanded monomial
     tree = ast.parse((SRC / "ideals.py").read_text())
     called = {getattr(node.func, "attr", getattr(node.func, "id", None))
               for node in ast.walk(tree) if isinstance(node, ast.Call)}
-    assert not called & {"polynomial", "from_mbasis"}
+    assert not called & {"polynomial", "from_mbasis", "monomial_msym"}

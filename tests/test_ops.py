@@ -25,8 +25,10 @@ from superjack.superpoly import (DivisionFailure, SuperPolynomial,
                                  divide_xdiff, ferm_power, from_mbasis,
                                  integral_multiple, monomial_msym, power_sum)
 
-from oracles import (act_Ksigma, apply_D_relabel, apply_Delta_relabel,
-                     sekiguchi_verdicts_whole, swap_K)
+from oracles import (GENERATOR_LOOPS, G_op_loop, L_op_loop, act_Ksigma,
+                     apply_D_relabel, apply_Delta_relabel, cherednik_chain,
+                     sekiguchi_S_tilde_chain, sekiguchi_verdicts_whole,
+                     swap_K)
 
 a = ALPHA
 
@@ -120,12 +122,12 @@ RINGS = {
 
 
 @st.composite
-def cherednik_cases(draw):
+def cherednik_cases(draw, max_N=5, max_terms=8):
     coeffs, alphas = RINGS[draw(st.sampled_from(sorted(RINGS)))]
-    N = draw(st.integers(1, 5))
+    N = draw(st.integers(1, max_N))
     f = SuperPolynomial(N)
     exps = []
-    for _ in range(draw(st.integers(0, 8))):
+    for _ in range(draw(st.integers(0, max_terms))):
         T = draw(st.lists(st.integers(1, N), max_size=min(3, N), unique=True))
         if exps and draw(st.booleans()):
             # move degree between two slots of an earlier term, where the
@@ -224,13 +226,7 @@ def _sekiguchi_S_tilde_full_sum(f, alpha):
     m!(N-m)!, a Fraction, so it works over Q(a) only."""
     N = f.N
     m, = f.fermionic_degrees()
-    ul = [ops.theta_part(f, m)]
-    for i in range(1, m + 1):
-        ul = ops._ulist_apply_shifted(
-            ul, lambda g, i=i: cherednik(g, i, alpha) + g.scale(alpha), N)
-    for j in range(m + 1, N + 1):
-        ul = ops._ulist_apply_shifted(
-            ul, lambda g, j=j: cherednik(g, j, alpha), N)
+    ul = cherednik_chain(ops.theta_part(f, m), alpha, m)
     out = [SuperPolynomial(N) for _ in ul]
     for sigma in permutations(range(1, N + 1)):
         for k, comp in enumerate(ul):
@@ -727,3 +723,95 @@ def test_integral_parameter_matches_rational(name):
         want = ops.operator(name)(f, ALPHA)
         assert got.terms == want.terms, str(f)
         assert all(isinstance(c, ring) for c in got.terms.values())
+
+
+# ---------------------------------------------------------------------------
+# The shared index sum and Cherednik product against the loops they replaced
+# ---------------------------------------------------------------------------
+
+L_MODES = (1, 0, -1, -2, -3)
+G_MODES = (Fraction(1, 2), Fraction(-1, 2), Fraction(-3, 2))
+
+
+def _outcome(fn, *args):
+    """The term dicts fn returns, one per power of u for a list, or the type
+    of the exception it raises."""
+    try:
+        got = fn(*args)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        return type(exc)
+    return [comp.terms for comp in _components(got)]
+
+
+def _generator_faults(f, alpha):
+    """The generators whose image of f differs from their `out +=` loop's."""
+    routes = [(name, ops.operator(name), old, (f, alpha))
+              for name, old in GENERATOR_LOOPS.items()]
+    routes += [(f"L_{n}", ops.L_op, L_op_loop, (n, f)) for n in L_MODES]
+    routes += [(f"G_{r}", ops.G_op, G_op_loop, (r, f)) for r in G_MODES]
+    return {name for name, new, old, args in routes
+            if _outcome(new, *args) != _outcome(old, *args)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(cherednik_cases())
+@example((X1_SQUARED_PLUS_X1X2, ALPHA))
+def test_generators_match_their_index_loops(case):
+    assert _generator_faults(*case) == set()
+
+
+def _theta_homogeneous(f):
+    """The terms of f of its largest fermionic degree."""
+    m = max(f.fermionic_degrees(), default=0)
+    return SuperPolynomial(f.N, {key: c for key, c in f.terms.items()
+                                 if len(key[0]) == m})
+
+
+@settings(max_examples=80, deadline=None)
+@given(cherednik_cases(max_N=4, max_terms=4))
+def test_sekiguchi_pair_matches_its_chains(case):
+    f, alpha = case
+    assert _outcome(sekiguchi_S, f, alpha) == _outcome(cherednik_chain, f,
+                                                       alpha)
+    g = _theta_homogeneous(f)
+    assert _outcome(sekiguchi_S_tilde, g, alpha) == _outcome(
+        sekiguchi_S_tilde_chain, g, alpha)
+
+
+def _mutant_inputs():
+    """m_[1,0;2,1] in four variables and two random polynomials."""
+    rng = random.Random(11)
+    return [monomial_msym(parse_spart("1,0;2,1"), 4),
+            random_superpoly(3, rng, nterms=6), random_superpoly(4, rng)]
+
+
+def test_index_sum_skipping_the_last_index_is_caught(monkeypatch):
+    def skipping(f, *pieces):
+        out = SuperPolynomial(f.N)
+        for i in range(1, f.N):
+            for piece in pieces:
+                for key, c in piece(f, i).terms.items():
+                    out._iadd_term(key, c)
+        return out
+
+    names = {*GENERATOR_LOOPS, *(f"L_{n}" for n in L_MODES),
+             *(f"G_{r}" for r in G_MODES)}
+    assert len(names) == 17
+    for f in _mutant_inputs():
+        assert _generator_faults(f, ALPHA) == set()
+    monkeypatch.setattr(ops, "_index_sum", skipping)
+    assert set().union(*(_generator_faults(f, ALPHA)
+                         for f in _mutant_inputs())) == names
+
+
+def test_shift_stopping_at_m_minus_one_is_caught(monkeypatch):
+    # S-tilde adds alpha to xi_1..xi_m; a product that stops at xi_{m-1}
+    # changes S-tilde on every label with m >= 1 and leaves S alone
+    cases = [(jack_poly(L, 3), L) for L in _labels(3, 3, 2) if L.m]
+    product = ops._cherednik_product
+    monkeypatch.setattr(ops, "_cherednik_product",
+                        lambda f, alpha, shifted=0: product(f, alpha,
+                                                            shifted - 1))
+    for P, L in cases:
+        assert sekiguchi_S(P, a) == cherednik_chain(P, a), str(L)
+        assert sekiguchi_S_tilde(P, a) != sekiguchi_S_tilde_chain(P, a), str(L)
