@@ -537,8 +537,12 @@ def apply_operator(name: str, f: SuperPolynomial, alpha,
                    mode=None):
     """Apply Cherednik, L, G or an OPERATORS name; Sekiguchi gives u-lists."""
     name = name.strip()
+    takes = {"Cherednik": "index", "L": "mode", "G": "mode"}.get(name)
+    for flag, value in (("index", index), ("mode", mode)):
+        if value is not None and flag != takes:
+            raise ValueError(f"{name} does not take --{flag}")
     if name == "Cherednik":
-        if not index:
+        if index is None:
             raise ValueError("Cherednik needs --index")
         return cherednik(f, index, alpha)
     if name == "L":

@@ -7,9 +7,9 @@ checks (k, r) once, before it reads any label (`spart.check_kr`).
 
 from __future__ import annotations
 
-from math import gcd
+from math import comb, gcd, prod
 
-from .coeffring import ALPHA, AlphaPolynomial, PoleError
+from .coeffring import ALPHA, PoleError, _scaled_eval
 from .ideals import (alpha_kr, cochain_check, harness_clustering,
                      harness_I_eq_F, prescribed_vanish_check, stability_suite,
                      vanish_check)
@@ -65,20 +65,46 @@ def sekiguchi_verdicts(P: SuperPolynomial, L: SuperPartition, N: int,
     return s_ok, s_tilde_ok
 
 
+def _kronecker_point(P: SuperPolynomial, L: SuperPartition, N: int) -> int:
+    """A power of two above B, `suite_sekiguchi`'s bound on P's residuals."""
+    H = sum(abs(x) for c in P.terms.values() for x in c.coeffs)
+    n = max((sum(e) for _, e in P.terms), default=0)
+    grow = comb(N, L.m) * prod(N * n + i + 1 for i in range(1, N + 1))
+    eps = max(prod(p + i for i, p in enumerate(lam, 1))
+              for lam in star_pair(L, N))
+    return 1 << (H * (grow + eps)).bit_length()
+
+
+def _packed(P: SuperPolynomial, X: int) -> SuperPolynomial:
+    """P with each Z[a] coefficient c replaced by c(X), zeros dropped."""
+    terms = {k: _scaled_eval(c.coeffs, X, 1, len(c.coeffs))
+             for k, c in P.terms.items()}
+    return SuperPolynomial(P.N, {k: v for k, v in terms.items() if v})
+
+
 def suite_sekiguchi(nmax: int, N: int, mmax: int = 2) -> tuple[bool, dict]:
     """Both generating-series eigenrelations as identities in u.
 
-    Both sides are linear in P and the operators have integer constants, so
-    each P is cleared to Z[a] once and checked there, free of gcds.  Each
-    relation is read on P's theta_1...theta_m part (`sekiguchi_verdicts`).
+    Each P is cleared to Z[a] once and read on its theta_1...theta_m part
+    (`sekiguchi_verdicts`) in plain ints at a = X.  a -> X is a ring map
+    Z[a] -> Z and the operators have integer constants, so each residual
+    delta = (S(u) P - eps(u) P)[term, u^k], or its S-tilde twin, goes to
+    delta(X): an exact pass passes at X.  If delta != 0 has every
+    |delta_j| <= B < X, delta_j its lowest nonzero one, then delta(X) / X^j
+    = delta_j != 0 mod X: a failure fails at X.  For H the l1 norm of P and
+    n its x-degree, B = H (C(N, m) prod_i (Nn + i + 1) + max prod_i (lam_i
+    + i)): xi_i + u (+ a for i <= m) multiplies an l1 norm by at most
+    Nn + i + 1 (n + i - 1 diagonal, (N - 1) n exchange terms, u, a), the
+    S-tilde coset sum by C(N, m), and eps(u) by prod_i (lam_i + i), lam
+    starred or circled.  B >= 2H keeps the symmetry check exact at X.
     """
-    A = AlphaPolynomial.gen()
     failures = []
     count = 0
     for L in _labels(nmax, N, mmax):
         count += 1
         P = integral_multiple(jack_poly(L, N))
-        s_ok, s_tilde_ok = sekiguchi_verdicts(P, L, N, A)
+        X = _kronecker_point(P, L, N)
+        s_ok, s_tilde_ok = sekiguchi_verdicts(_packed(P, X), L, N, X)
         if not s_ok:
             failures.append(("S", str(L), N))
         if not s_tilde_ok:

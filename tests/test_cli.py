@@ -483,13 +483,38 @@ def test_op_apply_input_pole_exit_code(capsys, tmp_path, coeff, alpha):
     assert payload["alpha"] == alpha and "pole" in payload["message"]
 
 
-@pytest.mark.parametrize("index", ["5", "-1"])
+@pytest.mark.parametrize("index", ["5", "-1", "0"])
 def test_op_apply_index_outside_range_exit_code(capsys, tmp_path, index):
+    # --index 0 used to read as a missing --index
     code, out, err = run(capsys, "op", "apply", "--name", "Cherednik",
                          "--index", index, "--alpha", "sym",
                          "--input", _write_x1_squared(tmp_path))
     assert code == 2 and out == ""
-    assert json.loads(err.strip())["error"] == "UsageError"
+    payload = json.loads(err.strip())
+    assert payload["error"] == "UsageError"
+    assert payload["message"] == f"Cherednik index {index} is outside 1..2"
+
+
+@pytest.mark.parametrize("name, flags, stray", [
+    ("q", ["--mode", "1", "--index", "2"], "index"),
+    ("q", ["--mode", "1"], "mode"),
+    ("Sekiguchi", ["--index", "1"], "index"),
+    ("Cherednik", ["--index", "1", "--mode", "1"], "mode"),
+    ("L", ["--mode", "0", "--index", "1"], "index"),
+    ("G", ["--mode", "-1/2", "--index", "1"], "index"),
+])
+def test_op_apply_rejects_a_flag_its_operator_does_not_take(
+        capsys, tmp_path, name, flags, stray):
+    # each used to be ignored, with exit 0
+    code, out, err = run(capsys, "op", "apply", "--name", name, *flags,
+                         "--alpha", "sym", "--input",
+                         _write_x1_squared(tmp_path))
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "UsageError"
+    assert payload["message"] == f"{name} does not take --{stray}"
 
 
 @pytest.mark.parametrize("N, term", [

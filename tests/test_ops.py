@@ -20,7 +20,8 @@ from superjack.ops import (ALGEBRA_TABLE, OPERATORS, G_op, L_op,
 from superjack.jack import jack_at, jack_poly, jack_symbolic
 from superjack.spart import (e_star_poly, e_tilde_poly, enumerate_all_m,
                              epsilon_u, parse_spart)
-from superjack.suites import _labels
+from superjack.suites import (_kronecker_point, _labels, _packed,
+                              sekiguchi_verdicts)
 from superjack.superpoly import (DivisionFailure, SuperPolynomial,
                                  divide_xdiff, ferm_power, from_mbasis,
                                  integral_multiple, monomial_msym, power_sum)
@@ -253,28 +254,26 @@ def test_sekiguchi_tilde_coset_equals_full_sum():
 
 @pytest.mark.parametrize("nmax, N, mmax", [(3, 3, 2), (3, 4, 1)])
 def test_sekiguchi_integral_route_matches_rational(nmax, N, mmax):
-    # suite_sekiguchi's Z[a] route against the Q(a) route it replaced, on
-    # each Jack superpolynomial and on a mutant P + m_Omega, Omega < L
+    # suite_sekiguchi's routes against the Q(a) route they replaced, on each
+    # Jack superpolynomial and on a mutant P + m_Omega, Omega < L: Z[a], and
+    # plain ints at the suite's Kronecker point
     A = AlphaPolynomial.gen()
     mutants = 0
-    for n in range(nmax + 1):
-        for L in enumerate_all_m(n, N):
-            if L.m > mmax:
-                continue
-            P = jack_poly(L, N)
-            verdict = sekiguchi_verdicts_whole(P, L, N, a)
-            assert verdict == (True, True)
-            assert sekiguchi_verdicts_whole(integral_multiple(P), L, N,
-                                            A) == verdict
-            below = [om for om in jack_symbolic(L, N).coeffs if om != L]
-            if not below:
-                continue
-            bad = P + monomial_msym(below[-1], N)
-            verdict = sekiguchi_verdicts_whole(bad, L, N, a)
-            assert verdict != (True, True)
-            assert sekiguchi_verdicts_whole(integral_multiple(bad), L, N,
-                                            A) == verdict
+    for L in _labels(nmax, N, mmax):
+        P = jack_poly(L, N)
+        cases = [P]
+        below = [om for om in jack_symbolic(L, N).coeffs if om != L]
+        if below:
+            cases.append(P + monomial_msym(below[-1], N))
             mutants += 1
+        for Q in cases:
+            verdict = sekiguchi_verdicts_whole(Q, L, N, a)
+            assert (verdict == (True, True)) == (Q is P), str(L)
+            Z = integral_multiple(Q)
+            assert sekiguchi_verdicts_whole(Z, L, N, A) == verdict
+            assert sekiguchi_verdicts(Z, L, N, A) == verdict
+            X = _kronecker_point(Z, L, N)
+            assert sekiguchi_verdicts(_packed(Z, X), L, N, X) == verdict
     assert mutants
 
 

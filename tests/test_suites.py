@@ -8,8 +8,11 @@ from superjack import cli, suites
 from superjack.coeffring import AlphaPolynomial
 from superjack.ideals import char_I
 from superjack.jack import jack_poly
-from superjack.spart import dominance_leq, enumerate_sparts, parse_spart
-from superjack.suites import (_labels, sekiguchi_verdicts, suite_duality,
+from superjack.ops import sekiguchi_S, sekiguchi_S_tilde, theta_part
+from superjack.spart import (dominance_leq, enumerate_sparts, epsilon_u,
+                             parse_spart, star_pair)
+from superjack.suites import (_kronecker_point, _labels, _packed,
+                              sekiguchi_verdicts, suite_duality,
                               suite_norm, suite_regularity, suite_sekiguchi,
                               suite_vanishing)
 from superjack.superpoly import integral_multiple, monomial_msym
@@ -68,6 +71,50 @@ def test_sekiguchi_theta_part_matches_whole_polynomial(nmax, N, mmax):
                                                                  str(om))
             mutants += 1
     assert mutants
+
+
+def _planted_mutants(nmax, N, mmax, shift):
+    """(L, P_L + shift * m_Omega) over the labels and every Omega < L."""
+    for L in _labels(nmax, N, mmax):
+        P = integral_multiple(jack_poly(L, N))
+        for om in enumerate_sparts(*L.degree(), N):
+            if om != L and dominance_leq(om, L):
+                yield L, P + monomial_msym(om, N).scale(shift)
+
+
+def test_sekiguchi_point_comes_from_the_input():
+    # (a - 2) m_Omega vanishes at a = 2, so a point fixed at 2 passes the
+    # mutant; the suite's point, above the residual bound, catches it
+    A = AlphaPolynomial.gen()
+    count = 0
+    for L, bad in _planted_mutants(3, 3, 2, A - 2):
+        assert sekiguchi_verdicts(_packed(bad, 2), L, 3, 2) == (True, True)
+        X = _kronecker_point(bad, L, 3)
+        assert sekiguchi_verdicts(_packed(bad, X), L, 3, X) != (True, True)
+        count += 1
+    assert count
+
+
+def test_sekiguchi_residuals_stay_below_the_point():
+    # every Z[a] coefficient of S(u) head - eps(u) head, and of the same for
+    # S-tilde, on each Jack and each mutant P + m_Omega
+    A = AlphaPolynomial.gen()
+    N = 3
+    cases = [(L, integral_multiple(jack_poly(L, N))) for L in _labels(3, N, 2)]
+    cases += _planted_mutants(3, N, 2, 1)
+    for L, P in cases:
+        X = _kronecker_point(P, L, N)
+        head = theta_part(P, L.m)
+        circ, star = star_pair(L, N)
+        for images, lam in [
+                (sekiguchi_S(head, A), star),
+                ([theta_part(c, L.m) for c in sekiguchi_S_tilde(P, A)], circ)]:
+            eps = epsilon_u(lam, N, A)
+            assert len(images) == len(eps)
+            for image, e in zip(images, eps):
+                residual = image - head.scale(e)
+                assert all(abs(x) < X for c in residual.terms.values()
+                           for x in c.coeffs), str(L)
 
 
 def _off_head_mutant(L, N):
