@@ -23,8 +23,8 @@ from .ideals import char_F, char_I, cluster_multiplicity
 from .jack import (PIERI_KINDS, JackExpansion, eigen_check, jack_symbolic,
                    pieri_closed)
 from .ops import NonPolynomialResult, apply_operator
-from .spart import (SuperPartition, admissible_at_degree, check_kr,
-                    enumerate_sparts, parse_spart)
+from .spart import (SuperPartition, check_kr, enumerate_sparts,
+                    is_admissible, parse_spart)
 from .superpoly import SuperPolynomial, from_mbasis, terms_to_json
 from .suites import SUITES
 
@@ -175,12 +175,16 @@ def _read_poly(path: str) -> SuperPolynomial:
     N = data.get("N") if isinstance(data, dict) else None
     if type(N) is not int or N < 1:
         raise UsageError(f"N must be a positive integer, got {N!r}")
-    if not isinstance(data["terms"], list):
-        raise UsageError("terms must be a list")
+    if not isinstance(data.get("terms"), list):
+        raise UsageError("terms must be a list" if "terms" in data
+                         else "the input lacks the field 'terms'")
     out = SuperPolynomial(N)
     for item in data["terms"]:
         if not isinstance(item, dict):
             raise UsageError(f"a term must be a JSON object, got {item!r}")
+        for key in ("thetas", "exps", "coeff"):
+            if key not in item:
+                raise UsageError(f"a term lacks the field {key!r}: {item!r}")
         thetas, exps = item["thetas"], item["exps"]
         if not (_int_list(thetas) and all(1 <= t <= N for t in thetas)
                 and all(s < t for s, t in zip(thetas, thetas[1:]))):
@@ -240,9 +244,8 @@ def cmd_enumerate(args) -> int:
         except ValueError as exc:
             raise UsageError("--admissible expects 'k,r'") from exc
         check_kr(k, r)
-        labels = admissible_at_degree(k, r, args.N, args.n, args.m)
-    else:
-        labels = list(enumerate_sparts(args.n, args.m, args.N))
+    labels = [L for L in enumerate_sparts(args.n, args.m, args.N)
+              if not args.admissible or is_admissible(L, k, r, args.N)]
     if args.out == "json":
         print(json.dumps([str(L) for L in labels]))
     else:

@@ -28,6 +28,7 @@ the suites and the command line check it where a run starts.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -35,8 +36,8 @@ from typing import Optional, Sequence
 from .coeffring import FieldMatrix, NoSolution, solve_exact, UniqueSolution
 from .jack import jack_at
 from .ops import OPERATORS, L_op, operator
-from .spart import (SuperPartition, check_kr, enumerate_admissible,
-                    enumerate_sparts, fermionic_range, is_admissible)
+from .spart import (SuperPartition, check_kr, degrees, enumerate_admissible,
+                    enumerate_sparts, is_admissible)
 from .superpoly import (SuperPolynomial, check_triangular, column_images,
                         combine, ferm_power, peel, power_sum,
                         prescribed_monomial)
@@ -99,13 +100,8 @@ def degree_basis(k: int, r: int, N: int, n: int, m: int) -> DegreeBasis:
 def ideal_basis(k: int, r: int, N: int,
                 nmax: int) -> dict[tuple[int, int], DegreeBasis]:
     """The nonempty degree bases up to total degree nmax, keyed by (n, m)."""
-    by_degree = {}
-    for n in range(nmax + 1):
-        for m in fermionic_range(n, N):
-            entry = degree_basis(k, r, N, n, m)
-            if entry.columns:
-                by_degree[(n, m)] = entry
-    return by_degree
+    bases = {d: degree_basis(k, r, N, *d) for d in degrees(nmax, N)}
+    return {d: b for d, b in bases.items() if b.columns}
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +287,8 @@ class CharacterSeries:
 
 def char_I(k: int, r: int, N: int, nmax: int) -> CharacterSeries:
     """Admissible-label counts per bidegree."""
-    table = {}
-    for L in enumerate_admissible(k, r, N, nmax):
-        table[(L.n, L.m)] = table.get((L.n, L.m), 0) + 1
-    return CharacterSeries(table, nmax)
+    return CharacterSeries(Counter(
+        L.degree() for L in enumerate_admissible(k, r, N, nmax)), nmax)
 
 
 def dim_F(k: int, N: int, n: int, m: int) -> int:
@@ -311,13 +305,8 @@ def dim_F(k: int, N: int, n: int, m: int) -> int:
 
 
 def char_F(k: int, N: int, nmax: int) -> CharacterSeries:
-    table = {}
-    for n in range(nmax + 1):
-        for m in fermionic_range(n, N):
-            d = dim_F(k, N, n, m)
-            if d:
-                table[(n, m)] = d
-    return CharacterSeries(table, nmax)
+    dims = {d: dim_F(k, N, *d) for d in degrees(nmax, N)}
+    return CharacterSeries({d: v for d, v in dims.items() if v}, nmax)
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +391,17 @@ def cluster_multiplicity(L: SuperPartition, k: int, r: int, N: int,
                          a, r - a)
 
 
+def _representative_clusters(k: int, m: int, N: int):
+    """Inequivalent (cluster, primed) choices by block symmetry: each
+    block-class cluster, primed the next free index of either block."""
+    for cluster in _block_sets(k, m, N):
+        c = sum(i <= m for i in cluster)
+        if c < m:
+            yield cluster, c + 1
+        if m + k - c < N:
+            yield cluster, m + k - c + 1
+
+
 # ---------------------------------------------------------------------------
 # cochain structure
 # ---------------------------------------------------------------------------
@@ -455,56 +455,3 @@ def cochain_check(k: int, r: int, N: int, nmax: int, d: str = "q") -> dict:
         exactness.append({"degree": (n, m), "ker": data["ker_d"],
                           "im": im_prev, "exact": data["ker_d"] == im_prev})
     return {"failures": failures, "ranks": ranks, "exactness": exactness}
-
-
-# ---------------------------------------------------------------------------
-# conjecture harnesses
-# ---------------------------------------------------------------------------
-
-def harness_I_eq_F(k: int, N: int, nmax: int) -> dict:
-    ci = char_I(k, 2, N, nmax)
-    cf = char_F(k, N, nmax)
-    mismatches = []
-    for n in range(nmax + 1):
-        for m in fermionic_range(n, N):
-            if ci.coeff(n, m) != cf.coeff(n, m):
-                mismatches.append({"degree": (n, m), "char_I": ci.coeff(n, m),
-                                   "char_F": cf.coeff(n, m)})
-    return {"k": k, "N": N, "nmax": nmax, "char_I": ci, "char_F": cf,
-            "equal": not mismatches, "mismatches": mismatches}
-
-
-def _representative_clusters(k: int, m: int, N: int):
-    """Inequivalent (cluster, primed) choices by block symmetry: each
-    block-class cluster, primed the next free index of either block."""
-    for cluster in _block_sets(k, m, N):
-        c = sum(i <= m for i in cluster)
-        if c < m:
-            yield cluster, c + 1
-        if m + k - c < N:
-            yield cluster, m + k - c + 1
-
-
-def harness_clustering(k: int, r: int, N: int, nmax: int) -> dict:
-    """Sweep the multiplicity over admissible labels and log exceptions."""
-    rows = []
-    for L in [L for L in enumerate_admissible(k, r, N, nmax) if L.m]:
-        for cluster, primed in _representative_clusters(k, L.m, N):
-            res = cluster_multiplicity(L, k, r, N, cluster, primed)
-            if res.multiplicity is None:
-                rows.append({"label": str(L), "cluster": cluster,
-                             "primed": primed, "s": None, "expected": None,
-                             "zero": True, "exception": False})
-                continue
-            rows.append({
-                "label": str(L), "cluster": cluster, "primed": primed,
-                "s": res.multiplicity, "expected": res.expected,
-                "zero": False,
-                "exception": res.multiplicity != res.expected,
-                "divides": res.multiplicity >= res.expected,
-                "within_bounds": N >= k + L.m + 1 and r > L.m > 0,
-            })
-    exceptions = [row for row in rows if row.get("exception")]
-    bad = [row for row in exceptions if row.get("within_bounds")]
-    return {"k": k, "r": r, "N": N, "nmax": nmax, "rows": rows,
-            "exceptions": exceptions, "exceptions_in_bounds": bad}

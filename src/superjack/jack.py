@@ -18,7 +18,8 @@ from math import gcd, lcm
 from typing import Callable, Optional
 
 from .coeffring import (ALPHA, ONE, ZERO, AlphaPolynomial, AlphaRational,
-                        PoleError, _poly, alpha_eval, clear_denominators)
+                        PoleError, _poly, _scaled_eval, alpha_eval,
+                        clear_denominators)
 # unused here: perfbench's test_tracer_wraps_every_binding reads jack.solve_exact
 from .coeffring import solve_exact  # noqa: F401
 from .ops import _pair_pulls, apply_D, apply_Delta, operator
@@ -221,18 +222,11 @@ def _divide_row_sum(terms, diff):
             d // g)
 
 
-def _root_value(num, f0, f1) -> int:
-    """f1**deg(num) * num(-f0/f1), by Horner on ints."""
-    s, w = 0, 1
-    for x in reversed(num):
-        s, w = s * -f0 + x * w, w * f1
-    return s
-
-
 def _divide_linear(num, f):
     """num / (f0 + f1*a) by synthetic division over Z, top down, or None when
-    the primitive f = (f0, f1) does not divide num: its root value is not 0."""
-    if _root_value(num, *f):
+    the primitive f = (f0, f1) does not divide num: its root value
+    f1**deg(num) * num(-f0/f1) is not 0."""
+    if _scaled_eval(num, -f[0], f[1], len(num)):
         return None
     q = [0] * len(num)
     for i in range(len(num) - 1, 0, -1):

@@ -545,14 +545,15 @@ def apply_operator(name: str, f: SuperPolynomial, alpha,
         if index is None:
             raise ValueError("Cherednik needs --index")
         return cherednik(f, index, alpha)
-    if name == "L":
-        if mode is None:
-            raise ValueError("L needs --mode n <= 1")
-        return L_op(int(mode), f)
-    if name == "G":
-        if mode is None:
-            raise ValueError("G needs --mode r <= 1/2, half-integral")
-        return G_op(Fraction(mode), f)
+    if name in ("L", "G"):
+        parse, need = {"L": (int, "an integer --mode n <= 1"),
+                       "G": (Fraction, "--mode r <= 1/2, half-integral")}[name]
+        try:
+            value = parse(mode)
+        except (TypeError, ValueError, ZeroDivisionError):
+            got = "" if mode is None else f", got {mode!r}"
+            raise ValueError(f"{name} needs {need}{got}") from None
+        return (L_op if name == "L" else G_op)(value, f)
     if name in ("D", "Delta") and not f.is_symmetric():
         raise NonPolynomialResult(f"{name} needs a symmetric input")
     return operator(name)(f, alpha)

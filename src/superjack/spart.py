@@ -371,19 +371,20 @@ def fermionic_range(n: int, N: int) -> range:
     return range(m)
 
 
+def degrees(nmax: int, N: int) -> Iterator[tuple[int, int]]:
+    """The bidegrees (n|m), n <= nmax, that carry a superpartition in N >= 1
+    rows; n ascending, then m."""
+    return ((n, m) for n in range(nmax + 1) for m in fermionic_range(n, N))
+
+
 def enumerate_all_m(n: int, N: int) -> list[SuperPartition]:
     return [L for m in fermionic_range(n, N) for L in enumerate_sparts(n, m, N)]
 
 
-def admissible_at_degree(k: int, r: int, N: int, n: int,
-                         m: int) -> list[SuperPartition]:
-    return [L for L in enumerate_sparts(n, m, N) if is_admissible(L, k, r, N)]
-
-
 def enumerate_admissible(k: int, r: int, N: int,
                          nmax: int) -> list[SuperPartition]:
-    return [L for n in range(nmax + 1) for m in fermionic_range(n, N)
-            for L in admissible_at_degree(k, r, N, n, m)]
+    return [L for n, m in degrees(nmax, N) for L in enumerate_sparts(n, m, N)
+            if is_admissible(L, k, r, N)]
 
 
 # ---------------------------------------------------------------------------

@@ -10,27 +10,31 @@ from __future__ import annotations
 from math import comb, gcd, prod
 
 from .coeffring import ALPHA, PoleError, _scaled_eval
-from .ideals import (alpha_kr, cochain_check, harness_clustering,
-                     harness_I_eq_F, prescribed_vanish_check, stability_suite,
-                     vanish_check)
+from .ideals import (_representative_clusters, alpha_kr, char_F, char_I,
+                     cluster_multiplicity, cochain_check,
+                     prescribed_vanish_check, stability_suite, vanish_check)
 from .jack import (duality_check, jack_at, jack_poly, norm_gram, norm_hook,
                    pieri_check, PIERI_KINDS)
 from .ops import (check_algebra_table, check_virasoro_relations,
                   sekiguchi_S, sekiguchi_S_tilde, theta_part,
                   ulist_equals_scalar_multiple)
 from .spart import (SuperPartition, almost_admissible_variants, check_kr,
-                    enumerate_admissible, enumerate_all_m, enumerate_sparts,
-                    epsilon_u, fermionic_range, star_pair)
+                    degrees, enumerate_admissible, enumerate_all_m,
+                    enumerate_sparts, epsilon_u, star_pair)
 from .superpoly import (SuperPolynomial, column_images, integral_multiple,
                         monomial_msym)
 
 
+def _sweep(items, check) -> tuple[bool, dict]:
+    """check(item) gives the item's failures; ok when no item has one."""
+    found = [list(check(item)) for item in items]
+    failures = [failure for item in found for failure in item]
+    return not failures, {"checked": len(found), "failures": failures}
+
+
 def _labels(nmax: int, N: int, mmax: int | None = None):
-    for n in range(nmax + 1):
-        for L in enumerate_all_m(n, N):
-            if mmax is not None and L.m > mmax:
-                continue
-            yield L
+    return (L for n in range(nmax + 1) for L in enumerate_all_m(n, N)
+            if mmax is None or L.m <= mmax)
 
 
 def sekiguchi_verdicts(P: SuperPolynomial, L: SuperPartition, N: int,
@@ -98,32 +102,21 @@ def suite_sekiguchi(nmax: int, N: int, mmax: int = 2) -> tuple[bool, dict]:
     S-tilde coset sum by C(N, m), and eps(u) by prod_i (lam_i + i), lam
     starred or circled.  B >= 2H keeps the symmetry check exact at X.
     """
-    failures = []
-    count = 0
-    for L in _labels(nmax, N, mmax):
-        count += 1
+    def check(L):
         P = integral_multiple(jack_poly(L, N))
         X = _kronecker_point(P, L, N)
-        s_ok, s_tilde_ok = sekiguchi_verdicts(_packed(P, X), L, N, X)
-        if not s_ok:
-            failures.append(("S", str(L), N))
-        if not s_tilde_ok:
-            failures.append(("S_tilde", str(L), N))
-    return not failures, {"checked": count, "failures": failures}
+        verdicts = sekiguchi_verdicts(_packed(P, X), L, N, X)
+        return [(name, str(L), N) for name, ok
+                in zip(("S", "S_tilde"), verdicts) if not ok]
+    return _sweep(_labels(nmax, N, mmax), check)
 
 
 def _small_labels_sweep(nmax: int, check) -> tuple[bool, dict]:
-    """check(L, N) over every label of degree n <= nmax in N = max(n+m, 1)."""
-    failures = []
-    count = 0
-    for n in range(nmax + 1):
-        for m in fermionic_range(n, n + 1):
-            N = max(n + m, 1)
-            for L in enumerate_sparts(n, m, N):
-                count += 1
-                if not check(L, N):
-                    failures.append(str(L))
-    return not failures, {"checked": count, "failures": failures}
+    """check(L, N) over every label of degree n <= nmax in N = max(n+m, 1);
+    each such label fits in nmax + 1 rows."""
+    return _sweep(((L, max(n + m, 1)) for n, m in degrees(nmax, nmax + 1)
+                   for L in enumerate_sparts(n, m, max(n + m, 1))),
+                  lambda item: [] if check(*item) else [str(item[0])])
 
 
 def suite_norm(nmax: int) -> tuple[bool, dict]:
@@ -137,14 +130,10 @@ def suite_duality(nmax: int) -> tuple[bool, dict]:
 def suite_pieri(nmax: int, N: int, mmax: int = 2) -> tuple[bool, dict]:
     """Every Pieri kind on every label; one column helper serves them all."""
     image = column_images(N)
-    failures = []
-    count = 0
-    for L in _labels(nmax, N, mmax):
-        for kind in PIERI_KINDS:
-            count += 1
-            if not pieri_check(kind, L, N, image):
-                failures.append((kind, str(L)))
-    return not failures, {"checked": count, "failures": failures}
+    return _sweep(((kind, L) for L in _labels(nmax, N, mmax)
+                   for kind in PIERI_KINDS),
+                  lambda item: [] if pieri_check(*item, N, image)
+                  else [(item[0], str(item[1]))])
 
 
 def suite_stability(k: int, r: int, N: int, nmax: int,
@@ -168,14 +157,12 @@ def suite_vanishing(k: int, r: int, N: int, nmax: int) -> tuple[bool, dict]:
     check_kr(k, r)
     if N < k + 1:
         return True, {"checked": 0, "failures": [], "skipped": "N < k+1"}
-    failures = []
-    labels = enumerate_admissible(k, r, N, nmax)
-    for L in labels:
+    def check(L):
         if not vanish_check(L, k, r, N):
-            failures.append(("full", str(L)))
+            yield "full", str(L)
         if r > L.m and not prescribed_vanish_check(L, k, r, N):
-            failures.append(("prescribed", str(L)))
-    return not failures, {"checked": len(labels), "failures": failures}
+            yield "prescribed", str(L)
+    return _sweep(enumerate_admissible(k, r, N, nmax), check)
 
 
 def suite_regularity(k: int, r: int, N: int, nmax: int,
@@ -203,22 +190,43 @@ def suite_cochain(k: int, r: int, N: int, nmax: int, d: str = "q") -> tuple[bool
 
 
 def suite_conjecture_IF(k: int, N: int, nmax: int) -> tuple[bool, dict]:
+    """The characters of I^(k,2)_N and F^(k)_N, compared bidegree by
+    bidegree up to nmax."""
     check_kr(k, 2)
-    rep = harness_I_eq_F(k, N, nmax)
-    rep = dict(rep)
-    rep["char_I"] = rep["char_I"].series_str()
-    rep["char_F"] = rep["char_F"].series_str()
-    return rep["equal"], rep
+    ci, cf = char_I(k, 2, N, nmax), char_F(k, N, nmax)
+    mismatches = [{"degree": d, "char_I": ci.coeff(*d), "char_F": cf.coeff(*d)}
+                  for d in degrees(nmax, N) if ci.coeff(*d) != cf.coeff(*d)]
+    return not mismatches, {
+        "k": k, "N": N, "nmax": nmax, "char_I": ci.series_str(),
+        "char_F": cf.series_str(), "equal": not mismatches,
+        "mismatches": mismatches}
 
 
 def suite_conjecture_rma(k: int, r: int, N: int, nmax: int) -> tuple[bool, dict]:
+    """The multiplicity r - a on every admissible label with m >= 1, one
+    cluster per block class.  A multiplicity below r - a fails, and so does
+    any other mismatch within N >= k + m + 1, r > m; the rest are logged."""
     check_kr(k, r)
-    rep = harness_clustering(k, r, N, nmax)
-    divisibility_ok = all(row.get("divides", True) for row in rep["rows"]
-                          if not row.get("zero"))
-    ok = divisibility_ok and not rep["exceptions_in_bounds"]
-    rep["divisibility_ok"] = divisibility_ok
-    return ok, rep
+    rows = []
+    for L in [L for L in enumerate_admissible(k, r, N, nmax) if L.m]:
+        for cluster, primed in _representative_clusters(k, L.m, N):
+            res = cluster_multiplicity(L, k, r, N, cluster, primed)
+            s = res.multiplicity
+            row = {"label": str(L), "cluster": cluster, "primed": primed,
+                   "s": s, "expected": None if s is None else res.expected,
+                   "zero": s is None,
+                   "exception": s is not None and s != res.expected}
+            if s is not None:
+                row |= {"divides": s >= res.expected,
+                        "within_bounds": N >= k + L.m + 1 and r > L.m > 0}
+            rows.append(row)
+    exceptions = [row for row in rows if row["exception"]]
+    bad = [row for row in exceptions if row["within_bounds"]]
+    divisibility_ok = all(row["divides"] for row in rows if not row["zero"])
+    return divisibility_ok and not bad, {
+        "k": k, "r": r, "N": N, "nmax": nmax, "rows": rows,
+        "exceptions": exceptions, "exceptions_in_bounds": bad,
+        "divisibility_ok": divisibility_ok}
 
 
 def suite_algebra(N: int = 2) -> tuple[bool, dict]:

@@ -14,12 +14,13 @@ Grid notes pinned up front:
 from fractions import Fraction
 
 from superjack.coeffring import ONE, parse_alpha
-from superjack.ideals import cluster_multiplicity, dim_F, harness_I_eq_F
+from superjack.ideals import cluster_multiplicity, dim_F
 from superjack.jack import (integral_form, jack_at, jack_symbolic,
                             norm_gram, norm_hook)
 from superjack.spart import enumerate_all_m, is_admissible, parse_spart
-from superjack.suites import (suite_algebra, suite_cochain, suite_duality,
-                              suite_pieri, suite_regularity, suite_sekiguchi,
+from superjack.suites import (suite_algebra, suite_cochain,
+                              suite_conjecture_IF, suite_duality, suite_pieri,
+                              suite_regularity, suite_sekiguchi,
                               suite_stability, suite_vanishing)
 from superjack.superpoly import SuperPolynomial
 
@@ -177,7 +178,7 @@ def test_criterion_11_characters():
     # coefficientwise equality of the two characters
     for k in (1, 2):
         for N in range(k + 1, 5):
-            rep = harness_I_eq_F(k, N, 8)
+            _, rep = suite_conjecture_IF(k, N, 8)
             if not rep["equal"]:
                 ok = False
     _report(11, ok, "11 printed positions + char equality to degree 8")

@@ -517,6 +517,38 @@ def test_op_apply_rejects_a_flag_its_operator_does_not_take(
     assert payload["message"] == f"{name} does not take --{stray}"
 
 
+@pytest.mark.parametrize("name, mode, message", [
+    # G's Fraction(1, 0) used to exit 3 as a ZeroDivisionError
+    ("G", "1/0", "G needs --mode r <= 1/2, half-integral, got '1/0'"),
+    # L's message used to be int()'s "invalid literal ... 'x'"
+    ("L", "x", "L needs an integer --mode n <= 1, got 'x'"),
+], ids=["G-1/0", "L-x"])
+def test_op_apply_bad_mode_is_a_usage_error(capsys, tmp_path, name, mode,
+                                            message):
+    code, out, err = run(capsys, "op", "apply", "--name", name, "--mode",
+                         mode, "--alpha", "sym", "--input",
+                         _write_x1_squared(tmp_path))
+    assert code == 2 and out == ""
+    assert json.loads(err.strip()) == {"error": "UsageError",
+                                       "message": message}
+
+
+@pytest.mark.parametrize("poly, field", [
+    ({"N": 2}, "terms"),
+    ({"N": 2, "terms": [{"thetas": [], "exps": [1, 0]}]}, "coeff"),
+], ids=["terms", "coeff"])
+def test_op_apply_input_names_a_missing_field(capsys, tmp_path, poly, field):
+    # the message used to be the bare KeyError repr, such as "'terms'"
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(poly))
+    code, out, err = run(capsys, "op", "apply", "--name", "q",
+                         "--input", str(path))
+    assert code == 2 and out == ""
+    payload = json.loads(err.strip())
+    assert payload["error"] == "UsageError"
+    assert f"lacks the field '{field}'" in payload["message"]
+
+
 @pytest.mark.parametrize("N, term", [
     (2, {"thetas": [2, 1]}), (2, {"thetas": [1, 1]}), (2, {"thetas": [3]}),
     (2, {"thetas": [0]}), (2, {"exps": [1, 0, 4]}), (2, {"exps": [-1, 0]}),

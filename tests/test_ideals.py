@@ -9,15 +9,14 @@ from superjack.coeffring import (FieldMatrix, NoSolution, PoleError,
 from superjack.ideals import (CharacterSeries, DegreeBasis, NotInSpan,
                               NotUnitriangular, alpha_kr,
                               cluster_multiplicity, cochain_check,
-                              degree_basis, dim_F, harness_clustering,
-                              harness_I_eq_F, ideal_basis, membership,
+                              degree_basis, dim_F, ideal_basis, membership,
                               prescribed_vanish_check, rank_of,
                               stability_suite, vanish_check)
 from superjack.jack import jack_at
 from superjack.spart import (enumerate_admissible, enumerate_all_m,
                              enumerate_sparts, fermionic_range, is_admissible,
                              parse_spart)
-from superjack.suites import suite_conjecture_rma
+from superjack.suites import suite_conjecture_IF, suite_conjecture_rma
 from superjack.superpoly import (SuperPolynomial, from_mbasis, power_sum,
                                  to_mbasis)
 from oracles import (cluster_order_expanded, cochain_check_expanded,
@@ -372,9 +371,9 @@ def test_character_series_formatting():
 
 
 def test_char_equality_small():
-    rep = harness_I_eq_F(1, 2, 6)
+    _, rep = suite_conjecture_IF(1, 2, 6)
     assert rep["equal"], rep["mismatches"]
-    rep = harness_I_eq_F(1, 3, 6)
+    _, rep = suite_conjecture_IF(1, 3, 6)
     assert rep["equal"], rep["mismatches"]
 
 
@@ -583,7 +582,7 @@ def test_cochain_builds_each_target_basis_once(monkeypatch):
 
 
 def test_clustering_harness_small():
-    rep = harness_clustering(1, 2, 3, 5)
+    _, rep = suite_conjecture_rma(1, 2, 3, 5)
     assert rep["exceptions_in_bounds"] == []
     for row in rep["rows"]:
         if not row["zero"]:

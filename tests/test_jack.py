@@ -779,9 +779,9 @@ def test_peel_without_cancellation_is_caught(monkeypatch):
 def test_root_test_without_the_scale_is_caught(monkeypatch):
     # a mutant root test reads num(-f0) in place of f1**deg * num(-f0/f1),
     # so it misjudges every factor with f1 > 1, such as 2a+1
-    root_value = jack._root_value
-    monkeypatch.setattr(jack, "_root_value",
-                        lambda num, f0, f1: root_value(num, f0, 1))
+    scaled_eval = jack._scaled_eval
+    monkeypatch.setattr(jack, "_scaled_eval",
+                        lambda c, p, q, n: scaled_eval(c, p, 1, n))
     assert _peel_faults(_FAMILIES)[0]
 
 

@@ -6,7 +6,7 @@ from superjack.coeffring import ALPHA, AlphaPolynomial, AlphaRational
 from superjack.spart import (SuperPartition, add_circle_moves,
                              almost_admissible_variants, arm, cells,
                              check_kr, circle_to_square_moves, conjugate,
-                             dominance_leq,
+                             degrees, dominance_leq,
                              enumerate_admissible, enumerate_all_m,
                              enumerate_sparts, epsilon_u, fermionic_range,
                              is_admissible, leg, lower_hook, parse_spart,
@@ -165,6 +165,19 @@ def test_fermionic_range_matches_enumeration():
         for N in range(1, 5):
             assert list(fermionic_range(n, N)) == [
                 m for m in range(N + 2) if enumerate_sparts(n, m, N)]
+
+
+def test_degrees_are_the_bidegrees_that_carry_a_label():
+    for N in range(1, 7):
+        for nmax in range(11):
+            assert list(degrees(nmax, N)) == [
+                (n, m) for n in range(nmax + 1) for m in range(N + 2)
+                if enumerate_sparts(n, m, N)]
+    # the norm and duality sweep reads degrees(nmax, nmax + 1): each n keeps
+    # every m of fermionic_range(n, n + 1), so its checked counts hold
+    for nmax in range(11):
+        assert list(degrees(nmax, nmax + 1)) == [
+            (n, m) for n in range(nmax + 1) for m in fermionic_range(n, n + 1)]
 
 
 def test_enumerate_admissible_appendix_count():
