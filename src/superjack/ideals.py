@@ -277,13 +277,6 @@ class CharacterSeries:
                               else f"{body}*{u}")
         return " + ".join(chunks) if chunks else "0"
 
-    def __eq__(self, other):
-        if not isinstance(other, CharacterSeries):
-            return NotImplemented
-        keys = {k for k, v in self.table.items() if v} | \
-               {k for k, v in other.table.items() if v}
-        return all(self.coeff(*k) == other.coeff(*k) for k in keys)
-
 
 def char_I(k: int, r: int, N: int, nmax: int) -> CharacterSeries:
     """Admissible-label counts per bidegree."""

@@ -234,21 +234,28 @@ def cherednik(f: SuperPolynomial, i: int, alpha) -> SuperPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Sekiguchi pair, with u carried as a second polynomial indeterminate
+# Sekiguchi pair, with u a second indeterminate or evaluated at a point
 # ---------------------------------------------------------------------------
 
-def _cherednik_product(f: SuperPolynomial, alpha, shifted: int = 0) -> UList:
+def _cherednik_product(f: SuperPolynomial, alpha, shifted: int = 0,
+                       u=None) -> UList:
     """f times the product over i = 1..N of (xi_i + u), with alpha added to
-    xi_i for i <= shifted, as u-power coefficients: the shift and the u
-    term join each fresh `cherednik` output in place."""
+    xi_i for i <= shifted, as u-power coefficients, or as one component
+    evaluated at u when u is given: the shift and the u term join each
+    fresh `cherednik` output in place."""
     ul: UList = [f]
     for i in range(1, f.N + 1):
-        out = [cherednik(g, i, alpha) for g in ul] + [SuperPolynomial(f.N)]
+        out = [cherednik(g, i, alpha) for g in ul]
+        lift = alpha if i <= shifted else 0
+        if u is None:
+            out.append(SuperPolynomial(f.N))
+        else:
+            lift = lift + u
         for k, comp in enumerate(out):
             add = comp._iadd_term
-            if i <= shifted and k < len(ul):
+            if lift and k < len(ul):
                 for key, c in ul[k].terms.items():
-                    add(key, c * alpha)
+                    add(key, c * lift)
             if k:
                 for key, c in ul[k - 1].terms.items():
                     add(key, c)
@@ -256,19 +263,17 @@ def _cherednik_product(f: SuperPolynomial, alpha, shifted: int = 0) -> UList:
     return ul
 
 
-def sekiguchi_S(f: SuperPolynomial, alpha) -> UList:
-    """Product of (Cherednik_i + u) over all i, as u-power coefficients."""
-    return _cherednik_product(f, alpha)
+def sekiguchi_S(f: SuperPolynomial, alpha, u=None) -> UList:
+    """Product of (Cherednik_i + u) over all i, as u-power coefficients, or
+    at u when u is given."""
+    return _cherednik_product(f, alpha, u=u)
 
 
 def theta_part(f: SuperPolynomial, m: int) -> SuperPolynomial:
     """The terms of f whose theta factor is exactly theta_1...theta_m."""
     keep = tuple(range(1, m + 1))
-    out = SuperPolynomial(f.N)
-    for (T, e), c in f.terms.items():
-        if T == keep:
-            out.terms[(T, e)] = c
-    return out
+    return SuperPolynomial(f.N, {(T, e): c for (T, e), c in f.terms.items()
+                                 if T == keep})
 
 
 def _coset_reps(N: int, m: int) -> list:
@@ -277,13 +282,14 @@ def _coset_reps(N: int, m: int) -> list:
             for sub in combinations(range(1, N + 1), m)]
 
 
-def sekiguchi_S_tilde(f: SuperPolynomial, alpha) -> UList:
+def sekiguchi_S_tilde(f: SuperPolynomial, alpha, u=None) -> UList:
     """Supersymmetric Sekiguchi operator on a theta-homogeneous input.
 
     Sums over minimal coset representatives of S_N / (S_m x S_{N-m}), so it
     works over any coefficient ring, Z[a] included.  Each u-power's sum is
     accumulated in one term dict, and its zeros are dropped once at the end.
-    The zero polynomial gets N + 1 zero components, as from `sekiguchi_S`.
+    The zero polynomial gets N + 1 zero components, as from `sekiguchi_S`;
+    with u given, as there, the one component at u.
     """
     N = f.N
     degs = f.fermionic_degrees()
@@ -292,7 +298,7 @@ def sekiguchi_S_tilde(f: SuperPolynomial, alpha) -> UList:
     m = degs.pop() if degs else 0
     reps = _coset_reps(N, m)
     out = []
-    for comp in _cherednik_product(theta_part(f, m), alpha, m):
+    for comp in _cherednik_product(theta_part(f, m), alpha, m, u):
         acc: dict = {}
         permute_into(acc, comp.terms, reps)
         out.append(SuperPolynomial(N, {k: c for k, c in acc.items() if c}))
@@ -490,11 +496,8 @@ def check_virasoro_relations(alpha, test_polys: Sequence[SuperPolynomial]
         n_a = _over(N, alpha, "the super-Virasoro bridge")
         for n in n_range:
             for m in n_range:
-                got = L_op(n, L_op(m, f)) - L_op(m, L_op(n, f))
-                want = L_op(n + m, f).scale(n - m) if n + m <= 1 else None
-                if want is None:
-                    continue
-                if got != want:
+                if n + m <= 1 and (L_op(n, L_op(m, f)) - L_op(m, L_op(n, f))
+                                   != L_op(n + m, f).scale(n - m)):
                     failures.append(f"[L_{n},L_{m}] on {f}")
         for n in n_range:
             for r in r_range:

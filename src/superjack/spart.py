@@ -377,10 +377,6 @@ def degrees(nmax: int, N: int) -> Iterator[tuple[int, int]]:
     return ((n, m) for n in range(nmax + 1) for m in fermionic_range(n, N))
 
 
-def enumerate_all_m(n: int, N: int) -> list[SuperPartition]:
-    return [L for m in fermionic_range(n, N) for L in enumerate_sparts(n, m, N)]
-
-
 def enumerate_admissible(k: int, r: int, N: int,
                          nmax: int) -> list[SuperPartition]:
     return [L for n, m in degrees(nmax, N) for L in enumerate_sparts(n, m, N)
@@ -431,12 +427,8 @@ def bosonic_cells(L: SuperPartition) -> list[Cell]:
 def skew_circled_cells(L: SuperPartition) -> list[Cell]:
     """Cells of the circled shape outside the staircase (m, m-1, ..., 1)."""
     m = L.m
-    out = []
-    for i, p in enumerate(L.circled, start=1):
-        start = m - i + 1 if i <= m else 0
-        for j in range(start + 1, p + 1):
-            out.append((i, j))
-    return out
+    return [(i, j) for i, p in enumerate(L.circled, start=1)
+            for j in range(max(m - i + 1, 0) + 1, p + 1)]
 
 
 def v_poly(L: SuperPartition) -> AlphaPolynomial:

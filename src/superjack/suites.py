@@ -19,8 +19,8 @@ from .ops import (check_algebra_table, check_virasoro_relations,
                   sekiguchi_S, sekiguchi_S_tilde, theta_part,
                   ulist_equals_scalar_multiple)
 from .spart import (SuperPartition, almost_admissible_variants, check_kr,
-                    degrees, enumerate_admissible, enumerate_all_m,
-                    enumerate_sparts, epsilon_u, star_pair)
+                    degrees, enumerate_admissible, enumerate_sparts,
+                    epsilon_u, star_pair)
 from .superpoly import (SuperPolynomial, column_images, integral_multiple,
                         monomial_msym)
 
@@ -32,15 +32,16 @@ def _sweep(items, check) -> tuple[bool, dict]:
     return not failures, {"checked": len(found), "failures": failures}
 
 
-def _labels(nmax: int, N: int, mmax: int | None = None):
-    return (L for n in range(nmax + 1) for L in enumerate_all_m(n, N)
-            if mmax is None or L.m <= mmax)
+def _labels(nmax: int, N: int, mmax: int):
+    return (L for n, m in degrees(nmax, N) if m <= mmax
+            for L in enumerate_sparts(n, m, N))
 
 
 def sekiguchi_verdicts(P: SuperPolynomial, L: SuperPartition, N: int,
-                       alpha) -> tuple[bool, bool]:
+                       alpha, u=None) -> tuple[bool, bool]:
     """Whether P satisfies the S and the S-tilde eigenrelation of L in N
-    variables, read on P's theta_1...theta_m part, m = L.m.
+    variables, read on P's theta_1...theta_m part, m = L.m: as identities
+    in u, or at the integer u when one is given.
 
     That reading is exact for a symmetric P of fermionic degree m:
     - S(u) = prod (xi_i + u) acts on the x's only, since `cherednik` carries
@@ -59,24 +60,31 @@ def sekiguchi_verdicts(P: SuperPolynomial, L: SuperPartition, N: int,
     if P.fermionic_degrees() != {m} or not P.is_symmetric():
         raise ArithmeticError(f"P_{L} in {N} variables is not a symmetric "
                               f"polynomial of fermionic degree {m}")
+    def eps(lam):  # eps(u) as u-power coefficients, or its value at u
+        c = epsilon_u(lam, N, alpha)
+        return c if u is None else [_scaled_eval(c, u, 1, len(c))]
+
     circ, star = star_pair(L, N)
     head = theta_part(P, m)
     s_ok = ulist_equals_scalar_multiple(
-        sekiguchi_S(head, alpha), epsilon_u(star, N, alpha), head)
+        sekiguchi_S(head, alpha, u), eps(star), head)
     s_tilde_ok = ulist_equals_scalar_multiple(
-        [theta_part(c, m) for c in sekiguchi_S_tilde(P, alpha)],
-        epsilon_u(circ, N, alpha), head)
+        [theta_part(c, m) for c in sekiguchi_S_tilde(P, alpha, u)],
+        eps(circ), head)
     return s_ok, s_tilde_ok
 
 
-def _kronecker_point(P: SuperPolynomial, L: SuperPartition, N: int) -> int:
-    """A power of two above B, `suite_sekiguchi`'s bound on P's residuals."""
+def _kronecker_point(P: SuperPolynomial, L: SuperPartition,
+                     N: int) -> tuple[int, int]:
+    """(X, Y): X a power of two above B, `suite_sekiguchi`'s bound on P's
+    residual coefficients, and Y = X^(d + 1), d = deg_a P + N."""
     H = sum(abs(x) for c in P.terms.values() for x in c.coeffs)
     n = max((sum(e) for _, e in P.terms), default=0)
     grow = comb(N, L.m) * prod(N * n + i + 1 for i in range(1, N + 1))
     eps = max(prod(p + i for i, p in enumerate(lam, 1))
               for lam in star_pair(L, N))
-    return 1 << (H * (grow + eps)).bit_length()
+    X = 1 << (H * (grow + eps)).bit_length()
+    return X, X ** (max(c.degree() for c in P.terms.values()) + N + 1)
 
 
 def _packed(P: SuperPolynomial, X: int) -> SuperPolynomial:
@@ -90,22 +98,26 @@ def suite_sekiguchi(nmax: int, N: int, mmax: int = 2) -> tuple[bool, dict]:
     """Both generating-series eigenrelations as identities in u.
 
     Each P is cleared to Z[a] once and read on its theta_1...theta_m part
-    (`sekiguchi_verdicts`) in plain ints at a = X.  a -> X is a ring map
-    Z[a] -> Z and the operators have integer constants, so each residual
-    delta = (S(u) P - eps(u) P)[term, u^k], or its S-tilde twin, goes to
-    delta(X): an exact pass passes at X.  If delta != 0 has every
-    |delta_j| <= B < X, delta_j its lowest nonzero one, then delta(X) / X^j
-    = delta_j != 0 mod X: a failure fails at X.  For H the l1 norm of P and
-    n its x-degree, B = H (C(N, m) prod_i (Nn + i + 1) + max prod_i (lam_i
-    + i)): xi_i + u (+ a for i <= m) multiplies an l1 norm by at most
-    Nn + i + 1 (n + i - 1 diagonal, (N - 1) n exchange terms, u, a), the
-    S-tilde coset sum by C(N, m), and eps(u) by prod_i (lam_i + i), lam
-    starred or circled.  B >= 2H keeps the symmetry check exact at X.
+    (`sekiguchi_verdicts`) in plain ints at a = X, u = Y.  (a, u) -> (X, Y)
+    is a ring map Z[a, u] -> Z and the operators have integer constants, so
+    each residual delta = sum_k delta_k u^k = (S(u) P - eps(u) P)[term], or
+    its S-tilde twin, goes to delta(X, Y): an exact pass passes.  For H the
+    l1 norm of P and n its x-degree, each a-coefficient of each delta_k is
+    at most B = H (C(N, m) prod_i (Nn + i + 1) + max prod_i (lam_i + i)) < X
+    in absolute value: xi_i + u (+ a for i <= m) multiplies an l1 norm by
+    at most Nn + i + 1 (n + i - 1 diagonal, (N - 1) n exchange terms, u, a),
+    the S-tilde coset sum by C(N, m), and eps(u) by prod_i (lam_i + i), lam
+    starred or circled.  Each of the N factors adds at most one to the
+    a-degree, so deg_a delta_k <= d = deg_a P + N and |delta_k(X)| <=
+    (X - 1)(1 + X + ... + X^d) < Y = X^(d+1).  So a delta_k != 0, with
+    lowest nonzero a-coefficient delta_kj, has delta_k(X) / X^j = delta_kj
+    != 0 mod X, and for the lowest such k, delta(X, Y) / Y^k = delta_k(X)
+    != 0 mod Y: a failure fails.  B >= 2H keeps the symmetry check exact.
     """
     def check(L):
         P = integral_multiple(jack_poly(L, N))
-        X = _kronecker_point(P, L, N)
-        verdicts = sekiguchi_verdicts(_packed(P, X), L, N, X)
+        X, Y = _kronecker_point(P, L, N)
+        verdicts = sekiguchi_verdicts(_packed(P, X), L, N, X, Y)
         return [(name, str(L), N) for name, ok
                 in zip(("S", "S_tilde"), verdicts) if not ok]
     return _sweep(_labels(nmax, N, mmax), check)

@@ -1,19 +1,20 @@
-"""Helpers that only the tests use: the composition side of the
-non-symmetric construction, the Vandermonde product, the swap of two
-commuting variables, the coefficient of a power of one of them, the Euclid
-gcd and exact division of Z[a] run over Q with Fraction coefficients,
-dense Gauss-Jordan solves over Q or Q(a), the power-sum expansion among
-them, the stability, cochain, Pieri and coincidence-vanishing checks, the
-all-ones evaluation and the cluster orders on expanded polynomials, the
-diagonal action of one permutation, the Sekiguchi eigenrelations read
-on the whole polynomial, the D and Delta rows of a whole family, read
-from the per-label rows or built in all N variables, and the orbit kernels
-the fast ones replaced: the relabel one permutation at a time, D and
-Delta built by relabeling their (1, 2) image to every pair, the
-term-by-term canonical scan, the orbit over every distinct arrangement and
-the two-partition dominance; and the routes the shared ones replaced: the
-first-order generators as per-index `out +=` loops, the Sekiguchi pair as a
-chain of (op + u) factors, and dim F on expanded merged monomials."""
+"""Helpers that only the tests use: every label of one degree n, the
+composition side of the non-symmetric construction, the Vandermonde
+product, the swap of two commuting variables, the coefficient of a power
+of one of them, the Euclid gcd and exact division of Z[a] run over Q with
+Fraction coefficients, dense Gauss-Jordan solves over Q or Q(a), the
+power-sum expansion among them, the stability, cochain, Pieri and
+coincidence-vanishing checks, the all-ones evaluation and the cluster
+orders on expanded polynomials, the diagonal action of one permutation,
+the Sekiguchi eigenrelations read on the whole polynomial, the D and Delta
+rows of a whole family, read from the per-label rows or built in all N
+variables, and the orbit kernels the fast ones replaced: the relabel one
+permutation at a time, D and Delta built by relabeling their (1, 2) image
+to every pair, the term-by-term canonical scan, the orbit over every
+distinct arrangement and the two-partition dominance; and the routes the
+shared ones replaced: the first-order generators as per-index `out +=`
+loops, the Sekiguchi pair as a chain of (op + u) factors, and dim F on
+expanded merged monomials."""
 
 import math
 from fractions import Fraction
@@ -29,11 +30,16 @@ from superjack.ops import (OPERATORS, L_op, apply_D, apply_Delta, operator,
                            sekiguchi_S, sekiguchi_S_tilde,
                            ulist_equals_scalar_multiple)
 from superjack.spart import (SuperPartition, dominance_leq, enumerate_sparts,
-                             epsilon_u, n_mult, star_pair)
+                             epsilon_u, fermionic_range, n_mult, star_pair)
 from superjack.superpoly import (SuperPolynomial, combine, ferm_power,
                                  from_mbasis, monomial_msym, p_label,
                                  permute_into, power_sum, prescribed_part,
                                  to_mbasis, unique_arrangements)
+
+
+def enumerate_all_m(n: int, N: int) -> list[SuperPartition]:
+    """Every superpartition of degree n in N rows, m ascending."""
+    return [L for m in fermionic_range(n, N) for L in enumerate_sparts(n, m, N)]
 
 
 def f_stat(parts: Sequence[int]) -> int:

@@ -17,14 +17,14 @@ from superjack.coeffring import ONE, parse_alpha
 from superjack.ideals import cluster_multiplicity, dim_F
 from superjack.jack import (integral_form, jack_at, jack_symbolic,
                             norm_gram, norm_hook)
-from superjack.spart import enumerate_all_m, is_admissible, parse_spart
+from superjack.spart import is_admissible, parse_spart
 from superjack.suites import (suite_algebra, suite_cochain,
                               suite_conjecture_IF, suite_duality, suite_pieri,
                               suite_regularity, suite_sekiguchi,
                               suite_stability, suite_vanishing)
 from superjack.superpoly import SuperPolynomial
 
-from oracles import swap_K, vandermonde
+from oracles import enumerate_all_m, swap_K, vandermonde
 
 COPRIME_PAIRS = [(1, 2), (2, 2), (2, 3)]
 NONCOPRIME_PAIR = (1, 3)  # listed in the criterion grid; gcd(k+1, r-1) = 2

@@ -13,14 +13,14 @@ from superjack.ideals import (CharacterSeries, DegreeBasis, NotInSpan,
                               prescribed_vanish_check, rank_of,
                               stability_suite, vanish_check)
 from superjack.jack import jack_at
-from superjack.spart import (enumerate_admissible, enumerate_all_m,
-                             enumerate_sparts, fermionic_range, is_admissible,
+from superjack.spart import (enumerate_admissible, enumerate_sparts,
+                             fermionic_range, is_admissible,
                              parse_spart)
 from superjack.suites import suite_conjecture_IF, suite_conjecture_rma
 from superjack.superpoly import (SuperPolynomial, from_mbasis, power_sum,
                                  to_mbasis)
 from oracles import (cluster_order_expanded, cochain_check_expanded,
-                     dense_solve_exact, dim_F_expanded,
+                     dense_solve_exact, dim_F_expanded, enumerate_all_m,
                      prescribed_vanish_check_expanded,
                      stability_suite_expanded, vanish_check_expanded)
 

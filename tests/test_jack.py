@@ -23,7 +23,7 @@ from superjack.jack import (DegenerateSystem, JackExpansion, eigen_check,
 from superjack.ops import (apply_D, apply_Delta, cherednik, operator,
                            sekiguchi_S)
 from superjack.spart import (SuperPartition, conjugate, e_star_poly, e_tilde_poly,
-                             enumerate_all_m, enumerate_sparts, epsilon_u,
+                             enumerate_sparts, epsilon_u,
                              dominance_leq, fermionic_range, parse_spart,
                              star_pair, v_poly)
 from superjack.suites import _labels, suite_pieri
@@ -31,8 +31,8 @@ from superjack.superpoly import (SuperPolynomial, column_images, ferm_power,
                                  integral_multiple, monomial_msym, p_label,
                                  to_mbasis, to_pbasis)
 from oracles import (act_Ksigma, coefficient_xpower, dense_solve_exact,
-                     eta_bar, evaluation_expanded, f_stat, family_rows,
-                     mbasis_matrices_full, partition_dominates,
+                     enumerate_all_m, eta_bar, evaluation_expanded, f_stat,
+                     family_rows, mbasis_matrices_full, partition_dominates,
                      pieri_check_expanded, tilde_composition, vandermonde)
 
 a = ALPHA

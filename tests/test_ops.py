@@ -18,8 +18,8 @@ from superjack.ops import (ALGEBRA_TABLE, OPERATORS, G_op, L_op,
                            sekiguchi_S, sekiguchi_S_tilde,
                            ulist_equals_scalar_multiple)
 from superjack.jack import jack_at, jack_poly, jack_symbolic
-from superjack.spart import (e_star_poly, e_tilde_poly, enumerate_all_m,
-                             epsilon_u, parse_spart)
+from superjack.spart import (e_star_poly, e_tilde_poly, epsilon_u,
+                             parse_spart)
 from superjack.suites import (_kronecker_point, _labels, _packed,
                               sekiguchi_verdicts)
 from superjack.superpoly import (DivisionFailure, SuperPolynomial,
@@ -28,8 +28,8 @@ from superjack.superpoly import (DivisionFailure, SuperPolynomial,
 
 from oracles import (GENERATOR_LOOPS, G_op_loop, L_op_loop, act_Ksigma,
                      apply_D_relabel, apply_Delta_relabel, cherednik_chain,
-                     sekiguchi_S_tilde_chain, sekiguchi_verdicts_whole,
-                     swap_K)
+                     enumerate_all_m, sekiguchi_S_tilde_chain,
+                     sekiguchi_verdicts_whole, swap_K)
 
 a = ALPHA
 
@@ -256,7 +256,7 @@ def test_sekiguchi_tilde_coset_equals_full_sum():
 def test_sekiguchi_integral_route_matches_rational(nmax, N, mmax):
     # suite_sekiguchi's routes against the Q(a) route they replaced, on each
     # Jack superpolynomial and on a mutant P + m_Omega, Omega < L: Z[a], and
-    # plain ints at the suite's Kronecker point
+    # plain ints at the suite's Kronecker point X, with u free and at u = Y
     A = AlphaPolynomial.gen()
     mutants = 0
     for L in _labels(nmax, N, mmax):
@@ -272,8 +272,9 @@ def test_sekiguchi_integral_route_matches_rational(nmax, N, mmax):
             Z = integral_multiple(Q)
             assert sekiguchi_verdicts_whole(Z, L, N, A) == verdict
             assert sekiguchi_verdicts(Z, L, N, A) == verdict
-            X = _kronecker_point(Z, L, N)
+            X, Y = _kronecker_point(Z, L, N)
             assert sekiguchi_verdicts(_packed(Z, X), L, N, X) == verdict
+            assert sekiguchi_verdicts(_packed(Z, X), L, N, X, Y) == verdict
     assert mutants
 
 
@@ -809,8 +810,8 @@ def test_shift_stopping_at_m_minus_one_is_caught(monkeypatch):
     cases = [(jack_poly(L, 3), L) for L in _labels(3, 3, 2) if L.m]
     product = ops._cherednik_product
     monkeypatch.setattr(ops, "_cherednik_product",
-                        lambda f, alpha, shifted=0: product(f, alpha,
-                                                            shifted - 1))
+                        lambda f, alpha, shifted=0, u=None:
+                        product(f, alpha, shifted - 1, u))
     for P, L in cases:
         assert sekiguchi_S(P, a) == cherednik_chain(P, a), str(L)
         assert sekiguchi_S_tilde(P, a) != sekiguchi_S_tilde_chain(P, a), str(L)

@@ -7,13 +7,14 @@ from superjack.spart import (SuperPartition, add_circle_moves,
                              almost_admissible_variants, arm, cells,
                              check_kr, circle_to_square_moves, conjugate,
                              degrees, dominance_leq,
-                             enumerate_admissible, enumerate_all_m,
-                             enumerate_sparts, epsilon_u, fermionic_range,
+                             enumerate_admissible, enumerate_sparts,
+                             epsilon_u, fermionic_range,
                              is_admissible, leg, lower_hook, parse_spart,
                              remove_circle_moves, square_to_circle_moves,
                              star_pair, to_overpartition, upper_hook)
 
-from oracles import dominance_leq_shapes, eta_bar, tilde_composition
+from oracles import (dominance_leq_shapes, enumerate_all_m, eta_bar,
+                     tilde_composition)
 
 
 def test_star_pair_display_example():

@@ -4,7 +4,7 @@ polynomial."""
 
 import pytest
 
-from superjack import cli, suites
+from superjack import cli, ops, suites
 from superjack.coeffring import AlphaPolynomial
 from superjack.ideals import char_I
 from superjack.jack import jack_poly
@@ -17,7 +17,7 @@ from superjack.suites import (_kronecker_point, _labels, _packed,
                               suite_vanishing)
 from superjack.superpoly import integral_multiple, monomial_msym
 
-from oracles import sekiguchi_verdicts_whole
+from oracles import enumerate_all_m, sekiguchi_verdicts_whole
 
 
 @pytest.mark.parametrize("k, r, N, checked", [(1, 2, 3, 28), (2, 3, 4, 16)])
@@ -89,7 +89,7 @@ def test_sekiguchi_point_comes_from_the_input():
     count = 0
     for L, bad in _planted_mutants(3, 3, 2, A - 2):
         assert sekiguchi_verdicts(_packed(bad, 2), L, 3, 2) == (True, True)
-        X = _kronecker_point(bad, L, 3)
+        X, _ = _kronecker_point(bad, L, 3)
         assert sekiguchi_verdicts(_packed(bad, X), L, 3, X) != (True, True)
         count += 1
     assert count
@@ -103,7 +103,7 @@ def test_sekiguchi_residuals_stay_below_the_point():
     cases = [(L, integral_multiple(jack_poly(L, N))) for L in _labels(3, N, 2)]
     cases += _planted_mutants(3, N, 2, 1)
     for L, P in cases:
-        X = _kronecker_point(P, L, N)
+        X, _ = _kronecker_point(P, L, N)
         head = theta_part(P, L.m)
         circ, star = star_pair(L, N)
         for images, lam in [
@@ -115,6 +115,82 @@ def test_sekiguchi_residuals_stay_below_the_point():
                 residual = image - head.scale(e)
                 assert all(abs(x) < X for c in residual.terms.values()
                            for x in c.coeffs), str(L)
+
+
+PACKED_GRIDS = [(3, 3, 2), (3, 4, 1), (4, 3, 2)]
+
+
+def _jacks_and_mutants(nmax, N, mmax):
+    """(L, P_L, True) per label, then (L, P_L + m_Omega, False) per Omega < L."""
+    for L in _labels(nmax, N, mmax):
+        yield L, integral_multiple(jack_poly(L, N)), True
+    for L, bad in _planted_mutants(nmax, N, mmax, 1):
+        yield L, bad, False
+
+
+@pytest.mark.parametrize("nmax, N, mmax", PACKED_GRIDS)
+def test_sekiguchi_packed_u_matches_u_list(nmax, N, mmax):
+    # at (X, Y) each relation is one integer per term; its verdict is the
+    # u-list verdict at X, and every mutant fails
+    mutants = 0
+    for L, P, exact in _jacks_and_mutants(nmax, N, mmax):
+        X, Y = _kronecker_point(P, L, N)
+        packed = _packed(P, X)
+        verdict = sekiguchi_verdicts(packed, L, N, X, Y)
+        assert verdict == sekiguchi_verdicts(packed, L, N, X), str(L)
+        assert (verdict == (True, True)) == exact, str(L)
+        mutants += not exact
+    assert mutants
+
+
+@pytest.mark.parametrize("nmax, N, mmax", PACKED_GRIDS)
+def test_sekiguchi_residuals_stay_below_the_u_point(nmax, N, mmax):
+    # each u^k-coefficient delta_k of S(u) head - eps(u) head, and of its
+    # S-tilde twin, has a-degree at most d = deg_a P + N and |delta_k(X)| < Y
+    A = AlphaPolynomial.gen()
+    nonzero = 0
+    for L, P, _ in _jacks_and_mutants(nmax, N, mmax):
+        X, Y = _kronecker_point(P, L, N)
+        d = max(c.degree() for c in P.terms.values()) + N
+        head = theta_part(P, L.m)
+        circ, star = star_pair(L, N)
+        for images, lam in [
+                (sekiguchi_S(head, A), star),
+                ([theta_part(c, L.m) for c in sekiguchi_S_tilde(P, A)], circ)]:
+            for image, e in zip(images, epsilon_u(lam, N, A)):
+                for c in (image - head.scale(e)).terms.values():
+                    assert c.degree() <= d, str(L)
+                    at_x = sum(x * X ** j for j, x in enumerate(c.coeffs))
+                    assert abs(at_x) < Y, str(L)
+                    nonzero += 1
+    assert nonzero
+
+
+def test_sekiguchi_makes_two_N_cherednik_calls_per_label(monkeypatch):
+    # N factors for S and N for S-tilde: a fall back to the u-list route,
+    # N(N+1)/2 calls per product, shows here
+    calls = []
+    cherednik = ops.cherednik
+
+    def spy(*args):
+        calls.append(args[1])
+        return cherednik(*args)
+
+    monkeypatch.setattr(ops, "cherednik", spy)
+    ok, rep = suite_sekiguchi(3, 3, 2)
+    assert ok and rep["checked"] == len(list(_labels(3, 3, 2)))
+    assert calls == [1, 2, 3] * 2 * rep["checked"]
+
+
+def test_labels_keep_their_order():
+    # the sekiguchi and pieri "checked" counts and the benchmark's item
+    # order read this sequence
+    for N in range(1, 6):
+        for nmax in range(7):
+            for mmax in range(N + 1):
+                want = [L for n in range(nmax + 1)
+                        for L in enumerate_all_m(n, N) if L.m <= mmax]
+                assert list(_labels(nmax, N, mmax)) == want, (N, nmax, mmax)
 
 
 def _off_head_mutant(L, N):

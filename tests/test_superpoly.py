@@ -10,8 +10,8 @@ from superjack.coeffring import (ALPHA, ONE, AlphaPolynomial, AlphaRational,
                                  common_denominator)
 from superjack import superpoly
 from superjack.jack import jack_poly
-from superjack.spart import (enumerate_all_m, enumerate_sparts,
-                             fermionic_range, parse_spart, z_stat)
+from superjack.spart import (enumerate_sparts, fermionic_range, parse_spart,
+                             z_stat)
 from superjack.superpoly import (DivisionFailure, NotSymmetric,
                                  SuperPolynomial, divide_xdiff, ferm_power,
                                  from_mbasis, integral_multiple,
@@ -23,7 +23,7 @@ from superjack.superpoly import (DivisionFailure, NotSymmetric,
 from superjack.suites import suite_duality, suite_norm
 
 import oracles
-from oracles import act_Ksigma, swap_K
+from oracles import act_Ksigma, enumerate_all_m, swap_K
 
 
 def x(i, N, p=1):
